@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact_linalg import Rat
-
 
 class NotMinusOneCurve(ValueError):
     """Attempted to contract a curve that is not a smooth rational (-1)-curve."""
@@ -28,8 +26,8 @@ class NotMinusOneCurve(ValueError):
 @dataclass(frozen=True)
 class CurveConfig:
     names: tuple[str, ...]
-    matrix: tuple[tuple[Rat, ...], ...]
-    k_degrees: tuple[Rat, ...]
+    matrix: tuple[tuple[Fraction, ...], ...]
+    k_degrees: tuple[Fraction, ...]
     genera: tuple[int, ...]
     q: int
 
@@ -49,20 +47,20 @@ class CurveConfig:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def pair(self, a: str, b: str) -> Rat:
+    def pair(self, a: str, b: str) -> Fraction:
         return self.matrix[self.index(a)][self.index(b)]
 
-    def self_int(self, name: str) -> Rat:
+    def self_int(self, name: str) -> Fraction:
         i = self.index(name)
         return self.matrix[i][i]
 
-    def k_degree(self, name: str) -> Rat:
+    def k_degree(self, name: str) -> Fraction:
         return self.k_degrees[self.index(name)]
 
     def genus(self, name: str) -> int:
         return self.genera[self.index(name)]
 
-    def arithmetic_genus(self, name: str) -> Rat:
+    def arithmetic_genus(self, name: str) -> Fraction:
         i = self.index(name)
         return 1 + (self.matrix[i][i] + self.k_degrees[i]) / 2
 
@@ -122,7 +120,7 @@ class RationalityCertificate:
 
     contractions: tuple[str, ...]
     final_curve: str
-    final_self_intersection: Rat
+    final_self_intersection: Fraction
     states: tuple[CurveConfig, ...]  # configuration before each contraction, then final
 
     @property

@@ -26,7 +26,6 @@ from .quotient_engine import (
     Stratum,
     albanese_fiber_genus,
     euler_quotient,
-    full_report,
 )
 
 SCHEMA_VERSION = 1
@@ -170,18 +169,18 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     return scenario
 
 
-def validate_scenario(data: dict) -> list[str]:
-    """Structural plus semantic validation; returns diagnostics (empty = ok)."""
+def _checked_scenario(data: dict) -> tuple[Optional[QuotientScenario], list[str]]:
+    """Parse, then run the semantic checks; the scenario is None unless both pass."""
     diags: list[str] = []
     scenario = scenario_from_dict(data, diagnostics=diags)
     if scenario is None:
-        return diags
+        return None, diags
     # semantic checks that need the group
     try:
         order = scenario.group().order
     except Exception as exc:
         diags.append(f"group: closure failed: {exc}")
-        return diags
+        return None, diags
     for i, st in enumerate(scenario.strata):
         if order % st.order != 0:
             diags.append(f"strata[{i}].stabilizer_order: {st.order} does not divide |G| = {order}")
@@ -199,7 +198,12 @@ def validate_scenario(data: dict) -> list[str]:
             albanese_fiber_genus(fib.fiber_genus, fib.deck_order, fib.ramification)
         except ArithmeticError as exc:
             diags.append(f"fibration: {exc}")
-    return diags
+    return (None if diags else scenario), diags
+
+
+def validate_scenario(data: dict) -> list[str]:
+    """Structural plus semantic validation; returns diagnostics (empty = ok)."""
+    return _checked_scenario(data)[1]
 
 
 def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]]:
@@ -223,11 +227,9 @@ def load_catalog(catalog_dir: Optional[Path] = None) -> dict[str, QuotientScenar
         return _CATALOG_CACHE[cache_key]
     catalog: dict[str, QuotientScenario] = {}
     for name, data in _data_files(catalog_dir):
-        diags = validate_scenario(data)
+        scenario, diags = _checked_scenario(data)
         if diags:
             raise InvalidScenario([f"{name}: {d}" for d in diags])
-        scenario = scenario_from_dict(data)
-        assert scenario is not None
         if scenario.label in catalog:
             raise InvalidScenario([f"{name}: duplicate label {scenario.label}"])
         catalog[scenario.label] = scenario
@@ -246,15 +248,11 @@ def find_case(label: str, catalog_dir: Optional[Path] = None) -> QuotientScenari
 
 
 def report_for(label: str, catalog_dir: Optional[Path] = None) -> InvariantReport:
-    return full_report(find_case(label, catalog_dir))
+    return find_case(label, catalog_dir).report
 
 
 # ---------------------------------------------------------------------------
 # rendering
-
-
-def _fmt_rat(x) -> str:
-    return str(x)
 
 
 def _kappa_text(report: InvariantReport, certified: bool) -> str:
@@ -267,7 +265,7 @@ def _kappa_text(report: InvariantReport, certified: bool) -> str:
 
 def table_rows(report: InvariantReport, certified: bool) -> dict[str, str]:
     row = {
-        "c1^2": _fmt_rat(report.c1_sq),
+        "c1^2": str(report.c1_sq),
         "c2": str(report.c2),
         "q": str(report.q),
         "p_g": str(report.p_g),
@@ -285,42 +283,29 @@ def table_rows(report: InvariantReport, certified: bool) -> dict[str, str]:
     return row
 
 
-def run_case(label: str, catalog_dir: Optional[Path] = None) -> InvariantReport:
-    return report_for(label, catalog_dir)
-
-
-def _certified_cases(catalog: dict[str, QuotientScenario], verify: bool) -> set[str]:
+def _certified_cases(catalog: dict[str, QuotientScenario]) -> set[str]:
     """Labels whose recorded rationality certificate actually exists."""
-    if not verify:
-        return set()
     from . import rationality_cases
 
+    cases = {"klein": ("klein-option-1", "klein-option-2"), "xv": ("xv",)}
     certified = set()
     for label, scenario in catalog.items():
-        case = scenario.annotations.get("rationality_case")
-        if case == "klein":
-            rationality_cases.certify_rationality("klein-option-1", regularity=full_report(scenario).q)
-            rationality_cases.certify_rationality("klein-option-2", regularity=full_report(scenario).q)
-            certified.add(label)
-        elif case == "xv":
-            rationality_cases.certify_rationality("xv", regularity=full_report(scenario).q)
+        for case in cases.get(scenario.annotations.get("rationality_case"), ()):
+            rationality_cases.certify_rationality(case, regularity=scenario.report.q)
             certified.add(label)
     return certified
 
 
-def run_tables(catalog_dir: Optional[Path] = None, verify_certificates: bool = True):
+def run_tables(catalog_dir: Optional[Path] = None):
     """Both classification tables, in catalog order, as (columns, rows) pairs."""
     catalog = load_catalog(catalog_dir)
-    certified = _certified_cases(catalog, verify_certificates)
+    certified = _certified_cases(catalog)
     tables = []
     for table_number, columns in ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS)):
         members = sorted(
             (s for s in catalog.values() if s.table == table_number),
             key=lambda s: s.annotations.get("table_position", 0))
-        rows = []
-        for scenario in members:
-            report = full_report(scenario)
-            rows.append(table_rows(report, scenario.label in certified))
+        rows = [table_rows(s.report, s.label in certified) for s in members]
         tables.append((columns, rows))
     return tables
 
@@ -359,8 +344,8 @@ def report_to_json_dict(report: InvariantReport) -> dict:
             "fiber_genus": report.fiber_genus,
             "singularities": report.singularities,
             "noether_ok": report.noether_ok,
-            "k2_quotient": _fmt_rat(report.k2_quotient),
-            "k2_correction": _fmt_rat(report.k2_correction),
+            "k2_quotient": str(report.k2_quotient),
+            "k2_correction": str(report.k2_correction),
             "euler_quotient": report.euler_quotient,
             "exceptional_components": report.exceptional_components,
         },
@@ -376,9 +361,9 @@ def render_report(report: InvariantReport, fmt: str = "text") -> str:
     items = []
     if report.source:
         items.append(f"data source: {report.source}")
-    items.append(f"c1^2 = {_fmt_rat(report.c1_sq)}   "
-                 f"(K^2 of quotient {_fmt_rat(report.k2_quotient)}, "
-                 f"resolution correction {_fmt_rat(report.k2_correction)})")
+    items.append(f"c1^2 = {report.c1_sq}   "
+                 f"(K^2 of quotient {report.k2_quotient}, "
+                 f"resolution correction {report.k2_correction})")
     items.append(f"c2   = {report.c2}   "
                  f"(quotient Euler number {report.euler_quotient} + "
                  f"{report.exceptional_components} exceptional components)")

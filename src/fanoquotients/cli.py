@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, rationality_cases
-from .hj_resolution import CyclicSing, discrepancies, hj_expand, k2_correction
+from .hj_resolution import CyclicSing
 
 OK, INCONSISTENT, INPUT_ERROR = 0, 1, 2
 
@@ -45,8 +45,8 @@ def _cmd_tables(args) -> int:
         else:
             chunks.append(f"{title}\n{body}")
     print("\n\n".join(chunks))
-    bad = [label for label in catalog.load_catalog(args.catalog)
-           if not catalog.report_for(label, args.catalog).noether_ok]
+    bad = [label for label, scenario in catalog.load_catalog(args.catalog).items()
+           if not scenario.report.noether_ok]
     if bad:
         print(f"Noether check failed for: {', '.join(bad)}", file=sys.stderr)
         return INCONSISTENT
@@ -59,9 +59,8 @@ def _cmd_resolve(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return INPUT_ERROR
-    chain = hj_expand(sing)
-    disc = discrepancies(sing)
-    corr = k2_correction(sing)
+    resolution = sing.chain()
+    chain, disc, corr = resolution.selfints, resolution.discrepancies, resolution.k2_correction()
     if args.format == "json":
         print(json.dumps({
             "n": sing.n,

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .exact_linalg import Rat
-
 
 class BoundExceeded(RuntimeError):
     """Group closure grew past the requested bound (bad generator input)."""
@@ -34,17 +32,6 @@ def _poly_trim(p: list[int]) -> tuple[int, ...]:
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_trim(out)
 
 
 def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -164,7 +151,7 @@ class CycNum:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_fraction(self) -> Rat:
+    def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
         return self.coeffs[0]

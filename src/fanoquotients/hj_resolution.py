@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import Rat
-
 
 class NotIsolated(ValueError):
     """A tangent eigenvalue is trivial, so a fixed curve passes through the point."""
@@ -43,38 +41,25 @@ def evaluate_chain(selfints: tuple[int, ...]) -> Fraction:
     return value
 
 
-def _chain_is_negative_definite(selfints: tuple[int, ...]) -> bool:
-    # leading principal minors of the tridiagonal matrix diag(-b_i) + offdiag 1
-    d_prev2, d_prev1 = 1, 1
-    for k, b in enumerate(selfints, start=1):
-        d = -b * d_prev1 - d_prev2
-        if (-1) ** k * d <= 0:
-            return False
-        d_prev2, d_prev1 = d_prev1, d
-    return True
+def chain_solve(selfints: tuple[int, ...], rhs) -> tuple[Fraction, ...]:
+    """Solve M a = r exactly on the tridiagonal chain matrix (-b_i diagonal, 1 off it).
 
-
-def chain_discrepancies(selfints: tuple[int, ...]) -> tuple[Rat, ...]:
-    """Solve M a = (2 - b_i)_i exactly on the tridiagonal chain matrix.
-
-    The constant vector 1 is a particular solution, so a_i = 1 + h_i with h
-    solving the homogeneous three-term recurrence h_{i+1} = b_i h_i - h_{i-1}
-    and virtual boundary values h_0 = h_{k+1} = -1.  Writing h against the two
-    integer basis solutions keeps the whole computation in integers, with one
-    division by n (the continued-fraction numerator) per component.
+    Row i reads a_{i-1} - b_i a_i + a_{i+1} = r_i with a_0 = a_{k+1} = 0, so
+    shooting from a_0 = 0, a_1 = t gives a = P + t V, where P is the integer
+    trajectory for t = 0 and V the homogeneous one for t = 1.  The boundary
+    condition a_{k+1} = 0 fixes t = -P_{k+1} / V_{k+1}; n = V_{k+1} is the
+    continued-fraction numerator, the one division per component.
     """
-    k = len(selfints)
-    # basis solutions: U_0 = 1, U_1 = 0 and V_0 = 0, V_1 = 1
-    u_prev, u = 1, 0
+    p_prev, p = 0, 0
     v_prev, v = 0, 1
-    us, vs = [0] * k, [0] * k
-    for i, b in enumerate(selfints):
-        us[i], vs[i] = u, v
-        u_prev, u = u, b * u - u_prev
+    ps, vs = [], []
+    for b, r in zip(selfints, rhs):
+        ps.append(p)
+        vs.append(v)
+        p_prev, p = p, b * p - p_prev + r
         v_prev, v = v, b * v - v_prev
-    n = v  # V_{k+1} is the numerator of the continued fraction
-    c_num = u - 1  # h = -U + c V with c = (U_{k+1} - 1) / n
-    return tuple(Fraction(n * (1 - us[i]) + c_num * vs[i], n) for i in range(k))
+    n = v  # zero exactly when M is singular: Fraction then raises ZeroDivisionError
+    return tuple(Fraction(n * pi - p * vi, n) for pi, vi in zip(ps, vs))
 
 
 @dataclass(frozen=True)
@@ -82,16 +67,15 @@ class ExceptionalChain:
     """A Hirzebruch-Jung chain with its discrepancy coefficients."""
 
     selfints: tuple[int, ...]
-    discrepancies: tuple[Rat, ...]
+    discrepancies: tuple[Fraction, ...]
 
     @classmethod
     def from_selfints(cls, selfints) -> "ExceptionalChain":
         b = tuple(int(x) for x in selfints)
+        # all b_i >= 2 makes M diagonally dominant, hence negative definite
         if not b or any(x < 2 for x in b):
             raise ValueError(f"chain self-intersections must all be >= 2, got {b}")
-        if not _chain_is_negative_definite(b):
-            raise ValueError(f"chain {b} is not negative definite")
-        a = chain_discrepancies(b)
+        a = chain_solve(b, [2 - x for x in b])
         if any(not (0 <= x < 1) for x in a):
             raise ValueError(f"discrepancies out of range for chain {b}: {a}")
         return cls(b, a)
@@ -120,7 +104,7 @@ class ExceptionalChain:
             total += u[i] * s
         return total
 
-    def k2_correction(self) -> Rat:
+    def k2_correction(self) -> Fraction:
         """(sum a_i C_i)^2 = a^T M a; zero exactly on du Val chains."""
         # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i)
         return sum((a * (2 - b) for a, b in zip(self.discrepancies, self.selfints)), Fraction(0))
@@ -160,23 +144,6 @@ class CyclicSing:
 @lru_cache(maxsize=None)
 def _chain_for(n: int, q: int) -> ExceptionalChain:
     return ExceptionalChain.from_selfints(hj_continued_fraction(n, q))
-
-
-def hj_expand(s: CyclicSing) -> tuple[int, ...]:
-    """Chain self-intersections [b_1..b_k] for the canonical-form singularity."""
-    return s.chain().selfints
-
-
-def discrepancies(s: CyclicSing) -> tuple[Rat, ...]:
-    return s.chain().discrepancies
-
-
-def k2_correction(s: CyclicSing) -> Rat:
-    return s.chain().k2_correction()
-
-
-def component_count(s: CyclicSing) -> int:
-    return len(s.chain())
 
 
 def sing_from_eigenvalues(order: int, exponents: tuple[int, int]) -> CyclicSing:

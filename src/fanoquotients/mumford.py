@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exact_linalg import Rat
-from .hj_resolution import CyclicSing, ExceptionalChain, k2_correction
+from .hj_resolution import ExceptionalChain, chain_solve
 
 
 class NonIntegralGenus(ArithmeticError):
-    """Adjunction produced a non-integer genus for a curve asserted smooth."""
+    """A genus formula (adjunction, Riemann-Hurwitz) gave no nonnegative integer."""
 
 
 class UnknownCurve(KeyError):
@@ -44,16 +43,16 @@ class ResolutionModel:
 
     chains: dict[str, ExceptionalChain]
     curves: tuple[str, ...]
-    pairing: dict[tuple[str, str], Rat]
-    k_degree: dict[str, Rat]
+    pairing: dict[tuple[str, str], Fraction]
+    k_degree: dict[str, Fraction]
     incidence: dict[str, dict[str, tuple[int, ...]]]
-    k2_downstairs: Rat = Fraction(0)
+    k2_downstairs: Fraction = Fraction(0)
 
     @classmethod
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
-              pairing: Mapping[tuple[str, str], Rat], k_degree: Mapping[str, Rat],
+              pairing: Mapping[tuple[str, str], Fraction], k_degree: Mapping[str, Fraction],
               incidence: Mapping[str, Mapping[str, Iterable[int]]],
-              k2_downstairs: Rat = Fraction(0)) -> "ResolutionModel":
+              k2_downstairs: Fraction = Fraction(0)) -> "ResolutionModel":
         curve_list = tuple(curves)
         pairs = {}
         for (a, b), v in pairing.items():
@@ -80,17 +79,14 @@ class ResolutionModel:
 
     # -- strict transforms ---------------------------------------------------
 
-    def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Rat, ...]]:
+    def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Fraction, ...]]:
         """Per singular point, the coefficients a with M a = -m (all >= 0)."""
         if curve not in self.incidence:
             raise UnknownCurve(curve)
         out = {}
         for point, mults in self.incidence[curve].items():
             chain = self.chains[point]
-            if all(m == 0 for m in mults):
-                out[point] = tuple(Fraction(0) for _ in mults)
-                continue
-            coeffs = _solve_chain_neg(chain, mults)
+            coeffs = chain_solve(chain.selfints, [-m for m in mults])
             # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0
             residual = [chain.bilinear(_unit(len(mults), i), coeffs) + mults[i] for i in range(len(mults))]
             assert all(r == 0 for r in residual), f"pullback relation violated at {point}"
@@ -99,7 +95,7 @@ class ResolutionModel:
             out[point] = coeffs
         return out
 
-    def pair_on_resolution(self, c1: str, c2: str) -> Rat:
+    def pair_on_resolution(self, c1: str, c2: str) -> Fraction:
         """Strict-transform intersection Cbar1 . Cbar2 on the resolution."""
         base = self.downstairs(c1, c2)
         a1 = self.strict_transform_coeffs(c1)
@@ -108,14 +104,14 @@ class ResolutionModel:
             base += self.chains[point].bilinear(a1[point], a2[point])
         return base
 
-    def pair_with_component(self, curve: str, point: str, index: int) -> Rat:
+    def pair_with_component(self, curve: str, point: str, index: int) -> Fraction:
         """Cbar . C_i for an exceptional component (the incidence multiplicity)."""
         mults = self.incidence[curve].get(point)
         if mults is None:
             return Fraction(0)
         return Fraction(mults[index])
 
-    def kz_degree(self, curve: str) -> Rat:
+    def kz_degree(self, curve: str) -> Fraction:
         """K_Z . Cbar from K_Z = g*K_Y - sum (discrepancies) and the relations."""
         total = self.k_degree[curve]
         for point, coeffs in self.strict_transform_coeffs(curve).items():
@@ -124,7 +120,7 @@ class ResolutionModel:
             total += sum((2 - b) * a for b, a in zip(chain.selfints, coeffs))
         return total
 
-    def downstairs(self, c1: str, c2: str) -> Rat:
+    def downstairs(self, c1: str, c2: str) -> Fraction:
         key = _pair_key(c1, c2)
         if key not in self.pairing:
             raise UnknownCurve(f"no downstairs pairing recorded for {key}")
@@ -135,29 +131,7 @@ def _unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(j == i)) for j in range(n))
 
 
-def _solve_chain_neg(chain: ExceptionalChain, mults: Iterable[int]) -> tuple[Rat, ...]:
-    """Solve M a = -m on the chain (tridiagonal, exact)."""
-    m = [Fraction(-x) for x in mults]
-    k = len(chain)
-    diag = [Fraction(-b) for b in chain.selfints]
-    rhs = m
-    for i in range(1, k):
-        factor = Fraction(1) / diag[i - 1]
-        diag[i] -= factor
-        rhs[i] -= factor * rhs[i - 1]
-    a = [Fraction(0)] * k
-    a[k - 1] = rhs[k - 1] / diag[k - 1]
-    for i in range(k - 2, -1, -1):
-        a[i] = (rhs[i] - a[i + 1]) / diag[i]
-    return tuple(a)
-
-
-def kz_squared(k2_downstairs: Rat, sings: Iterable[CyclicSing]) -> Rat:
-    """K_Z^2 = K_Y^2 + sum of per-singularity corrections (sum a_i C_i)^2."""
-    return Fraction(k2_downstairs) + sum((k2_correction(s) for s in sings), Fraction(0))
-
-
-def adjunction_genus(self_int: Rat, k_degree: Rat, *, assert_smooth: bool = True) -> Rat:
+def adjunction_genus(self_int: Fraction, k_degree: Fraction, *, assert_smooth: bool = True) -> Fraction:
     """Arithmetic genus 1 + (C^2 + K.C)/2 of a curve on a smooth surface."""
     g = 1 + (Fraction(self_int) + Fraction(k_degree)) / 2
     if assert_smooth and (g.denominator != 1 or g < 0):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .cyclotomic_rep import (
@@ -28,8 +29,8 @@ from .cyclotomic_rep import (
     group_closure,
     invariant_dimension,
 )
-from .exact_linalg import Rat
-from .hj_resolution import CyclicSing, component_count, k2_correction
+from .hj_resolution import CyclicSing
+from .mumford import NonIntegralGenus
 
 BASE_K2 = Fraction(45)
 BASE_EULER = 27
@@ -37,10 +38,6 @@ BASE_EULER = 27
 
 class NonIntegralEuler(ArithmeticError):
     """The stratified Euler number of the quotient failed to be an integer."""
-
-
-class NonIntegralGenus(ArithmeticError):
-    pass
 
 
 class MissingIntersection(KeyError):
@@ -62,9 +59,9 @@ class RamificationCurve:
 
     name: str
     index: int
-    self_int: Rat
-    k_degree: Rat
-    meets: dict[str, Rat] = field(default_factory=dict)
+    self_int: Fraction
+    k_degree: Fraction
+    meets: dict[str, Fraction] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,20 @@ class QuotientScenario:
     table: Optional[int] = None
     source: str = ""
 
-    def group(self) -> FiniteMatrixGroup:
-        return _group_for(self)
+    # derived values are computed once per scenario; cached_property stores
+    # them in the instance __dict__, which the frozen __setattr__ does not guard
 
-    def singularity_list(self) -> list[CyclicSing]:
-        return [s for s, count in self.singularities for _ in range(count)]
+    def group(self) -> FiniteMatrixGroup:
+        return self._group
+
+    @cached_property
+    def _group(self) -> FiniteMatrixGroup:
+        return group_closure(list(self.generators) or [CycMatrix.identity(5)])
+
+    @cached_property
+    def report(self) -> InvariantReport:
+        """The full report, shared by every caller; see ``full_report``."""
+        return full_report(self)
 
     def singularity_text(self) -> str:
         parts = []
@@ -101,19 +107,6 @@ class QuotientScenario:
             prefix = "" if count == 1 else str(count)
             parts.append(f"{prefix}{sing.display()}")
         return "+".join(parts)
-
-
-_GROUP_CACHE: dict[tuple, FiniteMatrixGroup] = {}
-
-
-def _group_for(scenario: QuotientScenario) -> FiniteMatrixGroup:
-    key = tuple(g.key() for g in scenario.generators)
-    if key not in _GROUP_CACHE:
-        if scenario.generators:
-            _GROUP_CACHE[key] = group_closure(list(scenario.generators))
-        else:
-            _GROUP_CACHE[key] = group_closure([CycMatrix.identity(5)])
-    return _GROUP_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +129,10 @@ def euler_quotient(scenario: QuotientScenario) -> int:
 
 
 def exceptional_component_count(singularities: Sequence[tuple[CyclicSing, int]]) -> int:
-    return sum(count * component_count(sing) for sing, count in singularities)
+    return sum(count * len(sing.chain()) for sing, count in singularities)
 
 
-def k2_quotient(scenario: QuotientScenario) -> Rat:
+def k2_quotient(scenario: QuotientScenario) -> Fraction:
     """K_{S/G}^2 = (1/|G|) (K_S - sum_R (|H_R| - 1) R)^2, expanded exactly."""
     order = scenario.group().order
     curves = scenario.ramification
@@ -186,7 +179,7 @@ def albanese_fiber_genus(fiber_genus: int, deck_order: int, ramification: int) -
 @dataclass(frozen=True)
 class InvariantReport:
     label: str
-    c1_sq: int | Rat  # stays a Fraction only for flagged, inconsistent input
+    c1_sq: int | Fraction  # stays a Fraction only for flagged, inconsistent input
     c2: int
     q: int
     p_g: int
@@ -195,8 +188,8 @@ class InvariantReport:
     fiber_genus: Optional[int]
     singularities: str
     noether_ok: bool
-    k2_quotient: Rat
-    k2_correction: Rat
+    k2_quotient: Fraction
+    k2_correction: Fraction
     euler_quotient: int
     exceptional_components: int
     flags: tuple[str, ...]
@@ -215,7 +208,7 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
     """
     flags: list[str] = []
     k2q = k2_quotient(scenario)
-    correction = sum((count * k2_correction(s) for s, count in scenario.singularities), Fraction(0))
+    correction = sum((count * s.chain().k2_correction() for s, count in scenario.singularities), Fraction(0))
     c1_sq = k2q + correction
     if c1_sq.denominator != 1:
         flags.append(f"c1^2 = {c1_sq} is not an integer")

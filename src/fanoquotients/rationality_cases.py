@@ -15,13 +15,13 @@ rationality certificate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .blowdown import CurveConfig, RationalityCertificate, find_rationality_certificate
-from .exact_linalg import Rat
 from .hj_resolution import ExceptionalChain
 from .mumford import ResolutionModel, adjunction_genus
 
@@ -93,6 +93,7 @@ class KleinStage2:
     survivors: tuple[tuple[int, int, int, int], ...]  # (a14, b14, a23, b23)
     w_candidates: tuple[tuple[int, int], ...]
     candidates_per_w: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    kept_per_w: dict[tuple[int, int], tuple[tuple[int, int], ...]]  # candidates passing integrality
     quadruple_options: tuple[tuple[int, int, int, int], ...]
 
 
@@ -118,20 +119,18 @@ def klein_stage2(stage1: Sequence[tuple[int, int, int, int]], budget: int = 5) -
         if (w1, w2) not in w_list:
             w_list.append((w1, w2))
     candidates_per_w = {}
+    kept_per_w = {}
     surviving_first = []
     surviving_w = []
     for w1, w2 in w_list:
-        cands = []
-        for a13 in range(budget + 1):
-            for b13 in range(budget + 1):
-                if a13 * w1 + b13 * w2 == budget:
-                    cands.append((a13, b13))
-        candidates_per_w[(w1, w2)] = tuple(cands)
-        for a13, b13 in cands:
-            d_dot_a = Fraction(3 * a13 - b13, _N)
-            if d_dot_a.denominator == 1 and d_dot_a >= 0 and a13 >= 1 and b13 >= 1:
-                surviving_first.append((a13, b13))
-                surviving_w.append((w1, w2))
+        cands = tuple((a13, b13) for a13 in range(budget + 1) for b13 in range(budget + 1)
+                      if a13 * w1 + b13 * w2 == budget)
+        kept = tuple((a13, b13) for a13, b13 in cands
+                     if (3 * a13 - b13) % _N == 0 and 3 * a13 - b13 >= 0 and a13 >= 1 and b13 >= 1)
+        candidates_per_w[(w1, w2)] = cands
+        kept_per_w[(w1, w2)] = kept
+        surviving_first += kept
+        surviving_w += [(w1, w2)] * len(kept)
     if not surviving_first:
         raise NoSolution("every (a13, b13) candidate fails integrality")
     if len(set(surviving_first)) != 1:
@@ -146,8 +145,16 @@ def klein_stage2(stage1: Sequence[tuple[int, int, int, int]], budget: int = 5) -
         survivors=survivors,
         w_candidates=tuple(w_list),
         candidates_per_w=candidates_per_w,
+        kept_per_w=kept_per_w,
         quadruple_options=tuple(options),
     )
+
+
+@functools.cache
+def _klein_stages() -> tuple[tuple[tuple[int, int, int, int], ...], KleinStage2]:
+    """Both stages, run once per process for the certificates and the transcript."""
+    stage1 = tuple(klein_stage1())
+    return stage1, klein_stage2(stage1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +347,7 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
         by_name = dict(entries)
         entries = [(name, by_name[name]) for name in order]
 
-    def pair(x: tuple, y: tuple) -> Rat:
+    def pair(x: tuple, y: tuple) -> Fraction:
         if x[0] == "curve" and y[0] == "curve":
             return model.pair_on_resolution(x[1], y[1])
         if x[0] == "curve":
@@ -375,7 +382,7 @@ def certify_rationality(case: str, regularity: Optional[int] = None) -> Rational
     if case == "xv":
         config, scenario_label = build_xv_config(), "XV"
     elif case in ("klein-option-1", "klein-option-2"):
-        stage2 = klein_stage2(klein_stage1())
+        stage2 = _klein_stages()[1]
         option = stage2.survivors[0] if case.endswith("1") else stage2.survivors[1]
         config, scenario_label = build_klein_config(option, stage2.first_pair), "XI"
     else:
@@ -406,20 +413,17 @@ def klein_transcript(regularity: Optional[int] = None) -> tuple[str, dict[str, R
     lines.append("context: five A11,3 points, each resolved by a (-3)-curve A_ij meeting a (-4)-curve B_ij once;")
     lines.append("  the five incidence-curve images D_ij are pinned down by integrality of their")
     lines.append("  intersections with the exceptional curves and with each other")
-    stage1 = klein_stage1()
+    stage1, stage2 = _klein_stages()
     lines.append("stage 1: quadruples (a14, b14, u1, u2) with both coefficient pairs in the")
     lines.append("  integrality lattice, positive, and budget a14*u1 + b14*u2 = 5:")
     for quad in stage1:
         lines.append(f"    {quad}")
     lines.append(f"  {len(stage1)} solutions")
-    stage2 = klein_stage2(stage1)
     lines.append(f"stage 2: sum-vector candidates (w1, w2): {_fmt_pairs(stage2.w_candidates)}")
     for w in stage2.w_candidates:
-        cands = stage2.candidates_per_w[w]
-        surviving = [c for c in cands
-                     if (3 * c[0] - c[1]) % _N == 0 and 3 * c[0] - c[1] >= 0 and c[0] >= 1 and c[1] >= 1]
-        note = f"integrality keeps {_fmt_pairs(surviving)}" if surviving else "all eliminated"
-        lines.append(f"    (w1, w2) = {w}: budget solutions {_fmt_pairs(cands)} -> {note}")
+        kept = stage2.kept_per_w[w]
+        note = f"integrality keeps {_fmt_pairs(kept)}" if kept else "all eliminated"
+        lines.append(f"    (w1, w2) = {w}: budget solutions {_fmt_pairs(stage2.candidates_per_w[w])} -> {note}")
     lines.append(f"  conclusion: (a13, b13) = {stage2.first_pair}; surviving options "
                  f"(a14, b14, a23, b23): {_fmt_pairs(stage2.survivors)}")
     certificates = {}

@@ -1,9 +1,10 @@
-"""Exact rational linear algebra for small dense matrices.
+"""Exact rational linear algebra for small dense matrices: the tests' oracle.
 
 Everything is built on ``fractions.Fraction`` (arbitrary-precision, always in
-lowest terms, positive denominator), so no operation ever rounds.  Matrices in
-this package are tiny (intersection forms of curve configurations), hence the
-dense representation and plain Gaussian elimination.
+lowest terms, positive denominator), so no operation ever rounds.  The
+matrices checked against it are tiny (intersection forms of curve
+configurations), hence the dense representation and plain Gaussian
+elimination, independent of the package's tridiagonal chain solver.
 """
 
 from __future__ import annotations

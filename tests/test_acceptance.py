@@ -19,7 +19,6 @@ import pytest
 from fanoquotients import catalog
 from fanoquotients import rationality_cases as rc
 from fanoquotients.blowdown import contract
-from fanoquotients.exact_linalg import QMatrix, is_negative_definite, quadratic_form, solve_linear
 from fanoquotients.cyclotomic_rep import (
     CycMatrix,
     CycNum,
@@ -30,12 +29,12 @@ from fanoquotients.cyclotomic_rep import (
 from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
-    chain_discrepancies,
+    chain_solve,
     hj_continued_fraction,
-    hj_expand,
-    k2_correction,
 )
 from fanoquotients.quotient_engine import euler_quotient
+
+from exact_linalg import QMatrix, is_negative_definite, quadratic_form, solve_linear
 
 
 # -- criterion 1: both tables, every computed column, exact -----------------
@@ -239,7 +238,7 @@ def test_criterion_3_full_sweep_under_one_second():
             for b in reversed(chain[:-1]):
                 num, den = b * num - den, num
             assert (num, den) == (n, q)
-            a = chain_discrepancies(chain)
+            a = chain_solve(chain, [2 - b for b in chain])
             # verify M a = (2 - b) over the integers after clearing the
             # common denominator n
             scaled = [x * n for x in a]
@@ -261,17 +260,17 @@ def test_criterion_3_full_sweep_under_one_second():
 
 
 def test_criterion_3_classification_chains():
-    assert hj_expand(CyclicSing(2, 1)) == (2,)                      # A1
-    assert hj_expand(CyclicSing(3, 2)) == (2, 2)                    # A2
-    assert hj_expand(CyclicSing(4, 3)) == (2, 2, 2)                 # A3
-    assert hj_expand(CyclicSing(3, 1)) == (3,)
-    assert hj_expand(CyclicSing(11, 3)) in ((3, 4), (4, 3))
-    assert hj_expand(CyclicSing(15, 4)) == (4, 4)
-    assert chain_discrepancies((3, 4)) == (F(6, 11), F(7, 11))
-    assert chain_discrepancies((4, 4)) == (F(2, 3), F(2, 3))
-    assert chain_discrepancies((3,)) == (F(1, 3),)
-    assert k2_correction(CyclicSing(2, 1)) == 0
-    assert k2_correction(CyclicSing(4, 3)) == 0
+    assert CyclicSing(2, 1).chain().selfints == (2,)                # A1
+    assert CyclicSing(3, 2).chain().selfints == (2, 2)              # A2
+    assert CyclicSing(4, 3).chain().selfints == (2, 2, 2)           # A3
+    assert CyclicSing(3, 1).chain().selfints == (3,)
+    assert CyclicSing(11, 3).chain().selfints in ((3, 4), (4, 3))
+    assert CyclicSing(15, 4).chain().selfints == (4, 4)
+    assert ExceptionalChain.from_selfints((3, 4)).discrepancies == (F(6, 11), F(7, 11))
+    assert ExceptionalChain.from_selfints((4, 4)).discrepancies == (F(2, 3), F(2, 3))
+    assert ExceptionalChain.from_selfints((3,)).discrepancies == (F(1, 3),)
+    assert CyclicSing(2, 1).chain().k2_correction() == 0
+    assert CyclicSing(4, 3).chain().k2_correction() == 0
 
 
 # -- criterion 4: the Diophantine stages -------------------------------------
@@ -406,7 +405,7 @@ def test_criterion_8_annotations_not_computed():
 
 
 def test_criterion_8_annotation_columns_are_marked():
-    for _, rows in catalog.run_tables(verify_certificates=False):
+    for _, rows in catalog.run_tables():
         for row in rows:
             assert row["Min"].endswith("*")
             assert "*" in row["kappa"]

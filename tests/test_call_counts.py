@@ -1,0 +1,67 @@
+"""Each derived value of a scenario is computed once per command.
+
+The counts come from a fresh interpreter, so no process-level cache filled by
+an earlier test can hide repeated work.  Calls are counted by replacing each
+function in every ``fanoquotients`` module that holds a reference to it, the
+way ``benchmark/tracer.py`` wraps them for timing.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import fanoquotients
+
+SRC = pathlib.Path(fanoquotients.__file__).resolve().parents[1]
+
+COUNTING_RUN = """
+import contextlib, io, json, sys
+from fanoquotients import catalog, cli, cyclotomic_rep, quotient_engine, rationality_cases
+
+targets = {
+    "full_report": quotient_engine,
+    "invariant_dimension": cyclotomic_rep,
+    "scenario_from_dict": catalog,
+    "group_closure": cyclotomic_rep,
+    "klein_stage1": rationality_cases,
+}
+counts = dict.fromkeys(targets, 0)
+for name, module in targets.items():
+    original = getattr(module, name)
+
+    def counted(*args, _name=name, _original=original, **kwargs):
+        counts[_name] += 1
+        return _original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if getattr(loaded, "__name__", "").startswith("fanoquotients"):
+            for key, value in list(vars(loaded).items()):
+                if value is original:
+                    setattr(loaded, key, counted)
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, **counts}))
+"""
+
+
+def count_calls(argv):
+    proc = subprocess.run([sys.executable, "-c", COUNTING_RUN, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # 19 scenarios: one parse, one closure, one report and two character averages each
+    (["tables"], {"rc": 0, "full_report": 19, "invariant_dimension": 38, "scenario_from_dict": 19,
+                  "group_closure": 19, "klein_stage1": 1}),
+    # the transcript and both certificates share one stage-1 result and the XI report
+    (["rationality", "klein"], {"rc": 0, "full_report": 1, "klein_stage1": 1}),
+], ids=["tables", "rationality-klein"])
+def test_each_value_computed_once(argv, expected):
+    counts = count_calls(argv)
+    assert {key: counts[key] for key in expected} == expected

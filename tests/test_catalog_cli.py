@@ -62,27 +62,27 @@ class TestValidation:
 
 class TestRunCase:
     def test_order_five_row(self):
-        r = catalog.run_case("V")
+        r = catalog.report_for("V")
         assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (9, 15, 1, 2, 2)
         assert r.fiber_genus == 4
         assert r.singularities == "2A4"
 
     def test_symmetric_group_row(self):
-        r = catalog.run_case("S3")
+        r = catalog.report_for("S3")
         assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (3, 45, 0, 3, 4)
         assert r.singularities == "27A1"
 
     def test_trivial_group_is_the_surface_itself(self):
-        r = catalog.run_case("trivial")
+        r = catalog.report_for("trivial")
         assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (45, 27, 5, 10, 6)
         assert r.noether_ok
 
     def test_case_lookup_is_case_insensitive(self):
-        assert catalog.run_case("xi").label == "XI"
+        assert catalog.report_for("xi").label == "XI"
 
     def test_unknown_case(self):
         with pytest.raises(catalog.UnknownCase):
-            catalog.run_case("XVII")
+            catalog.report_for("XVII")
 
 
 class TestReportJson:
@@ -114,7 +114,7 @@ class TestReportJson:
 
 class TestTables:
     def test_row_counts(self):
-        tables = catalog.run_tables(verify_certificates=False)
+        tables = catalog.run_tables()
         assert len(tables[0][1]) == 11
         assert len(tables[1][1]) == 7
 
@@ -125,13 +125,13 @@ class TestTables:
             assert rendered == (GOLDEN / f"table{number}.txt").read_text()
 
     def test_json_rows_round_trip(self):
-        columns, rows = catalog.run_tables(verify_certificates=False)[0]
+        columns, rows = catalog.run_tables()[0]
         payload = json.loads(catalog.render_table(columns, rows, "json"))
         assert len(payload) == 11
         assert payload[0]["Type"] == "I"
 
     def test_markdown_rendering(self):
-        columns, rows = catalog.run_tables(verify_certificates=False)[1]
+        columns, rows = catalog.run_tables()[1]
         text = catalog.render_table(columns, rows, "markdown")
         lines = text.splitlines()
         assert lines[0].startswith("| G |")
@@ -139,17 +139,17 @@ class TestTables:
         assert all(line.startswith("|") and line.endswith("|") for line in lines)
 
     def test_empty_catalog_gives_empty_tables(self, tmp_path):
-        tables = catalog.run_tables(tmp_path, verify_certificates=False)
+        tables = catalog.run_tables(tmp_path)
         assert tables[0][1] == [] and tables[1][1] == []
 
     def test_blank_singularities_render_blank(self):
-        columns, rows = catalog.run_tables(verify_certificates=False)[0]
+        columns, rows = catalog.run_tables()[0]
         by_type = {row["Type"]: row for row in rows}
         assert by_type["III(1)"]["Singularities"] == ""
         assert by_type["III(4)"]["Singularities"] == ""
 
     def test_annotation_columns_are_marked(self):
-        for _, rows in catalog.run_tables(verify_certificates=False):
+        for _, rows in catalog.run_tables():
             for row in rows:
                 assert row["Min"].endswith("*")
                 assert "*" in row["kappa"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoquotients.exact_linalg import (
+from exact_linalg import (
     DimensionMismatch,
     NotSymmetric,
     QMatrix,

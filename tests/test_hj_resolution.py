@@ -7,13 +7,9 @@ from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
     NotIsolated,
-    chain_discrepancies,
-    component_count,
-    discrepancies,
+    chain_solve,
     evaluate_chain,
     hj_continued_fraction,
-    hj_expand,
-    k2_correction,
     sing_from_eigenvalues,
 )
 
@@ -27,16 +23,16 @@ def all_types(max_n):
 
 class TestExpansion:
     def test_node(self):
-        assert hj_expand(CyclicSing(2, 1)) == (2,)
+        assert CyclicSing(2, 1).chain().selfints == (2,)
 
     def test_fifteen_four(self):
-        assert hj_expand(CyclicSing(15, 4)) == (4, 4)
+        assert CyclicSing(15, 4).chain().selfints == (4, 4)
 
     def test_four_three(self):
-        assert hj_expand(CyclicSing(4, 3)) == (2, 2, 2)
+        assert CyclicSing(4, 3).chain().selfints == (2, 2, 2)
 
     def test_eleven_three_up_to_reversal(self):
-        chain = hj_expand(CyclicSing(11, 3))
+        chain = CyclicSing(11, 3).chain().selfints
         assert chain in ((3, 4), (4, 3))
 
     def test_round_trip_oracle_up_to_200(self):
@@ -46,21 +42,21 @@ class TestExpansion:
 
     def test_du_val_chain_lengths(self):
         for n in range(2, 60):
-            assert component_count(CyclicSing(n, n - 1)) == n - 1
+            assert len(CyclicSing(n, n - 1).chain()) == n - 1
 
 
 class TestDiscrepancies:
     def test_du_val_chain_is_crepant(self):
-        assert discrepancies(CyclicSing(4, 3)) == (F(0), F(0), F(0))
+        assert CyclicSing(4, 3).chain().discrepancies == (F(0), F(0), F(0))
 
     def test_three_four_chain(self):
-        assert chain_discrepancies((3, 4)) == (F(6, 11), F(7, 11))
+        assert ExceptionalChain.from_selfints((3, 4)).discrepancies == (F(6, 11), F(7, 11))
 
     def test_four_four_chain(self):
-        assert chain_discrepancies((4, 4)) == (F(2, 3), F(2, 3))
+        assert ExceptionalChain.from_selfints((4, 4)).discrepancies == (F(2, 3), F(2, 3))
 
     def test_single_minus_three(self):
-        assert chain_discrepancies((3,)) == (F(1, 3),)
+        assert ExceptionalChain.from_selfints((3,)).discrepancies == (F(1, 3),)
 
     def test_defining_system_up_to_200(self):
         for n, q in all_types(200):
@@ -82,7 +78,7 @@ class TestDiscrepancies:
 
     def test_agrees_with_dense_solver(self):
         # dual-route check against the generic exact linear solver
-        from fanoquotients.exact_linalg import QMatrix, solve_linear
+        from exact_linalg import QMatrix, solve_linear
 
         for n, q in all_types(40):
             chain = hj_continued_fraction(n, q)
@@ -90,21 +86,25 @@ class TestDiscrepancies:
             m = QMatrix([[(-chain[i] if i == j else (1 if abs(i - j) == 1 else 0))
                           for j in range(k)] for i in range(k)])
             dense = solve_linear(m, [2 - b for b in chain])
-            assert chain_discrepancies(chain) == dense
+            assert ExceptionalChain.from_selfints(chain).discrepancies == dense
+            # strict-transform systems M a = -m for a few incidence vectors m >= 0
+            for mults in ([1] + [0] * (k - 1), [0] * (k - 1) + [2], [1] * k,
+                          [(i * q) % 3 for i in range(k)]):
+                assert chain_solve(chain, [-x for x in mults]) == solve_linear(m, [-x for x in mults])
 
 
 class TestK2Correction:
     def test_du_val_is_zero(self):
-        assert k2_correction(CyclicSing(2, 1)) == 0
+        assert CyclicSing(2, 1).chain().k2_correction() == 0
 
     def test_eleven_three(self):
-        value = k2_correction(CyclicSing(11, 3))
+        value = CyclicSing(11, 3).chain().k2_correction()
         assert value == F(-20, 11)
         # the order-11 quotient books: 45/11 + 5 * (-20/11) = -5
         assert F(45, 11) + 5 * value == -5
 
     def test_three_one(self):
-        value = k2_correction(CyclicSing(3, 1))
+        value = CyclicSing(3, 1).chain().k2_correction()
         assert value == F(-1, 3)
         # 27 such points: 15 + 27 * (-1/3) = 6
         assert 15 + 27 * value == 6
@@ -112,13 +112,13 @@ class TestK2Correction:
     def test_nonpositive_and_zero_iff_du_val(self):
         for n, q in all_types(120):
             sing = CyclicSing(n, q)
-            value = k2_correction(sing)
+            value = sing.chain().k2_correction()
             assert value <= 0
             assert (value == 0) == sing.is_du_val
 
     def test_agrees_with_generic_quadratic_form(self):
         # dual route: the collapsed sum against v^T M v on the dense matrix
-        from fanoquotients.exact_linalg import QMatrix, quadratic_form
+        from exact_linalg import QMatrix, quadratic_form
 
         for n, q in all_types(40):
             selfints = hj_continued_fraction(n, q)
@@ -136,7 +136,7 @@ class TestK2Correction:
             reversed_ = ExceptionalChain.from_selfints(chain[::-1]).k2_correction()
             assert direct == reversed_
             # and the canonical form agrees with both orientations
-            assert k2_correction(CyclicSing(n, q)) == direct
+            assert CyclicSing(n, q).chain().k2_correction() == direct
 
 
 class TestCanonicalForm:

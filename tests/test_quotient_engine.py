@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fanoquotients import catalog
+from fanoquotients import catalog, mumford
 from fanoquotients.hj_resolution import CyclicSing
 from fanoquotients.quotient_engine import (
     NonIntegralEuler,
@@ -104,6 +104,7 @@ class TestAlbaneseFiberGenus:
         assert albanese_fiber_genus(*data) == expected
 
     def test_non_integral(self):
+        assert NonIntegralGenus is mumford.NonIntegralGenus
         with pytest.raises(NonIntegralGenus):
             albanese_fiber_genus(7, 2, 3)
         with pytest.raises(NonIntegralGenus):
