@@ -26,9 +26,12 @@ from .quotient_engine import (
     Stratum,
     albanese_fiber_genus,
     euler_quotient,
+    lefschetz_euler_quotient,
 )
 
 SCHEMA_VERSION = 1
+# Phi_n and the table that reduces mod Phi_n grow with n (cost ~ n^2); the catalog needs 15
+MAX_CONDUCTOR = 1000
 
 TABLE1_COLUMNS = ("O", "Type", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
 TABLE2_COLUMNS = ("G", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
@@ -56,6 +59,17 @@ def _parse_fraction(value, path: str, diags: list[str]) -> Fraction:
         return Fraction(0)
 
 
+def _objects(value, path: str, diags: list[str]) -> list[tuple[int, dict]]:
+    """The (index, entry) pairs of a JSON array of objects; anything else is a diagnostic."""
+    if not isinstance(value, list):
+        diags.append(f"{path}: must be an array")
+        return []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            diags.append(f"{path}[{i}]: must be an object")
+    return [(i, entry) for i, entry in enumerate(value) if isinstance(entry, dict)]
+
+
 def _parse_generator(entry: dict, conductor: int, path: str, diags: list[str]) -> Optional[CycMatrix]:
     rows = entry.get("rows")
     if not isinstance(rows, list) or len(rows) != 5 or any(not isinstance(r, list) or len(r) != 5 for r in rows):
@@ -71,25 +85,31 @@ def _parse_generator(entry: dict, conductor: int, path: str, diags: list[str]) -
 def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -> Optional[QuotientScenario]:
     """Parse and validate one scenario file; return None and fill diagnostics on failure."""
     diags: list[str] = [] if diagnostics is None else diagnostics
+    if not isinstance(data, dict):
+        diags.append("scenario: must be a JSON object")
+        return None
     if data.get("schema") != SCHEMA_VERSION:
         diags.append(f"schema: expected {SCHEMA_VERSION}, got {data.get('schema')!r}")
     label = data.get("label")
     if not isinstance(label, str) or not label:
         diags.append("label: missing or empty")
         label = "?"
-    group = data.get("group") or {}
+    group = data.get("group", {})
+    if not isinstance(group, dict):
+        diags.append("group: must be an object")
+        group = {}
     conductor = group.get("conductor", 1)
-    if not isinstance(conductor, int) or conductor < 1:
-        diags.append("group.conductor: must be a positive integer")
+    if not isinstance(conductor, int) or not 1 <= conductor <= MAX_CONDUCTOR:
+        diags.append(f"group.conductor: must be an integer from 1 to {MAX_CONDUCTOR}")
         conductor = 1
     generators = []
-    for i, gen in enumerate(group.get("generators", [])):
+    for i, gen in _objects(group.get("generators", []), "group.generators", diags):
         matrix = _parse_generator(gen, conductor, f"group.generators[{i}]", diags)
         if matrix is not None:
             generators.append(matrix)
 
     strata = []
-    for i, st in enumerate(data.get("strata", [])):
+    for i, st in _objects(data.get("strata", []), "strata", diags):
         order = st.get("stabilizer_order")
         euler = st.get("euler")
         if not isinstance(order, int) or order < 2:
@@ -101,8 +121,9 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         strata.append(Stratum(order, euler, st.get("note", "")))
 
     ram = []
-    ram_names = [r.get("name") for r in data.get("ramification", [])]
-    for i, r in enumerate(data.get("ramification", [])):
+    ram_entries = _objects(data.get("ramification", []), "ramification", diags)
+    ram_names = [r.get("name") for _, r in ram_entries]
+    for i, r in ram_entries:
         name = r.get("name")
         if not isinstance(name, str) or not name:
             diags.append(f"ramification[{i}].name: missing")
@@ -111,8 +132,12 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         if not isinstance(index, int) or index < 2:
             diags.append(f"ramification[{i}].index: must be an integer >= 2")
             continue
+        meets_data = r.get("meets") or {}
+        if not isinstance(meets_data, dict):
+            diags.append(f"ramification[{i}].meets: must be an object")
+            continue
         meets = {}
-        for other, value in (r.get("meets") or {}).items():
+        for other, value in meets_data.items():
             if other not in ram_names:
                 diags.append(f"ramification[{i}].meets.{other}: unknown curve name")
                 continue
@@ -131,7 +156,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
                 diags.append(f"ramification: asymmetric values for pair ({r.name}, {s.name}): {a} vs {b}")
 
     sings = []
-    for i, s in enumerate(data.get("singularities", [])):
+    for i, s in _objects(data.get("singularities", []), "singularities", diags):
         n, q, count = s.get("n"), s.get("q"), s.get("count", 1)
         if not (isinstance(n, int) and isinstance(q, int) and isinstance(count, int) and count >= 1):
             diags.append(f"singularities[{i}]: need integer n, q and a positive count")
@@ -149,6 +174,9 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         except (KeyError, TypeError, ValueError):
             diags.append("fibration: needs integer fiber_genus, deck_order, ramification")
 
+    for key in ("annotations", "display"):
+        if not isinstance(data.get(key, {}), dict):
+            diags.append(f"{key}: must be an object")
     if diags:
         return None
     annotations = dict(data.get("annotations", {}))
@@ -189,9 +217,13 @@ def _checked_scenario(data: dict) -> tuple[Optional[QuotientScenario], list[str]
             diags.append(f"ramification[{i}].index: {r.index} does not divide |G| = {order}")
     if not diags:
         try:
-            euler_quotient(scenario)
+            from_strata, from_group = euler_quotient(scenario), lefschetz_euler_quotient(scenario.group())
         except ArithmeticError as exc:
             diags.append(f"strata: {exc}")
+        else:
+            if from_strata != from_group:
+                diags.append(f"strata: e(S/G) = {from_strata} from the strata, but the generators give "
+                             f"{from_group} (topological Lefschetz)")
     if scenario.fibration is not None:
         fib = scenario.fibration
         try:
@@ -208,13 +240,16 @@ def validate_scenario(data: dict) -> list[str]:
 
 def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]]:
     if catalog_dir is not None:
-        for path in sorted(Path(catalog_dir).glob("*.json")):
-            yield path.name, json.loads(path.read_text())
-        return
-    root = resources.files("fanoquotients").joinpath("data")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            yield entry.name, json.loads(entry.read_text())
+        entries = sorted(Path(catalog_dir).glob("*.json"))
+    else:
+        root = resources.files("fanoquotients").joinpath("data")
+        entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
+    for entry in entries:
+        try:
+            data = json.loads(entry.read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise InvalidScenario([f"{entry.name}: {exc}"]) from exc
+        yield entry.name, data
 
 
 _CATALOG_CACHE: dict[Optional[str], dict[str, QuotientScenario]] = {}

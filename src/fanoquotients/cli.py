@@ -106,7 +106,7 @@ def _cmd_rationality(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         data = json.loads(Path(args.file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         print(f"{args.file}: {exc}", file=sys.stderr)
         return INPUT_ERROR
     diagnostics = catalog.validate_scenario(data)

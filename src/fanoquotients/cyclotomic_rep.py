@@ -1,11 +1,12 @@
 """Exact arithmetic in cyclotomic fields and finite matrix groups.
 
-A ``CycNum`` is an element of Q(zeta_n) stored as a polynomial in zeta_n
-reduced modulo the n-th cyclotomic polynomial, so equality is coefficient
-equality and "is this rational?" is a degree check.  Matrices of such numbers
-are multiplied exactly; a finite group is materialised by closing a generator
-set under products.  Invariant dimensions come from averaging a character
-over the group.
+A ``CycNum`` is an element of Q(zeta_n): the nonzero terms of an integer
+polynomial in Z[x]/(x^n - 1), x standing for zeta_n, over one shared
+denominator.  Products are cyclic convolutions and a conductor m > n
+re-indexes x^k as x^(k m/n), so groups generated by +-zeta^k entries close in
+small integers.  Equality, hash keys and the rationality tests use the one
+canonical form, the remainder mod Phi_n.  A finite group is closed under
+products, and invariant dimensions are character averages over it.
 """
 
 from __future__ import annotations
@@ -24,34 +25,6 @@ class NonIntegralDimension(ArithmeticError):
     """A character average failed to be a nonnegative rational integer."""
 
 
-# ---------------------------------------------------------------------------
-# integer polynomials, dense ascending coefficients
-
-
-def _poly_trim(p: list[int]) -> tuple[int, ...]:
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Division of integer polynomials; den must be monic."""
-    assert den and den[-1] == 1
-    rem = list(num)
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        lead = rem[-1]
-        if lead == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(den)
-        quot[shift] = lead
-        for i, c in enumerate(den):
-            rem[shift + i] -= lead * c
-        rem.pop()
-    return _poly_trim(quot), _poly_trim(rem)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial.
@@ -60,13 +33,18 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("conductor must be >= 1")
-    num = [-1] + [0] * (n - 1) + [1]
-    poly = _poly_trim(num)
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_exact(poly, cyclotomic_poly(d))
-            assert rem == ()
-    return poly
+            den = cyclotomic_poly(d)  # monic, so the quotient stays integral
+            quot = [0] * (len(poly) - len(den) + 1)
+            for shift in reversed(range(len(quot))):
+                lead = quot[shift] = poly[shift + len(den) - 1]
+                for i, c in enumerate(den):
+                    poly[shift + i] -= lead * c
+            assert not any(poly), f"Phi_{d} does not divide"
+            poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -74,63 +52,82 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic numbers
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (ascending Fraction coeffs) mod Phi_n."""
+@lru_cache(maxsize=None)
+def _powers_mod_phi(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k mod Phi_n for 0 <= k < n, each as its nonzero (exponent, coefficient) terms."""
     phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    rem = list(coeffs)
-    while len(rem) > deg:
-        lead = rem[-1]
-        if lead == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - deg
-        for i, c in enumerate(phi):
-            rem[shift + i] -= lead * c
-        rem.pop()
-    rem.extend([Fraction(0)] * (deg - len(rem)))
-    return tuple(rem)
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top, row = row[-1], [0] + row[:-1]  # x * row, with x^deg = -(Phi_n - x^deg)
+        row = [r - top * p for r, p in zip(row, phi)]
+    return tuple(rows)
 
 
 class CycNum:
-    """An element of Q(zeta_n) in reduced polynomial form."""
+    """An element of Q(zeta_n): sum of c * zeta_n^k over ``terms``, divided by ``den``."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "terms", "den", "_canon")
 
     def __init__(self, n: int, coeffs: Iterable):
-        self.n = n
-        lst = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        self.coeffs = _reduce_mod_phi(lst, n)
+        """The number sum_k coeffs[k] zeta_n^k, for rational coefficients."""
+        values = [(k % n, Fraction(c)) for k, c in enumerate(coeffs) if c]
+        den = math.lcm(1, *(c.denominator for _, c in values))
+        acc: dict[int, int] = {}
+        for k, c in values:
+            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
+        self._assign(n, acc, den)
 
-    # -- constructors ------------------------------------------------------
+    def _assign(self, n: int, acc: dict[int, int], den: int) -> None:
+        terms = tuple([kc for kc in acc.items() if kc[1]])
+        if den != 1:
+            g = math.gcd(den, *(c for _, c in terms))
+            terms, den = tuple((k, c // g) for k, c in terms), den // g
+        self.n, self.terms, self.den, self._canon = n, terms, den, None
+
+    @classmethod
+    def _make(cls, n: int, acc: dict[int, int], den: int = 1) -> "CycNum":
+        """From exponent -> integer coefficient over den; zero terms are dropped."""
+        x = object.__new__(cls)
+        x._assign(n, acc, den)
+        return x
 
     @classmethod
     def from_rational(cls, value, n: int = 1) -> "CycNum":
-        return cls(n, [Fraction(value)])
+        value = Fraction(value)
+        return cls._make(n, {0: value.numerator}, value.denominator)
 
     @classmethod
     def zeta_power(cls, n: int, k: int, coeff=1) -> "CycNum":
         """coeff * zeta_n^k."""
-        k %= n
-        raw = [Fraction(0)] * k + [Fraction(coeff)]
-        return cls(n, raw)
+        return cls.from_terms(n, [(coeff, k)])
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable[tuple]) -> "CycNum":
         """Sum of coeff * zeta_n^exp terms."""
-        acc: list[Fraction] = [Fraction(0)]
+        coeffs: list = [0] * n
         for coeff, exp in terms:
-            exp %= n
-            if exp >= len(acc):
-                acc.extend([Fraction(0)] * (exp + 1 - len(acc)))
-            acc[exp] += Fraction(coeff)
-        return cls(n, acc)
+            coeffs[exp % n] += Fraction(coeff)
+        return cls(n, coeffs)
 
-    # -- structure ---------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient of zeta_n^k at index k, for 0 <= k < n."""
+        terms = dict(self.terms)
+        return tuple(Fraction(terms.get(k, 0), self.den) for k in range(self.n))
+
+    def _canonical(self) -> tuple[tuple[int, ...], int]:
+        """Coefficients mod Phi_n over a reduced denominator: equal iff the numbers are."""
+        if self._canon is None:
+            powers = _powers_mod_phi(self.n)
+            out = [0] * euler_phi(self.n)
+            for k, c in self.terms:
+                for i, p in powers[k]:
+                    out[i] += c * p
+            g = math.gcd(self.den, *out)
+            self._canon = (tuple(out), self.den) if g == 1 else (tuple([c // g for c in out]), self.den // g)
+        return self._canon
 
     def promote(self, m: int) -> "CycNum":
         """Embed into Q(zeta_m) for n | m via zeta_n = zeta_m^(m/n)."""
@@ -139,29 +136,32 @@ class CycNum:
         if m % self.n != 0:
             raise ValueError(f"cannot embed conductor {self.n} into {m}")
         step = m // self.n
-        raw = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1) if self.coeffs else [Fraction(0)]
-        for k, c in enumerate(self.coeffs):
-            if c:
-                raw[step * k] += c
-        return CycNum(m, raw)
+        return CycNum._make(m, {k * step: c for k, c in self.terms}, self.den)
+
+    def _galois(self, a: int) -> "CycNum":
+        """The image under zeta_n -> zeta_n^a, for a prime to n."""
+        return CycNum._make(self.n, {k * a % self.n: c for k, c in self.terms}, self.den)
+
+    def conjugate(self) -> "CycNum":
+        """The complex conjugate, zeta_n -> zeta_n^-1."""
+        return self._galois(-1)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.terms or not any(self._canonical()[0])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._canonical()[0][1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
-    # -- arithmetic --------------------------------------------------------
+        coeffs, den = self._canonical()
+        return Fraction(coeffs[0], den)
 
     @staticmethod
     def _common(a: "CycNum", b) -> tuple["CycNum", "CycNum"]:
         if not isinstance(b, CycNum):
-            b = CycNum.from_rational(b)
+            b = CycNum.from_rational(b, a.n)
         if a.n == b.n:
             return a, b
         m = math.lcm(a.n, b.n)
@@ -169,121 +169,80 @@ class CycNum:
 
     def __add__(self, other) -> "CycNum":
         a, b = self._common(self, other)
-        la, lb = list(a.coeffs), list(b.coeffs)
-        return CycNum(a.n, [x + y for x, y in zip(la, lb)])
+        den = math.lcm(a.den, b.den)
+        acc: dict[int, int] = {}
+        for x in (a, b):
+            scale = den // x.den
+            for k, c in x.terms:
+                acc[k] = acc.get(k, 0) + scale * c
+        return CycNum._make(a.n, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.n, [-c for c in self.coeffs])
+        return CycNum._make(self.n, {k: -c for k, c in self.terms}, self.den)
 
     def __sub__(self, other) -> "CycNum":
-        return self + (-other if isinstance(other, CycNum) else CycNum.from_rational(-Fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other) -> "CycNum":
-        return CycNum.from_rational(other) - self
+        return -self + other
 
     def __mul__(self, other) -> "CycNum":
         a, b = self._common(self, other)
-        out = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in enumerate(b.coeffs):
-                    if cb:
-                        out[i + j] += ca * cb
-        return CycNum(a.n, out)
+        return _sum_of_products(a.n, [(a, b)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CycNum":
-        if isinstance(other, CycNum):
-            return self * other.inverse()
-        return self * CycNum.from_rational(Fraction(1) / Fraction(other))
+        inverse = other.inverse() if isinstance(other, CycNum) else CycNum.from_rational(1 / Fraction(other))
+        return self * inverse
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """x^-1 = prod_{a != 1} sigma_a(x) / N(x), over the units a mod n (sigma_a: zeta -> zeta^a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            return CycNum(self.n, [1 / self.coeffs[0]])
-        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = phi, _frac_trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        scale = 1 / r1[0]
-        return CycNum(self.n, [c * scale for c in s1])
-
-    # -- comparisons -------------------------------------------------------
+        others = CycNum.from_rational(1, self.n)
+        for a in range(2, self.n):
+            if math.gcd(a, self.n) == 1:
+                others = others * self._galois(a)
+        return others / (self * others).as_fraction()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycNum):
+        if not isinstance(other, (int, Fraction, CycNum)):
             return NotImplemented
         a, b = self._common(self, other)
-        return a.coeffs == b.coeffs
+        return a._canonical() == b._canonical()
 
-    # unhashable: equality identifies elements across conductors, so a hash
-    # would have to canonicalise the conductor; deduplication goes through
-    # explicit coefficient keys instead (see CycMatrix.key)
-    __hash__ = None
+    __hash__ = None  # equality crosses conductors; deduplication uses CycMatrix.key()
 
     def __repr__(self) -> str:
-        if self.is_rational():
-            return f"CycNum({self.coeffs[0]})"
-        terms = [f"{c}*z{self.n}^{k}" for k, c in enumerate(self.coeffs) if c]
+        coeffs, den = self._canonical()
+        if not any(coeffs[1:]):
+            return f"CycNum({Fraction(coeffs[0], den)})"
+        terms = [f"{Fraction(c, den)}*z{self.n}^{k}" for k, c in enumerate(coeffs) if c]
         return "CycNum(" + " + ".join(terms) + ")"
 
 
-def _frac_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _frac_trim(out)
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _frac_trim(out)
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    den = _frac_trim(list(den))
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    inv = 1 / den[-1]
-    while len(_frac_trim(num)) >= len(den):
-        num = _frac_trim(num)
-        shift = len(num) - len(den)
-        factor = num[-1] * inv
-        q[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-    return _frac_trim(q), _frac_trim(num)
-
-
-# ---------------------------------------------------------------------------
-# matrices over a cyclotomic field
+def _sum_of_products(n: int, pairs: Iterable[tuple[CycNum, CycNum]]) -> CycNum:
+    """The sum of a * b over pairs at conductor n; each product is a cyclic convolution."""
+    acc: dict[int, int] = {}
+    den = 1
+    for a, b in pairs:
+        if not (a.terms and b.terms):
+            continue
+        d = a.den * b.den
+        if den % d:
+            new = math.lcm(den, d)
+            acc = {k: c * (new // den) for k, c in acc.items()}
+            den = new
+        scale = den // d
+        for i, x in a.terms:
+            x *= scale
+            for j, y in b.terms:
+                k = (i + j) % n
+                acc[k] = acc.get(k, 0) + x * y
+    return CycNum._make(n, acc, den)
 
 
 class CycMatrix:
@@ -295,13 +254,8 @@ class CycMatrix:
         dim = len(entries)
         if any(len(r) != dim for r in entries):
             raise ValueError("matrix must be square")
-        conductor = 1
-        for row in entries:
-            for e in row:
-                conductor = math.lcm(conductor, e.n)
-        self.n = conductor
-        self.dim = dim
-        self.rows = tuple(tuple(e.promote(conductor) for e in row) for row in entries)
+        self.n, self.dim = math.lcm(1, *(e.n for row in entries for e in row)), dim
+        self.rows = tuple(tuple(e.promote(self.n) for e in row) for row in entries)
 
     @classmethod
     def identity(cls, dim: int, n: int = 1) -> "CycMatrix":
@@ -309,65 +263,40 @@ class CycMatrix:
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "CycMatrix":
-        """Rows of entries that are rationals or (coeff, exponent) term lists."""
-        out = []
-        for row in rows:
-            new = []
-            for e in row:
-                if isinstance(e, CycNum):
-                    new.append(e.promote(n) if n % e.n == 0 else e)
-                elif isinstance(e, (list, tuple)):
-                    new.append(CycNum.from_terms(n, e))
-                else:
-                    new.append(CycNum.from_rational(e, n))
-            out.append(new)
-        return cls(out)
+        """Rows of entries that are CycNums, rationals or (coeff, exponent) term lists."""
+        def entry(e) -> CycNum:
+            if isinstance(e, CycNum):
+                return e.promote(n) if n % e.n == 0 else e
+            return CycNum.from_terms(n, e) if isinstance(e, (list, tuple)) else CycNum.from_rational(e, n)
+
+        return cls([[entry(e) for e in row] for row in rows])
+
+    def promote(self, m: int) -> "CycMatrix":
+        return self if m == self.n else CycMatrix([[e.promote(m) for e in row] for row in self.rows])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        a, b = self, other
-        if a.n != b.n:
-            m = math.lcm(a.n, b.n)
-            a = CycMatrix([[e.promote(m) for e in row] for row in a.rows])
-            b = CycMatrix([[e.promote(m) for e in row] for row in b.rows])
-        dim = a.dim
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                acc = CycNum.from_rational(0, a.n)
-                for k in range(dim):
-                    acc = acc + a.rows[i][k] * b.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return CycMatrix(rows)
+        m = math.lcm(self.n, other.n)
+        cols = list(zip(*other.promote(m).rows))
+        return CycMatrix([[_sum_of_products(m, zip(row, col)) for col in cols]
+                          for row in self.promote(m).rows])
 
     def trace(self) -> CycNum:
-        acc = CycNum.from_rational(0, self.n)
-        for i in range(self.dim):
-            acc = acc + self.rows[i][i]
-        return acc
+        return sum((self.rows[i][i] for i in range(self.dim)), CycNum.from_rational(0, self.n))
 
     def det(self) -> CycNum:
-        """Determinant by cofactor expansion (dimensions here are at most 5)."""
-        idx = tuple(range(self.dim))
-
-        def minor_det(rows_left: tuple[int, ...], col_used: int) -> CycNum:
-            if not rows_left:
-                return CycNum.from_rational(1, self.n)
-            i = rows_left[0]
-            rest = rows_left[1:]
-            acc = CycNum.from_rational(0, self.n)
-            available = [j for j in idx if not col_used & (1 << j)]
-            for pos, j in enumerate(available):
-                e = self.rows[i][j]
-                if not e.is_zero():
-                    term = e * minor_det(rest, col_used | (1 << j))
-                    acc = acc + (term if pos % 2 == 0 else -term)
-            return acc
-
-        return minor_det(idx, 0)
+        """Determinant by cofactor expansion along the rows, each minor computed once."""
+        @lru_cache(maxsize=None)
+        def minor(used: int) -> CycNum:  # the rows from popcount(used) on, the columns not used
+            i = bin(used).count("1")
+            total = CycNum.from_rational(int(i == self.dim), self.n)
+            free = [j for j in range(self.dim) if not used >> j & 1]
+            for pos, j in enumerate(free):
+                if self.rows[i][j].terms:
+                    total = total + (-1) ** pos * self.rows[i][j] * minor(used | 1 << j)
+            return total
+        return minor(0)
 
     def is_invertible(self) -> bool:
         return not self.det().is_zero()
@@ -376,40 +305,31 @@ class CycMatrix:
         return CycMatrix([[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def key(self) -> tuple:
-        """Canonical hashable form (conductor plus reduced entry coefficients)."""
-        return (self.n, tuple(tuple(e.coeffs for e in row) for row in self.rows))
+        """Canonical hashable form (conductor plus the reduced entries)."""
+        return (self.n, tuple(e._canonical() for row in self.rows for e in row))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if self.n != other.n:
-            m = math.lcm(self.n, other.n)
-            return CycMatrix([[e.promote(m) for e in r] for r in self.rows]).key() == \
-                CycMatrix([[e.promote(m) for e in r] for r in other.rows]).key()
-        return self.key() == other.key()
+        m = math.lcm(self.n, other.n)
+        return self.promote(m).key() == other.promote(m).key()
 
     __hash__ = None  # same-conductor dedup uses key() explicitly
 
 
 def exterior_square_trace(m: CycMatrix) -> CycNum:
-    """Character of the exterior square: (tr(m)^2 - tr(m^2)) / 2."""
+    """Character of the exterior square: (tr(m)^2 - tr(m^2)) / 2, tr(m^2) = sum_ij m_ij m_ji."""
     t = m.trace()
-    t2 = (m @ m).trace()
+    t2 = _sum_of_products(m.n, ((m.rows[i][j], m.rows[j][i]) for i in range(m.dim) for j in range(m.dim)))
     return (t * t - t2) * Fraction(1, 2)
 
 
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(tuple):
     """All elements of a finite matrix group, closed under multiplication."""
 
-    def __init__(self, elements: Sequence[CycMatrix]):
-        self.elements = tuple(elements)
-        self.order = len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return self.order
+    @property
+    def order(self) -> int:
+        return len(self)
 
 
 def group_closure(generators: Sequence[CycMatrix], bound: int = 10000) -> FiniteMatrixGroup:
@@ -420,15 +340,13 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = 10000) -> Finite
     generator that does not generate a finite group (or wrong input).
     """
     dim = generators[0].dim if generators else 5
-    conductor = 1
-    for g in generators:
-        conductor = math.lcm(conductor, g.n)
+    conductor = math.lcm(1, *(g.n for g in generators))
     for g in generators:
         if g.dim != dim:
             raise ValueError("generators must share one dimension")
         if not g.is_invertible():
             raise ValueError("generators must be invertible")
-    gens = [CycMatrix([[e.promote(conductor) for e in row] for row in g.rows]) for g in generators]
+    gens = [g.promote(conductor) for g in generators]
     identity = CycMatrix.identity(dim, conductor)
     seen = {identity.key(): identity}
     frontier = [identity]
@@ -444,7 +362,7 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = 10000) -> Finite
                     seen[k] = y
                     nxt.append(y)
         frontier = nxt
-    return FiniteMatrixGroup(list(seen.values()))
+    return FiniteMatrixGroup(seen.values())
 
 
 def invariant_dimension(group: FiniteMatrixGroup, character: Callable[[CycMatrix], CycNum]) -> int:

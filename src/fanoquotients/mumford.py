@@ -12,7 +12,7 @@ correction) expands bilinearly from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -47,6 +47,9 @@ class ResolutionModel:
     k_degree: dict[str, Fraction]
     incidence: dict[str, dict[str, tuple[int, ...]]]
     k2_downstairs: Fraction = Fraction(0)
+    # strict-transform coefficients, solved and checked once per curve
+    _strict: dict[str, dict[str, tuple[Fraction, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
@@ -81,6 +84,8 @@ class ResolutionModel:
 
     def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Fraction, ...]]:
         """Per singular point, the coefficients a with M a = -m (all >= 0)."""
+        if curve in self._strict:
+            return self._strict[curve]
         if curve not in self.incidence:
             raise UnknownCurve(curve)
         out = {}
@@ -93,6 +98,7 @@ class ResolutionModel:
             if any(c < 0 for c in coeffs):
                 raise ValueError(f"negative strict-transform coefficient for {curve} at {point}")
             out[point] = coeffs
+        self._strict[curve] = out
         return out
 
     def pair_on_resolution(self, c1: str, c2: str) -> Fraction:

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic_rep import (
     CycMatrix,
+    CycNum,
     FiniteMatrixGroup,
     exterior_square_trace,
     group_closure,
@@ -125,6 +126,24 @@ def euler_quotient(scenario: QuotientScenario) -> int:
     value = total / order
     if value.denominator != 1:
         raise NonIntegralEuler(f"{scenario.label}: e(S/G) = {value} is not an integer")
+    return int(value)
+
+
+def lefschetz_euler_quotient(group: FiniteMatrixGroup) -> int:
+    """e(S/G) from the group action alone, by the topological Lefschetz formula.
+
+    H^1(S) = V + conj(V) for the 1-forms V and H^2(S) = Lambda^2 H^1, so with
+    s = tr g, t = s + conj(s) and t2 = tr g^2 + conj(tr g^2) the fixed locus
+    has e(S^g) = 2 - 2t + (t^2 - t2)/2, and (t^2 - t2)/2 is the exterior-square
+    character plus its conjugate plus s conj(s).  e(S/G) is the average over G.
+    """
+    total = CycNum.from_rational(0)
+    for g in group:
+        s, wedge = g.trace(), exterior_square_trace(g)
+        total = total + 2 - 2 * (s + s.conjugate()) + wedge + wedge.conjugate() + s * s.conjugate()
+    value = total.as_fraction() / group.order if total.is_rational() else None
+    if value is None or value.denominator != 1:
+        raise NonIntegralEuler(f"the Lefschetz average {total!r} / {group.order} is not an integer")
     return int(value)
 
 

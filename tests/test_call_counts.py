@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import fanoquotients
+from fanoquotients import mumford, rationality_cases
 
 SRC = pathlib.Path(fanoquotients.__file__).resolve().parents[1]
 
@@ -65,3 +66,17 @@ def count_calls(argv):
 def test_each_value_computed_once(argv, expected):
     counts = count_calls(argv)
     assert {key: counts[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("build, solves", [
+    # one solve per (curve, singular point): klein 5 curves x 3 points; xv 3 + 3 + 2 + 2
+    *[(lambda option=option: rationality_cases.build_klein_config(option), 15)
+      for option in rationality_cases.KLEIN_OPTIONS],
+    (rationality_cases.build_xv_config, 10),
+], ids=["klein-option-1", "klein-option-2", "xv"])
+def test_strict_transforms_solved_once(monkeypatch, build, solves):
+    calls = []
+    original = mumford.chain_solve
+    monkeypatch.setattr(mumford, "chain_solve", lambda *args: calls.append(args) or original(*args))
+    build()
+    assert len(calls) == solves

@@ -1,5 +1,9 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -206,11 +210,12 @@ class TestCliExitCodes:
             capsys.readouterr()
 
     def test_noether_failure_exits_one(self, tmp_path, capsys):
-        # structurally valid scenario whose strata are wrong: integral Euler
-        # number, but the Noether identity fails
+        # structurally valid scenario whose singularity list is wrong: one A4
+        # point too many adds 4 to c2 and nothing to c1^2, so the Noether
+        # identity fails (wrong strata are caught earlier, by validation)
         data = json.loads((DATA / "v.json").read_text())
         data["label"] = "V-broken"
-        data["strata"][0]["euler"] = 7
+        data["singularities"][0]["count"] = 3
         (tmp_path / "v_broken.json").write_text(json.dumps(data))
         assert main(["--catalog", str(tmp_path), "report", "V-broken"]) == 1
         out = capsys.readouterr().out
@@ -223,7 +228,7 @@ class TestCliExitCodes:
 
     def test_tables_exit_one_on_inconsistent_catalog(self, tmp_path, capsys):
         data = json.loads((DATA / "v.json").read_text())
-        data["strata"][0]["euler"] = 7
+        data["singularities"][0]["count"] = 3
         (tmp_path / "v.json").write_text(json.dumps(data))
         assert main(["--catalog", str(tmp_path), "tables"]) == 1
         assert "Noether check failed" in capsys.readouterr().err
@@ -241,3 +246,58 @@ class TestGoldenTranscripts:
 
         text, _ = xv_transcript(regularity=0)
         assert text == (GOLDEN / "rationality_xv.txt").read_text()
+
+
+class TestHardenedInput:
+    """Inputs that contradict the group action or are malformed end in a diagnostic."""
+
+    @pytest.mark.parametrize("file, stratum_euler, from_strata, from_group", [
+        ("iii4.json", -9, 3, 9),   # (27 + 2 * -9) / 3 = 3 against 9
+        ("v.json", 7, 11, 7),      # (27 + 4 * 7) / 5 = 11 against 7
+    ])
+    def test_strata_contradicting_the_generators(self, tmp_path, capsys, file, stratum_euler,
+                                                 from_strata, from_group):
+        data = json.loads((DATA / file).read_text())
+        data["strata"][0]["euler"] = stratum_euler
+        bad = tmp_path / file
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert f"e(S/G) = {from_strata} from the strata" in out
+        assert f"the generators give {from_group}" in out
+        assert main(["--catalog", str(tmp_path), "report", data["label"]]) == 2
+
+    @pytest.mark.parametrize("case", [
+        "json-array", "strata", "ramification", "singularities", "group", "catalog-file"])
+    def test_malformed_input_gives_a_diagnostic(self, tmp_path, case):
+        data = json.loads((DATA / "v.json").read_text())
+        broken = {"strata": [1], "ramification": [5], "singularities": ["x"], "group": [1]}
+        if case == "json-array":
+            data = [data]
+        elif case in broken:
+            data[case] = broken[case]
+        path = tmp_path / "case.json"
+        if case == "catalog-file":
+            (tmp_path / "xi.json").write_text((DATA / "xi.json").read_text())
+            path.write_text("{not json")
+            argv = ["--catalog", str(tmp_path), "report", "XI"]
+        else:
+            path.write_text(json.dumps(data))
+            argv = ["validate", str(path)]
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "case.json: " in proc.stdout + proc.stderr
+
+    def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
+        identity = [[int(i == j) for j in range(5)] for i in range(5)]
+        data = {"schema": 1, "label": "huge",
+                "group": {"conductor": 100000, "generators": [{"rows": identity}]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        start = time.monotonic()
+        assert main(["validate", str(path)]) == 2
+        assert time.monotonic() - start < 0.5
+        assert f"from 1 to {catalog.MAX_CONDUCTOR}" in capsys.readouterr().out

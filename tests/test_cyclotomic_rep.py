@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -133,6 +135,43 @@ def test_inverse_round_trip(x):
     assert x * x.inverse() == CycNum.from_rational(1)
 
 
+@st.composite
+def unreduced_numbers(draw):
+    """A full coefficient vector of length n, half-integer entries, not reduced mod Phi_n."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15]))
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=n, max_size=n))
+    return CycNum(n, coeffs)
+
+
+def embedded(x, m, k):
+    """x as a complex number under zeta_m -> exp(2 pi i k / m), for x.n dividing m."""
+    step = m // x.n
+    return sum(float(c) * cmath.exp(2j * cmath.pi * e * step * k / m) for e, c in enumerate(x.coeffs))
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+@given(unreduced_numbers(), unreduced_numbers(), st.integers(0, 14), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_complex_embeddings_oracle(x, y, shift, rewrite):
+    if rewrite:  # the same number as x, written differently: x + zeta^shift Phi_n(zeta)
+        y = x + CycNum(x.n, [0] * shift + list(cyclotomic_poly(x.n)))
+    m = math.lcm(x.n, y.n)
+    primitive = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    for k in primitive:
+        ex, ey = embedded(x, m, k), embedded(y, m, k)
+        assert close(embedded(x + y, m, k), ex + ey)
+        assert close(embedded(x * y, m, k), ex * ey)
+        if not x.is_zero():
+            assert close(embedded(x.inverse(), m, k), 1 / ex)
+    # 2(x - y) is an algebraic integer, so it is zero iff every embedding is tiny
+    assert (x == y) == all(close(embedded(x, m, k), embedded(y, m, k)) for k in primitive)
+    assert x == y or not rewrite
+
+
 def ext_square_oracle(eigenvalues):
     """Sum of all pairwise eigenvalue products lambda_i lambda_j, i < j."""
     total = CycNum.from_rational(0)
@@ -235,6 +274,10 @@ class TestGroupClosure:
             assert scenario.group().order == expected[label], label
 
 
+CATALOG_LABELS = ("trivial", "I", "II", "III(1)", "III(2)", "III(3)", "III(4)", "IV(1)", "IV(2)",
+                  "V", "XI", "XV", "Z2xZ2", "S3", "Z3xZ3", "D2", "D3", "D5", "S3xZ3")
+
+
 class TestInvariantDimension:
     def test_trivial_group(self):
         g = group_closure([CycMatrix.identity(5)])
@@ -260,8 +303,9 @@ class TestInvariantDimension:
         with pytest.raises(NonIntegralDimension):
             invariant_dimension(g, lambda x: CycNum.from_rational(1) if x == CycMatrix.identity(5) else CycNum.from_rational(0))
 
-    def test_conjugation_invariance(self):
-        scenario = catalog.find_case("D3")
+    @pytest.mark.parametrize("label", CATALOG_LABELS)
+    def test_conjugation_invariance(self, label):
+        scenario = catalog.find_case(label)
         base = scenario.group()
         q = invariant_dimension(base, lambda m: m.trace())
         pg = invariant_dimension(base, exterior_square_trace)
