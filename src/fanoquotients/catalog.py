@@ -197,24 +197,23 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     return scenario
 
 
-def _checked_scenario(data: dict) -> tuple[Optional[QuotientScenario], list[str]]:
-    """Parse, then run the semantic checks; the scenario is None unless both pass."""
+def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
+    """The checks of a parsed scenario that need its group; empty = ok."""
     diags: list[str] = []
-    scenario = scenario_from_dict(data, diagnostics=diags)
-    if scenario is None:
-        return None, diags
-    # semantic checks that need the group
     try:
         order = scenario.group().order
     except Exception as exc:
-        diags.append(f"group: closure failed: {exc}")
-        return None, diags
+        return [f"group: closure failed: {exc}"]
     for i, st in enumerate(scenario.strata):
         if order % st.order != 0:
             diags.append(f"strata[{i}].stabilizer_order: {st.order} does not divide |G| = {order}")
     for i, r in enumerate(scenario.ramification):
         if order % r.index != 0:
             diags.append(f"ramification[{i}].index: {r.index} does not divide |G| = {order}")
+    # the stabiliser of an A_{n,q} point is cyclic of order n; this also bounds its chain length
+    for i, (sing, _) in enumerate(scenario.singularities):
+        if order % sing.n != 0:
+            diags.append(f"singularities[{i}].n: {sing.n} does not divide |G| = {order}")
     if not diags:
         try:
             from_strata, from_group = euler_quotient(scenario), lefschetz_euler_quotient(scenario.group())
@@ -230,12 +229,14 @@ def _checked_scenario(data: dict) -> tuple[Optional[QuotientScenario], list[str]
             albanese_fiber_genus(fib.fiber_genus, fib.deck_order, fib.ramification)
         except ArithmeticError as exc:
             diags.append(f"fibration: {exc}")
-    return (None if diags else scenario), diags
+    return diags
 
 
 def validate_scenario(data: dict) -> list[str]:
     """Structural plus semantic validation; returns diagnostics (empty = ok)."""
-    return _checked_scenario(data)[1]
+    diags: list[str] = []
+    scenario = scenario_from_dict(data, diagnostics=diags)
+    return diags if scenario is None else _group_diagnostics(scenario)
 
 
 def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]]:
@@ -252,34 +253,60 @@ def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]
         yield entry.name, data
 
 
-_CATALOG_CACHE: dict[Optional[str], dict[str, QuotientScenario]] = {}
+class Catalog(dict):
+    """Parsed scenarios by label, in file order.
+
+    The checks that need a scenario's group run once per scenario, the first
+    time a command asks for it through ``checked``, so a one-case command
+    closes one group instead of all of them.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.unchecked: dict[str, str] = {}  # label -> file name, until its checks pass
+
+    def checked(self, label: str) -> QuotientScenario:
+        if label in self.unchecked:
+            diags = _group_diagnostics(self[label])
+            if diags:
+                raise InvalidScenario([f"{self.unchecked[label]}: {d}" for d in diags])
+            del self.unchecked[label]
+        return self[label]
 
 
-def load_catalog(catalog_dir: Optional[Path] = None) -> dict[str, QuotientScenario]:
-    """Load every scenario file, validating as we go; keyed by label."""
+_CATALOG_CACHE: dict[Optional[str], Catalog] = {}
+
+
+def load_catalog(catalog_dir: Optional[Path] = None) -> Catalog:
+    """Read and parse every scenario file, keyed by label.
+
+    Malformed files and duplicate labels fail here, for every command; the
+    group checks wait for ``Catalog.checked``.
+    """
     cache_key = str(catalog_dir) if catalog_dir is not None else None
     if cache_key in _CATALOG_CACHE:
         return _CATALOG_CACHE[cache_key]
-    catalog: dict[str, QuotientScenario] = {}
+    catalog = Catalog()
     for name, data in _data_files(catalog_dir):
-        scenario, diags = _checked_scenario(data)
+        diags: list[str] = []
+        scenario = scenario_from_dict(data, diagnostics=diags)
         if diags:
             raise InvalidScenario([f"{name}: {d}" for d in diags])
         if scenario.label in catalog:
             raise InvalidScenario([f"{name}: duplicate label {scenario.label}"])
         catalog[scenario.label] = scenario
+        catalog.unchecked[scenario.label] = name
     _CATALOG_CACHE[cache_key] = catalog
     return catalog
 
 
 def find_case(label: str, catalog_dir: Optional[Path] = None) -> QuotientScenario:
+    """The checked scenario of one case; its label matches case-insensitively."""
     catalog = load_catalog(catalog_dir)
-    if label in catalog:
-        return catalog[label]
-    lowered = {k.lower(): v for k, v in catalog.items()}
-    if label.lower() in lowered:
-        return lowered[label.lower()]
-    raise UnknownCase(f"unknown case {label!r}; known: {', '.join(sorted(catalog))}")
+    key = label if label in catalog else next((k for k in catalog if k.lower() == label.lower()), None)
+    if key is None:
+        raise UnknownCase(f"unknown case {label!r}; known: {', '.join(sorted(catalog))}")
+    return catalog.checked(key)
 
 
 def report_for(label: str, catalog_dir: Optional[Path] = None) -> InvariantReport:
@@ -334,6 +361,8 @@ def _certified_cases(catalog: dict[str, QuotientScenario]) -> set[str]:
 def run_tables(catalog_dir: Optional[Path] = None):
     """Both classification tables, in catalog order, as (columns, rows) pairs."""
     catalog = load_catalog(catalog_dir)
+    for label in catalog:
+        catalog.checked(label)
     certified = _certified_cases(catalog)
     tables = []
     for table_number, columns in ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS)):

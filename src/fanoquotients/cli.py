@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import catalog, rationality_cases
+from . import catalog
 from .hj_resolution import CyclicSing
 
 OK, INCONSISTENT, INPUT_ERROR = 0, 1, 2
@@ -82,6 +82,8 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_rationality(args) -> int:
+    from . import rationality_cases  # imported here so that no other command loads blowdown
+
     try:
         if args.case == "klein":
             text, certs = rationality_cases.klein_transcript()

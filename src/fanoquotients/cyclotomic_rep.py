@@ -206,7 +206,9 @@ class CycNum:
         for a in range(2, self.n):
             if math.gcd(a, self.n) == 1:
                 others = others * self._galois(a)
-        return others / (self * others).as_fraction()
+        coeffs, den = (others / (self * others).as_fraction())._canonical()
+        # the canonical representative: the product itself has large cancelling coefficients
+        return CycNum._make(self.n, dict(enumerate(coeffs)), den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (int, Fraction, CycNum)):

@@ -65,25 +65,27 @@ def klein_stage1(budget: int = 5, search_bound: int = 50) -> list[tuple[int, int
     """All (a14, b14, u1, u2) with both coefficient pairs in the integrality
     lattice, positive, and a14*u1 + b14*u2 equal to the budget.
 
-    The budget equation forces every coordinate well below ``search_bound``;
-    the bound is asserted to be slack so the enumeration is provably complete.
+    Since a14, b14 >= 1, the budget equation gives u1, u2 <= budget.  One of
+    u1, u2 is nonzero (a23, b23 >= 1), so a14 or b14 is at most the budget;
+    with (a14, b14) = (4 v1 + v2, v1 + 3 v2) that gives v1, v2 <= budget and
+    a14, b14 <= 4 budget.  So the loops below are complete, and every
+    solution lies strictly inside the box [0, ``search_bound``]^4 whenever
+    4 budget < search_bound; any other budget raises ``NoSolution``.
     """
-    lattice_pairs = []
-    for v1 in range(search_bound + 1):
-        for v2 in range(search_bound + 1):
-            a, b = _lattice_point(v1, v2)
-            if a >= 1 and b >= 1 and a <= search_bound and b <= search_bound:
-                lattice_pairs.append((a, b))
+    if 4 * budget >= search_bound:
+        raise NoSolution(f"search bound {search_bound} does not exceed 4 * budget = {4 * budget}")
+    box = range(budget + 1)
+    lattice_pairs = [_lattice_point(v1, v2) for v1 in box for v2 in box]
+    lattice_pairs = [(a, b) for a, b in lattice_pairs if a >= 1 and b >= 1]
     solutions = []
-    for u1 in range(search_bound + 1):
-        for u2 in range(search_bound + 1):
+    for u1 in box:
+        for u2 in box:
             a23, b23 = _lattice_point(u1, u2)
             if a23 < 1 or b23 < 1:
                 continue
             for a14, b14 in lattice_pairs:
                 if a14 * u1 + b14 * u2 == budget:
                     solutions.append((a14, b14, u1, u2))
-    assert all(max(s) < search_bound for s in solutions), "search bound is not slack"
     return sorted(solutions)
 
 

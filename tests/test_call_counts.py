@@ -1,4 +1,6 @@
-"""Each derived value of a scenario is computed once per command.
+"""Each derived value of a scenario is computed once per command, a one-case
+command computes it only for its case, and only ``rationality`` loads the
+certificate modules.
 
 The counts come from a fresh interpreter, so no process-level cache filled by
 an earlier test can hide repeated work.  Calls are counted by replacing each
@@ -20,19 +22,20 @@ from fanoquotients import mumford, rationality_cases
 SRC = pathlib.Path(fanoquotients.__file__).resolve().parents[1]
 
 COUNTING_RUN = """
-import contextlib, io, json, sys
-from fanoquotients import catalog, cli, cyclotomic_rep, quotient_engine, rationality_cases
+import contextlib, importlib, io, json, sys
+from fanoquotients import cli
 
-targets = {
-    "full_report": quotient_engine,
-    "invariant_dimension": cyclotomic_rep,
-    "scenario_from_dict": catalog,
-    "group_closure": cyclotomic_rep,
-    "klein_stage1": rationality_cases,
+modules = {
+    "full_report": "quotient_engine",
+    "invariant_dimension": "cyclotomic_rep",
+    "scenario_from_dict": "catalog",
+    "group_closure": "cyclotomic_rep",
+    "klein_stage1": "rationality_cases",
 }
-counts = dict.fromkeys(targets, 0)
-for name, module in targets.items():
-    original = getattr(module, name)
+names = json.loads(sys.argv[1])
+counts = dict.fromkeys(names, 0)
+for name in names:
+    original = getattr(importlib.import_module("fanoquotients." + modules[name]), name)
 
     def counted(*args, _name=name, _original=original, **kwargs):
         counts[_name] += 1
@@ -44,14 +47,17 @@ for name, module in targets.items():
                 if value is original:
                     setattr(loaded, key, counted)
 with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, **counts}))
+    rc = cli.main(sys.argv[2:])
+loaded = sorted(name for name in sys.modules if name.startswith("fanoquotients"))
+print(json.dumps({"rc": rc, "modules": loaded, **counts}))
 """
 
 
-def count_calls(argv):
-    proc = subprocess.run([sys.executable, "-c", COUNTING_RUN, *argv], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+def count_calls(argv, names=()):
+    """Run ``fanoq argv`` in a fresh interpreter, counting calls to ``names``;
+    only the modules that hold ``names`` are imported before the command runs."""
+    proc = subprocess.run([sys.executable, "-c", COUNTING_RUN, json.dumps(list(names)), *argv],
+                          capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -61,11 +67,21 @@ def count_calls(argv):
     (["tables"], {"rc": 0, "full_report": 19, "invariant_dimension": 38, "scenario_from_dict": 19,
                   "group_closure": 19, "klein_stage1": 1}),
     # the transcript and both certificates share one stage-1 result and the XI report
-    (["rationality", "klein"], {"rc": 0, "full_report": 1, "klein_stage1": 1}),
-], ids=["tables", "rationality-klein"])
+    (["rationality", "klein"], {"rc": 0, "full_report": 1, "klein_stage1": 1, "group_closure": 1}),
+    (["rationality", "xv"], {"rc": 0, "group_closure": 1}),
+    # every file is parsed, but only the asked case is closed and reported
+    (["report", "XI"], {"rc": 0, "group_closure": 1, "full_report": 1, "scenario_from_dict": 19}),
+], ids=["tables", "rationality-klein", "rationality-xv", "report-xi"])
 def test_each_value_computed_once(argv, expected):
-    counts = count_calls(argv)
+    counts = count_calls(argv, [key for key in expected if key != "rc"])
     assert {key: counts[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("argv", [["report", "XI"], ["resolve", "11", "3"]], ids=["report-xi", "resolve"])
+def test_certificate_modules_load_only_for_rationality(argv):
+    counts = count_calls(argv)
+    assert counts["rc"] == 0
+    assert not {"fanoquotients.rationality_cases", "fanoquotients.blowdown"} & set(counts["modules"])
 
 
 @pytest.mark.parametrize("build, solves", [

@@ -267,6 +267,34 @@ class TestHardenedInput:
         assert f"the generators give {from_group}" in out
         assert main(["--catalog", str(tmp_path), "report", data["label"]]) == 2
 
+    def test_one_case_commands_check_only_their_case(self, tmp_path, capsys):
+        # a sound XI next to a V whose strata contradict its generators
+        (tmp_path / "xi.json").write_text((DATA / "xi.json").read_text())
+        data = json.loads((DATA / "v.json").read_text())
+        data["strata"][0]["euler"] = 7
+        (tmp_path / "v.json").write_text(json.dumps(data))
+        assert main(["--catalog", str(tmp_path), "--format", "json", "report", "XI"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads((GOLDEN / "reports" / "xi.json").read_text())
+        for argv in (["report", "V"], ["tables"]):
+            assert main(["--catalog", str(tmp_path), *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("v.json: strata: e(S/G) = 11 from the strata, "
+                                    "but the generators give 7 (topological Lefschetz)\n")
+
+    def test_singularity_order_must_divide_the_group(self, tmp_path, capsys):
+        data = json.loads((DATA / "v.json").read_text())
+        data["singularities"] = [{"n": 100001, "q": 100000}]
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(data))
+        start = time.monotonic()
+        assert main(["validate", str(path)]) == 2
+        assert time.monotonic() - start < 0.5
+        assert "singularities[0].n: 100001 does not divide |G| = 5" in capsys.readouterr().out
+        start = time.monotonic()
+        assert main(["--catalog", str(tmp_path), "report", "V"]) == 2
+        assert time.monotonic() - start < 0.5
+
     @pytest.mark.parametrize("case", [
         "json-array", "strata", "ramification", "singularities", "group", "catalog-file"])
     def test_malformed_input_gives_a_diagnostic(self, tmp_path, case):

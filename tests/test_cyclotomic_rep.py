@@ -103,7 +103,7 @@ class TestCycNum:
             CycNum.from_rational(0).inverse()
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
@@ -156,6 +156,8 @@ def close(a, b):
 
 @given(unreduced_numbers(), unreduced_numbers(), st.integers(0, 14), st.booleans())
 @settings(max_examples=80, deadline=None)
+# an unreduced Galois-norm inverse has coefficients near 4.4e4 that cancel in every embedding
+@example(x=CycNum(15, [0, 3, 3, F(3, 2), 3, 1, 0, 1]), y=CycNum(15, []), shift=0, rewrite=False)
 def test_complex_embeddings_oracle(x, y, shift, rewrite):
     if rewrite:  # the same number as x, written differently: x + zeta^shift Phi_n(zeta)
         y = x + CycNum(x.n, [0] * shift + list(cyclotomic_poly(x.n)))

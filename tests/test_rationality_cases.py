@@ -14,6 +14,26 @@ STAGE1_EXPECTED = {
 }
 
 
+def full_box_stage1(budget, search_bound=50):
+    """Test-local oracle: stage 1 by brute force over the whole box [0, search_bound]^4."""
+    lattice_pairs = []
+    for v1 in range(search_bound + 1):
+        for v2 in range(search_bound + 1):
+            a, b = 4 * v1 + v2, v1 + 3 * v2
+            if 1 <= a <= search_bound and 1 <= b <= search_bound:
+                lattice_pairs.append((a, b))
+    solutions = []
+    for u1 in range(search_bound + 1):
+        for u2 in range(search_bound + 1):
+            if 4 * u1 + u2 < 1 or u1 + 3 * u2 < 1:
+                continue
+            for a14, b14 in lattice_pairs:
+                if a14 * u1 + b14 * u2 == budget:
+                    solutions.append((a14, b14, u1, u2))
+    assert all(max(s) < search_bound for s in solutions)
+    return sorted(solutions)
+
+
 class TestKleinStage1:
     def test_exact_solution_set(self):
         assert set(rc.klein_stage1()) == STAGE1_EXPECTED
@@ -23,6 +43,16 @@ class TestKleinStage1:
 
     def test_zero_budget_is_empty(self):
         assert rc.klein_stage1(budget=0) == []
+
+    @pytest.mark.parametrize("budget", range(11))
+    def test_agrees_with_the_full_box(self, budget):
+        assert rc.klein_stage1(budget=budget) == full_box_stage1(budget)
+
+    def test_bound_too_small_for_the_budget_raises(self):
+        # (4 budget, budget, 0, 1) is always a solution, so 4 budget must fit in the box
+        assert (20, 5, 0, 1) in rc.klein_stage1(budget=5, search_bound=21)
+        with pytest.raises(rc.NoSolution, match="search bound 20"):
+            rc.klein_stage1(budget=5, search_bound=20)
 
 
 class TestKleinStage2:
