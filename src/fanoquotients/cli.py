@@ -25,11 +25,7 @@ OK, INCONSISTENT, INPUT_ERROR = 0, 1, 2
 
 
 def _cmd_report(args) -> int:
-    try:
-        report = catalog.report_for(args.case, args.catalog)
-    except catalog.UnknownCase as exc:
-        print(exc.args[0], file=sys.stderr)
-        return INPUT_ERROR
+    report = catalog.report_for(args.case, args.catalog)
     print(catalog.render_report(report, args.format))
     return OK if report.noether_ok and not report.flags else INCONSISTENT
 
@@ -84,18 +80,16 @@ def _cmd_resolve(args) -> int:
 def _cmd_rationality(args) -> int:
     from . import rationality_cases  # imported here so that no other command loads blowdown
 
+    q = catalog.report_for("XI" if args.case == "klein" else "XV", args.catalog).q
     try:
         if args.case == "klein":
-            text, certs = rationality_cases.klein_transcript()
+            text, certs = rationality_cases.klein_transcript(regularity=q)
             payload = {case: cert.to_json_dict() for case, cert in certs.items()}
         else:
-            text, cert = rationality_cases.xv_transcript()
+            text, cert = rationality_cases.xv_transcript(regularity=q)
             payload = {"xv": cert.to_json_dict()}
-    except rationality_cases.NoCertificate as exc:
-        print(exc, file=sys.stderr)
-        return INCONSISTENT
-    except (rationality_cases.NoSolution, rationality_cases.IntegralityViolation,
-            rationality_cases.MatrixMismatch) as exc:
+    except (rationality_cases.NoCertificate, rationality_cases.NoSolution, rationality_cases.IntegralityViolation,
+            rationality_cases.MatrixMismatch, ValueError) as exc:  # ValueError: q != 0
         print(exc, file=sys.stderr)
         return INCONSISTENT
     if args.format == "json":
@@ -155,6 +149,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except catalog.UnknownCase as exc:
+        print(exc.args[0], file=sys.stderr)
+        return INPUT_ERROR
     except catalog.InvalidScenario as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)

@@ -287,22 +287,6 @@ class CycMatrix:
     def trace(self) -> CycNum:
         return sum((self.rows[i][i] for i in range(self.dim)), CycNum.from_rational(0, self.n))
 
-    def det(self) -> CycNum:
-        """Determinant by cofactor expansion along the rows, each minor computed once."""
-        @lru_cache(maxsize=None)
-        def minor(used: int) -> CycNum:  # the rows from popcount(used) on, the columns not used
-            i = bin(used).count("1")
-            total = CycNum.from_rational(int(i == self.dim), self.n)
-            free = [j for j in range(self.dim) if not used >> j & 1]
-            for pos, j in enumerate(free):
-                if self.rows[i][j].terms:
-                    total = total + (-1) ** pos * self.rows[i][j] * minor(used | 1 << j)
-            return total
-        return minor(0)
-
-    def is_invertible(self) -> bool:
-        return not self.det().is_zero()
-
     def transpose(self) -> "CycMatrix":
         return CycMatrix([[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
@@ -327,56 +311,77 @@ def exterior_square_trace(m: CycMatrix) -> CycNum:
 
 
 class FiniteMatrixGroup(tuple):
-    """All elements of a finite matrix group, closed under multiplication."""
+    """All elements of a finite matrix group, with the values of each character it is given."""
 
     @property
     def order(self) -> int:
         return len(self)
 
+    def character(self, chi: Callable[[CycMatrix], CycNum]) -> tuple[CycNum, ...]:
+        """chi at every element, in element order; evaluated once per group and chi."""
+        values = vars(self).setdefault("characters", {})
+        if chi not in values:
+            values[chi] = tuple(map(chi, self))
+        return values[chi]
+
 
 def group_closure(generators: Sequence[CycMatrix], bound: int = 10000) -> FiniteMatrixGroup:
     """Close a generator set under products (BFS; deterministic element order).
 
-    Finite order makes closure under products suffice for a group.  Raises
-    ``BoundExceeded`` if the element count passes ``bound``, which signals a
-    generator that does not generate a finite group (or wrong input).
+    Each generator's powers are multiplied out first, until the identity comes
+    back.  Let g (size <= 5) have finite order over K = Q(zeta_n) = Q(zeta_m),
+    m = lcm(2, n).  An eigenvalue lambda of g has K(lambda) = Q(zeta_mk) with
+    mk = lcm(m, ord lambda), of degree phi(mk)/phi(m) <= 5 over K.  As m is
+    even, that degree is k times (1 - 1/p) for each odd prime p dividing k but
+    not m, which is at least 6 once k >= 7.  So the order of g divides
+    L(n) = lcm(m, 2m, ..., 6m) = 60 m.  Powers that miss the identity up to
+    min(L(n), bound), or repeat without it (g singular), raise ``BoundExceeded``,
+    and a generator that passes has finite order, so it is invertible; finite
+    order makes closure under products suffice for a group.  The powers seed
+    the closure and x g is skipped for x a power of g, so no product is formed
+    twice.  ``BoundExceeded`` also signals more than ``bound`` elements.
     """
     dim = generators[0].dim if generators else 5
     conductor = math.lcm(1, *(g.n for g in generators))
-    for g in generators:
-        if g.dim != dim:
-            raise ValueError("generators must share one dimension")
-        if not g.is_invertible():
-            raise ValueError("generators must be invertible")
+    if any(g.dim != dim for g in generators) or dim > 5:
+        raise ValueError("generators must share one size, at most 5")
     gens = [g.promote(conductor) for g in generators]
     identity = CycMatrix.identity(dim, conductor)
-    seen = {identity.key(): identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x @ g
-                k = y.key()
-                if k not in seen:
-                    if len(seen) >= bound:
-                        raise BoundExceeded(f"closure exceeded {bound} elements")
-                    seen[k] = y
-                    nxt.append(y)
-        frontier = nxt
+    one, cap = identity.key(), min(60 * math.lcm(2, conductor), bound)
+    seen = {one: identity}
+    cycles = []
+    for i, g in enumerate(gens):
+        powers, x = {one: identity}, g
+        while (key := x.key()) != one:
+            if key in powers or len(powers) >= cap:
+                raise BoundExceeded(f"generator {i} is singular or of order above {cap}")
+            powers[key] = x
+            x = x @ g
+        seen.update(powers)
+        cycles.append(powers.keys())
+    queue = list(seen)  # read while it grows: breadth first
+    for k in queue:
+        for g, powers in zip(gens, cycles):
+            if k in powers:
+                continue
+            y = seen[k] @ g
+            ky = y.key()
+            if ky not in seen:
+                if len(seen) >= bound:
+                    raise BoundExceeded(f"closure exceeded {bound} elements")
+                seen[ky] = y
+                queue.append(ky)
     return FiniteMatrixGroup(seen.values())
 
 
 def invariant_dimension(group: FiniteMatrixGroup, character: Callable[[CycMatrix], CycNum]) -> int:
-    """dim of the invariant subspace: the averaged character (1/|G|) sum chi(g).
+    """dim of the invariant subspace: the averaged character (1/|G|) sum chi(g),
+    read from the values the group keeps.
 
     The average must come out a nonnegative rational integer; anything else
     means the input data is inconsistent and raises ``NonIntegralDimension``.
     """
-    total: CycNum = CycNum.from_rational(0)
-    for g in group:
-        total = total + character(g)
-    avg = total * Fraction(1, group.order)
+    avg = sum(group.character(character), CycNum.from_rational(0)) * Fraction(1, group.order)
     if not avg.is_rational():
         raise NonIntegralDimension(f"character average is irrational: {avg!r}")
     value = avg.as_fraction()

@@ -46,7 +46,6 @@ class ResolutionModel:
     pairing: dict[tuple[str, str], Fraction]
     k_degree: dict[str, Fraction]
     incidence: dict[str, dict[str, tuple[int, ...]]]
-    k2_downstairs: Fraction = Fraction(0)
     # strict-transform coefficients, solved and checked once per curve
     _strict: dict[str, dict[str, tuple[Fraction, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -54,8 +53,7 @@ class ResolutionModel:
     @classmethod
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
               pairing: Mapping[tuple[str, str], Fraction], k_degree: Mapping[str, Fraction],
-              incidence: Mapping[str, Mapping[str, Iterable[int]]],
-              k2_downstairs: Fraction = Fraction(0)) -> "ResolutionModel":
+              incidence: Mapping[str, Mapping[str, Iterable[int]]]) -> "ResolutionModel":
         curve_list = tuple(curves)
         pairs = {}
         for (a, b), v in pairing.items():
@@ -77,8 +75,7 @@ class ResolutionModel:
                     raise ValueError(f"negative incidence multiplicity for {name} at {point}")
                 per_point[point] = vec
             inc[name] = per_point
-        return cls(dict(chains), curve_list, pairs, {c: Fraction(k_degree[c]) for c in curve_list},
-                   inc, Fraction(k2_downstairs))
+        return cls(dict(chains), curve_list, pairs, {c: Fraction(k_degree[c]) for c in curve_list}, inc)
 
     # -- strict transforms ---------------------------------------------------
 
@@ -137,9 +134,9 @@ def _unit(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(j == i)) for j in range(n))
 
 
-def adjunction_genus(self_int: Fraction, k_degree: Fraction, *, assert_smooth: bool = True) -> Fraction:
+def adjunction_genus(self_int: Fraction, k_degree: Fraction) -> Fraction:
     """Arithmetic genus 1 + (C^2 + K.C)/2 of a curve on a smooth surface."""
     g = 1 + (Fraction(self_int) + Fraction(k_degree)) / 2
-    if assert_smooth and (g.denominator != 1 or g < 0):
+    if g.denominator != 1 or g < 0:
         raise NonIntegralGenus(f"genus {g} is not a nonnegative integer")
     return g

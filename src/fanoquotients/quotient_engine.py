@@ -135,11 +135,11 @@ def lefschetz_euler_quotient(group: FiniteMatrixGroup) -> int:
     H^1(S) = V + conj(V) for the 1-forms V and H^2(S) = Lambda^2 H^1, so with
     s = tr g, t = s + conj(s) and t2 = tr g^2 + conj(tr g^2) the fixed locus
     has e(S^g) = 2 - 2t + (t^2 - t2)/2, and (t^2 - t2)/2 is the exterior-square
-    character plus its conjugate plus s conj(s).  e(S/G) is the average over G.
+    character plus its conjugate plus s conj(s).  e(S/G) is the average over G,
+    read from the character values the group keeps for q and p_g.
     """
     total = CycNum.from_rational(0)
-    for g in group:
-        s, wedge = g.trace(), exterior_square_trace(g)
+    for s, wedge in zip(group.character(CycMatrix.trace), group.character(exterior_square_trace)):
         total = total + 2 - 2 * (s + s.conjugate()) + wedge + wedge.conjugate() + s * s.conjugate()
     value = total.as_fraction() / group.order if total.is_rational() else None
     if value is None or value.denominator != 1:
@@ -177,7 +177,7 @@ def k2_quotient(scenario: QuotientScenario) -> Fraction:
 
 def irregularity(scenario: QuotientScenario) -> int:
     """q of the resolution: dimension of the group-invariant 1-forms."""
-    return invariant_dimension(scenario.group(), lambda g: g.trace())
+    return invariant_dimension(scenario.group(), CycMatrix.trace)
 
 
 def geometric_genus(scenario: QuotientScenario) -> int:

@@ -28,6 +28,7 @@ from fanoquotients import cli
 modules = {
     "full_report": "quotient_engine",
     "invariant_dimension": "cyclotomic_rep",
+    "exterior_square_trace": "cyclotomic_rep",
     "scenario_from_dict": "catalog",
     "group_closure": "cyclotomic_rep",
     "klein_stage1": "rationality_cases",
@@ -63,9 +64,10 @@ def count_calls(argv, names=()):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # 19 scenarios: one parse, one closure, one report and two character averages each
+    # 19 scenarios: one parse, one closure, one report and two character averages each;
+    # the Lefschetz check and p_g share one exterior square per element (113 = sum of |G|)
     (["tables"], {"rc": 0, "full_report": 19, "invariant_dimension": 38, "scenario_from_dict": 19,
-                  "group_closure": 19, "klein_stage1": 1}),
+                  "group_closure": 19, "klein_stage1": 1, "exterior_square_trace": 113}),
     # the transcript and both certificates share one stage-1 result and the XI report
     (["rationality", "klein"], {"rc": 0, "full_report": 1, "klein_stage1": 1, "group_closure": 1}),
     (["rationality", "xv"], {"rc": 0, "group_closure": 1}),

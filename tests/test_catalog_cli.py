@@ -234,6 +234,29 @@ class TestCliExitCodes:
         assert "Noether check failed" in capsys.readouterr().err
 
 
+class TestRationalityCatalog:
+    """``rationality`` reads q from the XI or XV scenario of ``--catalog``."""
+
+    @pytest.mark.parametrize("case", ["klein", "xv"])
+    def test_empty_catalog_has_no_case(self, tmp_path, capsys, case):
+        assert main(["--catalog", str(tmp_path), "rationality", case]) == 2
+        assert "unknown case" in capsys.readouterr().err
+
+    def test_catalog_with_only_xi(self, tmp_path, capsys):
+        (tmp_path / "xi.json").write_text((DATA / "xi.json").read_text())
+        assert main(["--catalog", str(tmp_path), "rationality", "klein"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "rationality_klein.txt").read_text()
+        assert main(["--catalog", str(tmp_path), "rationality", "xv"]) == 2
+        assert "unknown case 'XV'" in capsys.readouterr().err
+
+    def test_irregular_case_has_no_certificate(self, tmp_path, capsys):
+        data = json.loads((DATA / "trivial.json").read_text())
+        data["label"] = "XV"  # the surface itself, q = 5
+        (tmp_path / "xv.json").write_text(json.dumps(data))
+        assert main(["--catalog", str(tmp_path), "rationality", "xv"]) == 1
+        assert "irregularity 5 != 0" in capsys.readouterr().err
+
+
 class TestGoldenTranscripts:
     def test_klein(self):
         from fanoquotients.rationality_cases import klein_transcript
@@ -318,6 +341,19 @@ class TestHardenedInput:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "case.json: " in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("rows", [
+        [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)],  # a shear: infinite order
+        [[int(i == j < 4) for j in range(5)] for i in range(5)],                   # P^2 = P: singular
+    ], ids=["shear", "singular"])
+    def test_generator_without_finite_order_is_rejected_quickly(self, tmp_path, capsys, rows):
+        data = {"schema": 1, "label": "bad", "group": {"conductor": 1, "generators": [{"rows": rows}]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        start = time.monotonic()
+        assert main(["validate", str(path)]) == 2
+        assert time.monotonic() - start < 0.5
+        assert "group: closure failed: generator 0 is singular or of order above 120" in capsys.readouterr().out
 
     def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
         identity = [[int(i == j) for j in range(5)] for i in range(5)]

@@ -275,6 +275,36 @@ class TestGroupClosure:
         for label, scenario in catalog.load_catalog().items():
             assert scenario.group().order == expected[label], label
 
+    @pytest.mark.parametrize("n, columns, order", [
+        # Phi_12 = x^4 - x^2 + 1 and x + 1 over Q: eigenvalue orders 12 = 2 * 6 and 2
+        (1, [[-1, 0, 1, 0], [-1]], 12),
+        # x^2 - zeta_30 and x^3 - zeta_30 over Q(zeta_15), with zeta_30 = -zeta_15^8:
+        # eigenvalue orders 60 = 30 * 2 and 90 = 30 * 3
+        (15, [[[(-1, 8)], 0], [[(-1, 8)], 0, 0]], 180),
+    ], ids=["phi12-over-q", "roots-of-zeta30-over-q15"])
+    def test_finite_orders_near_the_order_bound(self, n, columns, order):
+        # block-diagonal companion matrices, each block given by its last column
+        rows, start = [[0] * 5 for _ in range(5)], 0
+        for column in columns:
+            for i, entry in enumerate(column):
+                rows[start + i][start + len(column) - 1] = entry
+                if i:
+                    rows[start + i][start + i - 1] = 1
+            start += len(column)
+        assert group_closure([CycMatrix.from_rows(n, rows)]).order == order
+
+    def test_no_product_is_formed_twice(self, monkeypatch):
+        # the powers of each generator seed the closure, so s generators cost
+        # |G| s - s products; 188 = sum of |G| s, one per element and generator
+        products = []
+        original = CycMatrix.__matmul__
+        monkeypatch.setattr(CycMatrix, "__matmul__", lambda a, b: products.append(1) or original(a, b))
+        expected = 0
+        for scenario in catalog.load_catalog().values():
+            generators = list(scenario.generators)
+            expected += (group_closure(generators).order - 1) * len(generators)
+        assert len(products) == expected <= 188
+
 
 CATALOG_LABELS = ("trivial", "I", "II", "III(1)", "III(2)", "III(3)", "III(4)", "IV(1)", "IV(2)",
                   "V", "XI", "XV", "Z2xZ2", "S3", "Z3xZ3", "D2", "D3", "D5", "S3xZ3")
