@@ -1,19 +1,18 @@
 """Blow-downs of curve configurations and rationality certificates.
 
 A ``CurveConfig`` records finitely many curves on a smooth surface: their
-exact intersection matrix, canonical degrees, and genera, plus the ambient
-irregularity q.  Contracting a (-1)-curve E transforms the rest by the
-classical rules
+exact intersection matrix, canonical degrees, and genera.  Contracting a
+(-1)-curve E transforms the rest by the classical rules
 
     C.C'  ->  C.C' + (C.E)(C'.E),      K.C  ->  K.C - C.E,
 
 and a rationality certificate is a contraction sequence that ends with a
-smooth genus-0 curve of self-intersection >= 0 on a regular (q = 0) surface.
+smooth genus-0 curve of self-intersection >= 0.  It proves rationality only
+on a regular (q = 0) surface; the caller checks q.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,11 +28,10 @@ class CurveConfig:
     matrix: tuple[tuple[Fraction, ...], ...]
     k_degrees: tuple[Fraction, ...]
     genera: tuple[int, ...]
-    q: int
 
     @classmethod
     def build(cls, names: Sequence[str], matrix: Sequence[Sequence], k_degrees: Sequence,
-              genera: Sequence[int], q: int) -> "CurveConfig":
+              genera: Sequence[int]) -> "CurveConfig":
         names = tuple(names)
         m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         if len(m) != len(names) or any(len(row) != len(names) for row in m):
@@ -42,7 +40,7 @@ class CurveConfig:
             for j in range(i + 1, len(names)):
                 if m[i][j] != m[j][i]:
                     raise ValueError(f"intersection matrix not symmetric at {names[i]},{names[j]}")
-        return cls(names, m, tuple(Fraction(k) for k in k_degrees), tuple(int(g) for g in genera), q)
+        return cls(names, m, tuple(Fraction(k) for k in k_degrees), tuple(int(g) for g in genera))
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -78,7 +76,7 @@ class CurveConfig:
                 if self.genera[i] == 0 and self.matrix[i][i] >= 0 and self.is_smooth(n)]
 
     def key(self) -> tuple:
-        return (self.names, self.matrix, self.k_degrees, self.genera, self.q)
+        return (self.names, self.matrix, self.k_degrees, self.genera)
 
 
 def contract(config: CurveConfig, curve: str) -> CurveConfig:
@@ -98,7 +96,6 @@ def contract(config: CurveConfig, curve: str) -> CurveConfig:
         new_matrix,
         new_k,
         tuple(config.genera[i] for i in keep),
-        config.q,
     )
     _assert_adjunction(new_config)
     return new_config
@@ -139,19 +136,13 @@ class RationalityCertificate:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def find_rationality_certificate(config: CurveConfig) -> Optional[RationalityCertificate]:
     """Depth-first search over contraction sequences; first certificate wins.
 
-    Only meaningful as a rationality proof when the recorded irregularity is
-    zero, so that is a precondition.  Returns None when the search space is
-    exhausted without reaching a genus-0 curve of nonnegative square.
+    Returns None when the search space is exhausted without reaching a
+    genus-0 curve of nonnegative square.
     """
-    if config.q != 0:
-        raise ValueError(f"rationality search requires q = 0, got q = {config.q}")
     seen: set[tuple] = set()
 
     def dfs(state: CurveConfig, trail: tuple[str, ...], states: tuple[CurveConfig, ...]):

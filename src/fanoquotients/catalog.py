@@ -169,17 +169,27 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     fibration = None
     fib = data.get("fibration")
     if fib is not None:
-        try:
-            fibration = Fibration(int(fib["fiber_genus"]), int(fib["deck_order"]), int(fib["ramification"]))
-        except (KeyError, TypeError, ValueError):
+        values = [fib.get(k) for k in ("fiber_genus", "deck_order", "ramification")] if isinstance(fib, dict) else []
+        if values and all(isinstance(v, int) for v in values):
+            fibration = Fibration(*values)
+        else:
             diags.append("fibration: needs integer fiber_genus, deck_order, ramification")
 
     for key in ("annotations", "display"):
         if not isinstance(data.get(key, {}), dict):
             diags.append(f"{key}: must be an object")
+    annotations = data.get("annotations", {})
+    if isinstance(annotations, dict) and "rationality_case" in annotations \
+            and annotations["rationality_case"] not in ("klein", "xv"):
+        diags.append('annotations.rationality_case: must be "klein", "xv" or absent')
+    table = data.get("table")
+    if table is not None and not (isinstance(table, int) and table in (1, 2)):
+        diags.append("table: must be 1, 2 or null")
+    if data.get("table_position") is not None and not isinstance(data["table_position"], int):
+        diags.append("table_position: must be an integer or null")
     if diags:
         return None
-    annotations = dict(data.get("annotations", {}))
+    annotations = dict(annotations)
     if data.get("table_position") is not None:
         annotations["table_position"] = data["table_position"]
     scenario = QuotientScenario(
@@ -191,7 +201,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         fibration=fibration,
         annotations=annotations,
         display=dict(data.get("display", {})),
-        table=data.get("table"),
+        table=table,
         source=data.get("source", ""),
     )
     return scenario
@@ -346,16 +356,12 @@ def table_rows(report: InvariantReport, certified: bool) -> dict[str, str]:
 
 
 def _certified_cases(catalog: dict[str, QuotientScenario]) -> set[str]:
-    """Labels whose recorded rationality certificate actually exists."""
+    """Labels whose annotated rationality certificate actually exists; a
+    missing one raises ``rationality_cases.NoCertificate``."""
     from . import rationality_cases
 
-    cases = {"klein": ("klein-option-1", "klein-option-2"), "xv": ("xv",)}
-    certified = set()
-    for label, scenario in catalog.items():
-        for case in cases.get(scenario.annotations.get("rationality_case"), ()):
-            rationality_cases.certify_rationality(case, regularity=scenario.report.q)
-            certified.add(label)
-    return certified
+    return {label for label, scenario in catalog.items()
+            if "rationality_case" in scenario.annotations and rationality_cases.certify_rationality(scenario)}
 
 
 def run_tables(catalog_dir: Optional[Path] = None):

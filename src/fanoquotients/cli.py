@@ -8,7 +8,8 @@ Subcommands:
     validate FILE      schema and semantic checks for a scenario file
 
 Exit codes: 0 success, 1 computation inconsistency (failed Noether or
-integrality check, missing certificate), 2 input error.
+integrality check, missing certificate, irregular or unannotated rationality
+case), 2 input error.
 """
 
 from __future__ import annotations
@@ -80,20 +81,10 @@ def _cmd_resolve(args) -> int:
 def _cmd_rationality(args) -> int:
     from . import rationality_cases  # imported here so that no other command loads blowdown
 
-    q = catalog.report_for("XI" if args.case == "klein" else "XV", args.catalog).q
-    try:
-        if args.case == "klein":
-            text, certs = rationality_cases.klein_transcript(regularity=q)
-            payload = {case: cert.to_json_dict() for case, cert in certs.items()}
-        else:
-            text, cert = rationality_cases.xv_transcript(regularity=q)
-            payload = {"xv": cert.to_json_dict()}
-    except (rationality_cases.NoCertificate, rationality_cases.NoSolution, rationality_cases.IntegralityViolation,
-            rationality_cases.MatrixMismatch, ValueError) as exc:  # ValueError: q != 0
-        print(exc, file=sys.stderr)
-        return INCONSISTENT
+    scenario = catalog.find_case("XI" if args.case == "klein" else "XV", args.catalog)
+    text, certs = rationality_cases.transcript(scenario)  # NoCertificate is an ArithmeticError: exit 1
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps({name: c.to_json_dict() for name, c in certs.items()}, indent=2, sort_keys=True))
     else:
         print(text, end="")
     return OK

@@ -8,9 +8,9 @@ plus a budget equation), after which the five curves are disjoint
 (-1)-curves; contracting them and one more curve reaches a genus-0 curve of
 square zero.  For the order-15 case the configuration of the curves
 Abar, Bbar, T_m, Hbar, Lbar is derived from the lattice of the ten elliptic
-curves on the surface, and four contractions finish the proof.  Both searches
-run on a regular surface (q = 0), which is what makes the final curve a
-rationality certificate.
+curves on the surface, and four contractions finish the proof.  Both proofs
+need a regular surface (q = 0), which is what makes the final curve a
+rationality certificate; ``certify_rationality`` reads q from the scenario.
 """
 
 from __future__ import annotations
@@ -24,21 +24,23 @@ from typing import Iterable, Optional, Sequence
 from .blowdown import CurveConfig, RationalityCertificate, find_rationality_certificate
 from .hj_resolution import ExceptionalChain
 from .mumford import ResolutionModel, adjunction_genus
+from .quotient_engine import QuotientScenario
 
 
-class NoSolution(RuntimeError):
+class NoCertificate(ArithmeticError):
+    """No rationality certificate: the surface is irregular, no case is annotated, or
+    no contraction sequence reaches a genus-0 curve of nonnegative square."""
+
+
+class NoSolution(NoCertificate):
     """The Diophantine constraints eliminated every candidate."""
 
 
-class NoCertificate(RuntimeError):
-    """No contraction sequence reaches a genus-0 curve of nonnegative square."""
-
-
-class IntegralityViolation(ArithmeticError):
+class IntegralityViolation(NoCertificate):
     """A distinct-curve intersection number came out negative or fractional."""
 
 
-class MatrixMismatch(AssertionError):
+class MatrixMismatch(NoCertificate):
     """A derived intersection matrix differs from its expected value."""
 
 
@@ -96,7 +98,6 @@ class KleinStage2:
     w_candidates: tuple[tuple[int, int], ...]
     candidates_per_w: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     kept_per_w: dict[tuple[int, int], tuple[tuple[int, int], ...]]  # candidates passing integrality
-    quadruple_options: tuple[tuple[int, int, int, int], ...]
 
 
 def klein_stage2(stage1: Sequence[tuple[int, int, int, int]], budget: int = 5) -> KleinStage2:
@@ -148,7 +149,6 @@ def klein_stage2(stage1: Sequence[tuple[int, int, int, int]], budget: int = 5) -
         w_candidates=tuple(w_list),
         candidates_per_w=candidates_per_w,
         kept_per_w=kept_per_w,
-        quadruple_options=tuple(options),
     )
 
 
@@ -167,15 +167,14 @@ def _klein_stages() -> tuple[tuple[tuple[int, int, int, int], ...], KleinStage2]
 
 _KLEIN_POINTS = ("s13", "s25", "s14", "s23", "s45")
 _KLEIN_SUFFIX = ("13", "25", "14", "23", "45")
-KLEIN_OPTIONS = ((4, 1, 5, 4), (5, 4, 4, 1))
 
 
-def build_klein_config(option: tuple[int, int, int, int],
-                       first_pair: tuple[int, int] = (1, 3)) -> CurveConfig:
-    """Curve configuration of the five contracted curves plus the ten
-    exceptional curves over the A_{11,3} points, for one surviving option."""
-    if option not in KLEIN_OPTIONS:
-        raise ValueError(f"option {option} is not one of the surviving options {KLEIN_OPTIONS}")
+def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
+    """Curve configuration of the five contracted curves plus the ten exceptional
+    curves over the A_{11,3} points, for one option and the first pair of stage 2."""
+    stage2 = _klein_stages()[1]
+    if option not in stage2.survivors:
+        raise ValueError(f"option {option} is not one of the surviving options {stage2.survivors}")
     a14, b14, a23, b23 = option
     chains = {p: ExceptionalChain.from_selfints((3, 4)) for p in _KLEIN_POINTS}
     curve_names = tuple(f"D{s}" for s in _KLEIN_SUFFIX)
@@ -185,7 +184,7 @@ def build_klein_config(option: tuple[int, int, int, int],
     coeff_at: dict[str, dict[str, tuple[int, int]]] = {}
     for k, name in enumerate(curve_names):
         coeff_at[name] = {
-            _KLEIN_POINTS[k]: first_pair,
+            _KLEIN_POINTS[k]: stage2.first_pair,
             _KLEIN_POINTS[(k + 3) % 5]: (a23, b23),
             _KLEIN_POINTS[(k + 2) % 5]: (a14, b14),
         }
@@ -231,7 +230,6 @@ def build_klein_config(option: tuple[int, int, int, int],
         curve_names,
         [(point, i, f"{kind}{suffix}") for point, suffix in zip(_KLEIN_POINTS, _KLEIN_SUFFIX)
          for i, kind in enumerate(("A", "B"))],
-        q=0,
     )
 
 
@@ -327,8 +325,7 @@ def build_xv_config() -> CurveConfig:
         if got != expected:
             raise MatrixMismatch(f"K.{name}bar = {got}, expected {expected}")
 
-    config = _config_from_model(model, curves, [("m", 0, "Tm")], q=0,
-                                order=("A", "B", "Tm", "H", "L"))
+    config = _config_from_model(model, curves, [("m", 0, "Tm")], order=("A", "B", "Tm", "H", "L"))
     if config.matrix != tuple(tuple(Fraction(x) for x in row) for row in _XV_MATRIX):
         raise MatrixMismatch(f"configuration matrix {config.matrix} differs from the expected one")
     return config
@@ -339,7 +336,7 @@ def build_xv_config() -> CurveConfig:
 
 
 def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
-                       exceptional: Sequence[tuple[str, int, str]], q: int,
+                       exceptional: Sequence[tuple[str, int, str]],
                        order: Optional[Sequence[str]] = None) -> CurveConfig:
     """Assemble a blow-down configuration from strict transforms plus chosen
     exceptional components (given as (point, component index, display name))."""
@@ -374,31 +371,31 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
             v = matrix[i][j]
             if v.denominator != 1 or v < 0:
                 raise IntegralityViolation(f"{name}.{names[j]} = {v}")
-    return CurveConfig.build(names, matrix, k_degrees, genera, q)
+    return CurveConfig.build(names, matrix, k_degrees, genera)
 
 
-def certify_rationality(case: str, regularity: Optional[int] = None) -> RationalityCertificate:
-    """Produce the blow-down certificate for 'klein-option-1', 'klein-option-2'
-    or 'xv'.  ``regularity`` defaults to the irregularity recorded in the
-    scenario catalog for the corresponding quotient, which must be zero."""
-    if case == "xv":
-        config, scenario_label = build_xv_config(), "XV"
-    elif case in ("klein-option-1", "klein-option-2"):
-        stage2 = _klein_stages()[1]
-        option = stage2.survivors[0] if case.endswith("1") else stage2.survivors[1]
-        config, scenario_label = build_klein_config(option, stage2.first_pair), "XI"
+def certify_rationality(scenario: QuotientScenario) -> dict[str, RationalityCertificate]:
+    """The blow-down certificates of the scenario's ``rationality_case``: 'klein-option-1'
+    and 'klein-option-2' for "klein", 'xv' for "xv".  They prove rationality only on a
+    regular surface, so q is checked first; every failure raises ``NoCertificate``."""
+    q = scenario.report.q
+    if q != 0:
+        raise NoCertificate(f"case {scenario.label}: irregularity {q} != 0, no rationality conclusion")
+    case = scenario.annotations.get("rationality_case")
+    if case == "klein":
+        survivors = _klein_stages()[1].survivors
+        configs = {f"klein-option-{i}": build_klein_config(option) for i, option in enumerate(survivors, start=1)}
+    elif case == "xv":
+        configs = {"xv": build_xv_config()}
     else:
-        raise ValueError(f"unknown rationality case {case!r}")
-    if regularity is None:
-        from . import catalog
-
-        regularity = catalog.report_for(scenario_label).q
-    if regularity != 0:
-        raise ValueError(f"case {case}: irregularity {regularity} != 0, no rationality conclusion")
-    certificate = find_rationality_certificate(config)
-    if certificate is None:
-        raise NoCertificate(f"no contraction sequence found for {case}")
-    return certificate
+        raise NoCertificate(f"case {scenario.label}: no rationality case annotated")
+    certificates = {}
+    for name, config in configs.items():
+        certificate = find_rationality_certificate(config)
+        if certificate is None:
+            raise NoCertificate(f"no contraction sequence found for {name}")
+        certificates[name] = certificate
+    return certificates
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +406,8 @@ def _fmt_pairs(pairs: Iterable[tuple]) -> str:
     return ", ".join(str(p) for p in pairs) if pairs else "none"
 
 
-def klein_transcript(regularity: Optional[int] = None) -> tuple[str, dict[str, RationalityCertificate]]:
-    """Human-readable transcript of the order-11 proof, plus both certificates."""
+def _klein_text(certificates: dict[str, RationalityCertificate]) -> str:
+    """Human-readable transcript of the order-11 proof."""
     lines = ["rationality search: order-11 quotient (case XI)"]
     lines.append("context: five A11,3 points, each resolved by a (-3)-curve A_ij meeting a (-4)-curve B_ij once;")
     lines.append("  the five incidence-curve images D_ij are pinned down by integrality of their")
@@ -428,12 +425,8 @@ def klein_transcript(regularity: Optional[int] = None) -> tuple[str, dict[str, R
         lines.append(f"    (w1, w2) = {w}: budget solutions {_fmt_pairs(stage2.candidates_per_w[w])} -> {note}")
     lines.append(f"  conclusion: (a13, b13) = {stage2.first_pair}; surviving options "
                  f"(a14, b14, a23, b23): {_fmt_pairs(stage2.survivors)}")
-    certificates = {}
-    for label, case in (("option-1", "klein-option-1"), ("option-2", "klein-option-2")):
-        option = stage2.survivors[0] if label.endswith("1") else stage2.survivors[1]
-        cert = certify_rationality(case, regularity=regularity)
-        certificates[case] = cert
-        lines.append(f"{label}: (a14, b14, a23, b23) = {option}")
+    for i, (option, cert) in enumerate(zip(stage2.survivors, certificates.values()), start=1):
+        lines.append(f"option-{i}: (a14, b14, a23, b23) = {option}")
         lines.append("  checks: all five D_ij have self-intersection -1 and canonical degree -1, pairwise disjoint;")
         lines.append("  every intersection with the exceptional curves is a nonnegative integer")
         mid = cert.states[5]
@@ -443,11 +436,12 @@ def klein_transcript(regularity: Optional[int] = None) -> tuple[str, dict[str, R
         lines.append(f"  full contraction sequence: {', '.join(cert.contractions)}")
         lines.append(f"  final curve {cert.final_curve} with self-intersection "
                      f"{cert.final_self_intersection} on a regular surface (q = 0): rational")
-    return "\n".join(lines) + "\n", certificates
+    return "\n".join(lines) + "\n"
 
 
-def xv_transcript(regularity: Optional[int] = None) -> tuple[str, RationalityCertificate]:
-    """Human-readable transcript of the order-15 proof, plus its certificate."""
+def _xv_text(certificates: dict[str, RationalityCertificate]) -> str:
+    """Human-readable transcript of the order-15 proof."""
+    cert = certificates["xv"]
     lattice = EllipticLattice()
     e1_sq = lattice.divisor_pair(XV_CYCLE, XV_CYCLE)
     e1_e2 = lattice.divisor_pair(XV_CYCLE, XV_PENTAGRAM)
@@ -455,15 +449,21 @@ def xv_transcript(regularity: Optional[int] = None) -> tuple[str, RationalityCer
     lines.append("elliptic-curve orbit divisors: E1^2 = E2^2 = "
                  f"{e1_sq}, E1.E2 = {e1_e2}; their images have "
                  f"H^2 = L^2 = {Fraction(e1_sq, 15)} and H.L = {Fraction(e1_e2, 15)}")
-    config = build_xv_config()
     lines.append("strict transforms: Hbar^2 = Lbar^2 = -2 with K.Hbar = K.Lbar = 0,")
     lines.append("  Abar^2 = Bbar^2 = -1 with K.Abar = K.Bbar = -1, all checked exactly")
     lines.append("configuration (Abar, Bbar, Tm, Hbar, Lbar), intersection matrix:")
-    for row in config.matrix:
+    for row in cert.states[0].matrix:
         lines.append("    " + "  ".join(f"{str(x):>2}" for x in row))
-    cert = certify_rationality("xv", regularity=regularity)
     lines.append(f"contraction sequence ({len(cert.contractions)} blow-downs): "
                  f"{', '.join(cert.contractions)}")
     lines.append(f"final curve {cert.final_curve} with self-intersection "
                  f"{cert.final_self_intersection} on a regular surface (q = 0): rational")
-    return "\n".join(lines) + "\n", cert
+    return "\n".join(lines) + "\n"
+
+
+def transcript(scenario: QuotientScenario) -> tuple[str, dict[str, RationalityCertificate]]:
+    """Human-readable proof transcript of the scenario's rationality case,
+    plus its certificates (see ``certify_rationality``)."""
+    certificates = certify_rationality(scenario)
+    text = _klein_text if scenario.annotations["rationality_case"] == "klein" else _xv_text
+    return text(certificates), certificates

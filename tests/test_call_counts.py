@@ -32,6 +32,9 @@ modules = {
     "scenario_from_dict": "catalog",
     "group_closure": "cyclotomic_rep",
     "klein_stage1": "rationality_cases",
+    "build_klein_config": "rationality_cases",
+    "build_xv_config": "rationality_cases",
+    "find_rationality_certificate": "blowdown",
 }
 names = json.loads(sys.argv[1])
 counts = dict.fromkeys(names, 0)
@@ -66,11 +69,17 @@ def count_calls(argv, names=()):
 @pytest.mark.parametrize("argv, expected", [
     # 19 scenarios: one parse, one closure, one report and two character averages each;
     # the Lefschetz check and p_g share one exterior square per element (113 = sum of |G|)
+    # the table's certified marks build and search each certificate configuration once
     (["tables"], {"rc": 0, "full_report": 19, "invariant_dimension": 38, "scenario_from_dict": 19,
-                  "group_closure": 19, "klein_stage1": 1, "exterior_square_trace": 113}),
-    # the transcript and both certificates share one stage-1 result and the XI report
-    (["rationality", "klein"], {"rc": 0, "full_report": 1, "klein_stage1": 1, "group_closure": 1}),
-    (["rationality", "xv"], {"rc": 0, "group_closure": 1}),
+                  "group_closure": 19, "klein_stage1": 1, "exterior_square_trace": 113,
+                  "build_xv_config": 1, "build_klein_config": 2, "find_rationality_certificate": 3}),
+    # the transcript and both certificates share one stage-1 result, the XI report and one
+    # build per option
+    (["rationality", "klein"], {"rc": 0, "full_report": 1, "klein_stage1": 1, "group_closure": 1,
+                                "build_xv_config": 0, "build_klein_config": 2, "find_rationality_certificate": 2}),
+    # the transcript prints the matrix of the configuration the certificate starts from
+    (["rationality", "xv"], {"rc": 0, "group_closure": 1,
+                             "build_xv_config": 1, "build_klein_config": 0, "find_rationality_certificate": 1}),
     # every file is parsed, but only the asked case is closed and reported
     (["report", "XI"], {"rc": 0, "group_closure": 1, "full_report": 1, "scenario_from_dict": 19}),
 ], ids=["tables", "rationality-klein", "rationality-xv", "report-xi"])
@@ -89,7 +98,7 @@ def test_certificate_modules_load_only_for_rationality(argv):
 @pytest.mark.parametrize("build, solves", [
     # one solve per (curve, singular point): klein 5 curves x 3 points; xv 3 + 3 + 2 + 2
     *[(lambda option=option: rationality_cases.build_klein_config(option), 15)
-      for option in rationality_cases.KLEIN_OPTIONS],
+      for option in [(4, 1, 5, 4), (5, 4, 4, 1)]],  # the stage-2 survivors
     (rationality_cases.build_xv_config, 10),
 ], ids=["klein-option-1", "klein-option-2", "xv"])
 def test_strict_transforms_solved_once(monkeypatch, build, solves):

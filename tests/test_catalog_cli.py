@@ -256,19 +256,46 @@ class TestRationalityCatalog:
         assert main(["--catalog", str(tmp_path), "rationality", "xv"]) == 1
         assert "irregularity 5 != 0" in capsys.readouterr().err
 
+    def test_irregular_annotated_case_fails_tables(self, tmp_path):
+        for path in DATA.glob("*.json"):
+            (tmp_path / path.name).write_text(path.read_text())
+        data = json.loads((DATA / "d3.json").read_text())
+        data["annotations"]["rationality_case"] = "xv"  # q = 1
+        (tmp_path / "d3.json").write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "--catalog", str(tmp_path), "tables"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert "irregularity 1 != 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unannotated_case_has_no_certificate(self, tmp_path, capsys):
+        data = json.loads((DATA / "xi.json").read_text())
+        del data["annotations"]["rationality_case"]
+        (tmp_path / "xi.json").write_text(json.dumps(data))
+        assert main(["--catalog", str(tmp_path), "rationality", "klein"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no rationality case" in captured.err
+
 
 class TestGoldenTranscripts:
     def test_klein(self):
-        from fanoquotients.rationality_cases import klein_transcript
+        from fanoquotients.rationality_cases import transcript
 
-        text, _ = klein_transcript(regularity=0)
+        text, _ = transcript(catalog.find_case("XI"))
         assert text == (GOLDEN / "rationality_klein.txt").read_text()
 
     def test_xv(self):
-        from fanoquotients.rationality_cases import xv_transcript
+        from fanoquotients.rationality_cases import transcript
 
-        text, _ = xv_transcript(regularity=0)
+        text, _ = transcript(catalog.find_case("XV"))
         assert text == (GOLDEN / "rationality_xv.txt").read_text()
+
+    @pytest.mark.parametrize("case", ["klein", "xv"])
+    def test_json(self, capsys, case):
+        assert main(["--format", "json", "rationality", case]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"rationality_{case}.json").read_text()
 
 
 class TestHardenedInput:
@@ -354,6 +381,29 @@ class TestHardenedInput:
         assert main(["validate", str(path)]) == 2
         assert time.monotonic() - start < 0.5
         assert "group: closure failed: generator 0 is singular or of order above 120" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("file, field, value", [
+        ("xi.json", "annotations.rationality_case", "foo"),
+        ("v.json", "table", "1"),
+        ("v.json", "table_position", "x"),
+        ("i.json", "fibration", 7.7),
+    ])
+    def test_mistyped_field_is_diagnosed(self, tmp_path, capsys, file, field, value):
+        data = json.loads((DATA / file).read_text())
+        if field == "fibration":
+            data["fibration"]["fiber_genus"] = value
+        elif field == "annotations.rationality_case":
+            data["annotations"]["rationality_case"] = value
+        else:
+            data[field] = value
+        path = tmp_path / file
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+        assert f"{file}: {field}: " in capsys.readouterr().out
+        assert main(["--catalog", str(tmp_path), "tables"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{file}: {field}: ")
 
     def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
         identity = [[int(i == j) for j in range(5)] for i in range(5)]

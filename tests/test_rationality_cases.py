@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
-import json
 from fractions import Fraction as F
 
 import pytest
 
+from fanoquotients import catalog
 from fanoquotients import rationality_cases as rc
 from fanoquotients.blowdown import CurveConfig, find_rationality_certificate
 
@@ -12,6 +13,7 @@ STAGE1_EXPECTED = {
     (4, 1, 1, 1), (1, 3, 2, 1), (5, 4, 1, 0), (5, 15, 1, 0),
     (1, 3, 5, 0), (4, 1, 0, 5), (9, 5, 0, 1), (20, 5, 0, 1),
 }
+STAGE2_SURVIVORS = ((4, 1, 5, 4), (5, 4, 4, 1))
 
 
 def full_box_stage1(budget, search_bound=50):
@@ -74,7 +76,7 @@ class TestKleinStage2:
 
 
 class TestKleinConfig:
-    @pytest.mark.parametrize("option", rc.KLEIN_OPTIONS)
+    @pytest.mark.parametrize("option", STAGE2_SURVIVORS)
     def test_five_disjoint_minus_one_curves(self, option):
         config = rc.build_klein_config(option)
         d_names = [n for n in config.names if n.startswith("D")]
@@ -97,7 +99,7 @@ class TestKleinConfig:
         assert config.pair("D23", "A25") == 1
 
     def test_all_cross_intersections_are_nonnegative_integers(self):
-        for option in rc.KLEIN_OPTIONS:
+        for option in STAGE2_SURVIVORS:
             config = rc.build_klein_config(option)
             for i, a in enumerate(config.names):
                 for b in config.names[i + 1:]:
@@ -153,14 +155,14 @@ class TestXvConfig:
 
 class TestCertifyRationality:
     def test_xv_four_contractions(self):
-        cert = rc.certify_rationality("xv", regularity=0)
+        cert = rc.certify_rationality(catalog.find_case("XV"))["xv"]
         assert len(cert.contractions) == 4
         assert cert.final_self_intersection == 0
         assert cert.final_config.genus(cert.final_curve) == 0
 
     @pytest.mark.parametrize("case", ["klein-option-1", "klein-option-2"])
     def test_klein_certificates(self, case):
-        cert = rc.certify_rationality(case, regularity=0)
+        cert = rc.certify_rationality(catalog.find_case("XI"))[case]
         # the five disjoint curves go first, and the configuration then
         # contains the two (-1)-curves meeting once
         assert set(cert.contractions[:5]) == {"D13", "D25", "D14", "D23", "D45"}
@@ -171,27 +173,29 @@ class TestCertifyRationality:
         assert cert.final_self_intersection >= 0
 
     def test_regularity_guard(self):
-        with pytest.raises(ValueError):
-            rc.certify_rationality("xv", regularity=1)
+        d3 = dataclasses.replace(catalog.find_case("D3"), annotations={"rationality_case": "xv"})
+        with pytest.raises(rc.NoCertificate, match="irregularity 1 != 0"):
+            rc.certify_rationality(d3)
 
     def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            rc.certify_rationality("klein-option-3")
+        xi = dataclasses.replace(catalog.find_case("XI"), annotations={"rationality_case": "klein-option-3"})
+        with pytest.raises(rc.NoCertificate, match="no rationality case"):
+            rc.certify_rationality(xi)
 
     def test_no_certificate_for_rigid_config(self):
-        config = CurveConfig.build(["C"], [[-2]], [0], [0], 0)
+        config = CurveConfig.build(["C"], [[-2]], [0], [0])
         assert find_rationality_certificate(config) is None
 
 
 class TestTranscripts:
     def test_klein_transcript_content(self):
-        text, certs = rc.klein_transcript(regularity=0)
+        text, certs = rc.transcript(catalog.find_case("XI"))
         assert "stage 1" in text and "stage 2" in text
         assert "(a13, b13) = (1, 3)" in text
         assert set(certs) == {"klein-option-1", "klein-option-2"}
 
     def test_xv_transcript_content(self):
-        text, cert = rc.xv_transcript(regularity=0)
+        text, certs = rc.transcript(catalog.find_case("XV"))
         assert "E1.E2 = 5" in text
         assert "4 blow-downs" in text
-        assert json.loads(cert.to_json())["final_self_intersection"] == "0"
+        assert certs["xv"].to_json_dict()["final_self_intersection"] == "0"
