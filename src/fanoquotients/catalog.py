@@ -88,7 +88,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     if not isinstance(data, dict):
         diags.append("scenario: must be a JSON object")
         return None
-    if data.get("schema") != SCHEMA_VERSION:
+    if data.get("schema") != SCHEMA_VERSION or type(data.get("schema")) is bool:
         diags.append(f"schema: expected {SCHEMA_VERSION}, got {data.get('schema')!r}")
     label = data.get("label")
     if not isinstance(label, str) or not label:
@@ -99,7 +99,8 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         diags.append("group: must be an object")
         group = {}
     conductor = group.get("conductor", 1)
-    if not isinstance(conductor, int) or not 1 <= conductor <= MAX_CONDUCTOR:
+    # integer fields are checked by type(), since bool subclasses int and JSON true is no integer
+    if type(conductor) is not int or not 1 <= conductor <= MAX_CONDUCTOR:
         diags.append(f"group.conductor: must be an integer from 1 to {MAX_CONDUCTOR}")
         conductor = 1
     generators = []
@@ -112,10 +113,10 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     for i, st in _objects(data.get("strata", []), "strata", diags):
         order = st.get("stabilizer_order")
         euler = st.get("euler")
-        if not isinstance(order, int) or order < 2:
+        if type(order) is not int or order < 2:
             diags.append(f"strata[{i}].stabilizer_order: must be an integer >= 2")
             continue
-        if not isinstance(euler, int):
+        if type(euler) is not int:
             diags.append(f"strata[{i}].euler: must be an integer")
             continue
         strata.append(Stratum(order, euler, st.get("note", "")))
@@ -129,7 +130,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
             diags.append(f"ramification[{i}].name: missing")
             continue
         index = r.get("index")
-        if not isinstance(index, int) or index < 2:
+        if type(index) is not int or index < 2:
             diags.append(f"ramification[{i}].index: must be an integer >= 2")
             continue
         meets_data = r.get("meets") or {}
@@ -158,7 +159,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     sings = []
     for i, s in _objects(data.get("singularities", []), "singularities", diags):
         n, q, count = s.get("n"), s.get("q"), s.get("count", 1)
-        if not (isinstance(n, int) and isinstance(q, int) and isinstance(count, int) and count >= 1):
+        if not (type(n) is int and type(q) is int and type(count) is int and count >= 1):
             diags.append(f"singularities[{i}]: need integer n, q and a positive count")
             continue
         try:
@@ -170,7 +171,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     fib = data.get("fibration")
     if fib is not None:
         values = [fib.get(k) for k in ("fiber_genus", "deck_order", "ramification")] if isinstance(fib, dict) else []
-        if values and all(isinstance(v, int) for v in values):
+        if values and all(type(v) is int for v in values):
             fibration = Fibration(*values)
         else:
             diags.append("fibration: needs integer fiber_genus, deck_order, ramification")
@@ -183,9 +184,9 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
             and annotations["rationality_case"] not in ("klein", "xv"):
         diags.append('annotations.rationality_case: must be "klein", "xv" or absent')
     table = data.get("table")
-    if table is not None and not (isinstance(table, int) and table in (1, 2)):
+    if table is not None and not (type(table) is int and table in (1, 2)):
         diags.append("table: must be 1, 2 or null")
-    if data.get("table_position") is not None and not isinstance(data["table_position"], int):
+    if data.get("table_position") is not None and type(data["table_position"]) is not int:
         diags.append("table_position: must be an integer or null")
     if diags:
         return None

@@ -3,7 +3,7 @@
 Subcommands:
     report CASE        invariants of one catalog case
     tables             both classification tables
-    resolve N Q        Hirzebruch-Jung data of the A_{N,Q} singularity
+    resolve N Q        Hirzebruch-Jung data of the A_{N,Q} singularity (N <= 10000)
     rationality CASE   proof transcript and certificate (klein or xv)
     validate FILE      schema and semantic checks for a scenario file
 
@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
+from .cyclotomic_rep import MAX_GROUP_ORDER
 from .hj_resolution import CyclicSing
 
 OK, INCONSISTENT, INPUT_ERROR = 0, 1, 2
@@ -51,6 +52,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
+    if args.n > MAX_GROUP_ORDER:
+        print(f"n must be at most {MAX_GROUP_ORDER}, got {args.n}", file=sys.stderr)
+        return INPUT_ERROR
     try:
         sing = CyclicSing(args.n, args.q)
     except ValueError as exc:

@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+MAX_GROUP_ORDER = 10000  # the closure bound; it bounds every singularity order n too, as n divides |G|
+
 
 class BoundExceeded(RuntimeError):
     """Group closure grew past the requested bound (bad generator input)."""
@@ -325,7 +327,7 @@ class FiniteMatrixGroup(tuple):
         return values[chi]
 
 
-def group_closure(generators: Sequence[CycMatrix], bound: int = 10000) -> FiniteMatrixGroup:
+def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER) -> FiniteMatrixGroup:
     """Close a generator set under products (BFS; deterministic element order).
 
     Each generator's powers are multiplied out first, until the identity comes

@@ -8,13 +8,15 @@ curves whose self-intersections -b_i come from the continued fraction
 
 The discrepancy coefficients a_i of the chain solve M a = (2 - b_i)_i against
 the tridiagonal intersection matrix M, and the canonical self-intersection of
-the resolution picks up the correction a^T M a <= 0 per singularity.
+the resolution picks up the correction a^T M a <= 0 per singularity.  All a_i
+share the denominator n, so they are solved as the integers n a_i and turned
+into Fractions once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,22 +35,15 @@ def hj_continued_fraction(n: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def evaluate_chain(selfints: tuple[int, ...]) -> Fraction:
-    """Fold the continued fraction back to n/q (round-trip oracle)."""
-    value = Fraction(selfints[-1])
-    for b in reversed(selfints[:-1]):
-        value = b - 1 / value
-    return value
+def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
+    """Solve M a = r on the tridiagonal chain matrix (-b_i diagonal, 1 off it) in integers.
 
-
-def chain_solve(selfints: tuple[int, ...], rhs) -> tuple[Fraction, ...]:
-    """Solve M a = r exactly on the tridiagonal chain matrix (-b_i diagonal, 1 off it).
-
-    Row i reads a_{i-1} - b_i a_i + a_{i+1} = r_i with a_0 = a_{k+1} = 0, so
-    shooting from a_0 = 0, a_1 = t gives a = P + t V, where P is the integer
-    trajectory for t = 0 and V the homogeneous one for t = 1.  The boundary
-    condition a_{k+1} = 0 fixes t = -P_{k+1} / V_{k+1}; n = V_{k+1} is the
-    continued-fraction numerator, the one division per component.
+    Returns (s, n) with a_i = s_i / n.  Row i reads a_{i-1} - b_i a_i + a_{i+1} = r_i
+    with a_0 = a_{k+1} = 0, so shooting from a_0 = 0, a_1 = t gives a = P + t V,
+    where P is the integer trajectory for t = 0 and V the homogeneous one for
+    t = 1.  The boundary condition a_{k+1} = 0 fixes t = -P_{k+1} / V_{k+1}, so
+    n = V_{k+1}, the continued-fraction numerator, is the one common
+    denominator; it is positive whenever every b_i >= 2.
     """
     p_prev, p = 0, 0
     v_prev, v = 0, 1
@@ -58,8 +53,14 @@ def chain_solve(selfints: tuple[int, ...], rhs) -> tuple[Fraction, ...]:
         vs.append(v)
         p_prev, p = p, b * p - p_prev + r
         v_prev, v = v, b * v - v_prev
-    n = v  # zero exactly when M is singular: Fraction then raises ZeroDivisionError
-    return tuple(Fraction(n * pi - p * vi, n) for pi, vi in zip(ps, vs))
+    return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
+
+
+def chain_solve(selfints: tuple[int, ...], rhs) -> tuple[Fraction, ...]:
+    """The exact solution a of M a = r, as Fractions (see ``scaled_chain_solve``)."""
+    s, n = scaled_chain_solve(selfints, rhs)
+    # n is zero exactly when M is singular: Fraction then raises ZeroDivisionError
+    return tuple(Fraction(x, n) for x in s)
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,7 @@ class ExceptionalChain:
 
     selfints: tuple[int, ...]
     discrepancies: tuple[Fraction, ...]
+    _k2: Fraction = field(repr=False, compare=False)
 
     @classmethod
     def from_selfints(cls, selfints) -> "ExceptionalChain":
@@ -75,10 +77,12 @@ class ExceptionalChain:
         # all b_i >= 2 makes M diagonally dominant, hence negative definite
         if not b or any(x < 2 for x in b):
             raise ValueError(f"chain self-intersections must all be >= 2, got {b}")
-        a = chain_solve(b, [2 - x for x in b])
-        if any(not (0 <= x < 1) for x in a):
+        s, n = scaled_chain_solve(b, [2 - x for x in b])
+        a = tuple(Fraction(x, n) for x in s)
+        if any(not 0 <= x < n for x in s):
             raise ValueError(f"discrepancies out of range for chain {b}: {a}")
-        return cls(b, a)
+        # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i), one division by n
+        return cls(b, a, Fraction(sum(x * (2 - y) for x, y in zip(s, b)), n))
 
     def __len__(self) -> int:
         return len(self.selfints)
@@ -106,8 +110,7 @@ class ExceptionalChain:
 
     def k2_correction(self) -> Fraction:
         """(sum a_i C_i)^2 = a^T M a; zero exactly on du Val chains."""
-        # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i)
-        return sum((a * (2 - b) for a, b in zip(self.discrepancies, self.selfints)), Fraction(0))
+        return self._k2
 
 
 @dataclass(frozen=True, order=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -167,6 +168,7 @@ def _klein_stages() -> tuple[tuple[tuple[int, int, int, int], ...], KleinStage2]
 
 _KLEIN_POINTS = ("s13", "s25", "s14", "s23", "s45")
 _KLEIN_SUFFIX = ("13", "25", "14", "23", "45")
+_KLEIN_CHAIN = (3, 4)  # the A_{11,3} chain, whose matrix is _M
 
 
 def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
@@ -176,7 +178,7 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
     if option not in stage2.survivors:
         raise ValueError(f"option {option} is not one of the surviving options {stage2.survivors}")
     a14, b14, a23, b23 = option
-    chains = {p: ExceptionalChain.from_selfints((3, 4)) for p in _KLEIN_POINTS}
+    chains = {p: ExceptionalChain.from_selfints(_KLEIN_CHAIN) for p in _KLEIN_POINTS}
     curve_names = tuple(f"D{s}" for s in _KLEIN_SUFFIX)
 
     # coefficient pattern under the order-5 index symmetry: the curve at P_k
@@ -266,6 +268,7 @@ _XV_MATRIX = (
     (0, 0, 1, -2, 0),
     (0, 0, 1, 0, -2),
 )
+_XV_CHAINS = {"a": (4, 4), "b": (4, 4), "g": (3,), "f": (3,), "m": (3,), "n": (3,), "p": (3,)}  # 2 A15,4 + 5 A3,1
 
 
 def build_xv_config() -> CurveConfig:
@@ -284,15 +287,7 @@ def build_xv_config() -> CurveConfig:
     k_ell = Fraction(15, order)             # K_S.E_orbit = 5 * 3
     inc_ell = Fraction(5, order)            # C.E_orbit = 5 * 1
 
-    chains = {
-        "a": ExceptionalChain.from_selfints((4, 4)),
-        "b": ExceptionalChain.from_selfints((4, 4)),
-        "g": ExceptionalChain.from_selfints((3,)),
-        "f": ExceptionalChain.from_selfints((3,)),
-        "m": ExceptionalChain.from_selfints((3,)),
-        "n": ExceptionalChain.from_selfints((3,)),
-        "p": ExceptionalChain.from_selfints((3,)),
-    }
+    chains = {point: ExceptionalChain.from_selfints(b) for point, b in _XV_CHAINS.items()}
     curves = ("A", "B", "H", "L")
     pairing = {
         ("A", "A"): incidence_sq, ("B", "B"): incidence_sq,
@@ -374,21 +369,32 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
     return CurveConfig.build(names, matrix, k_degrees, genera)
 
 
+# the exceptional chains each proof's configuration resolves, in their lesser orientation
+_PROOF_CHAINS = {"klein": Counter({_KLEIN_CHAIN: len(_KLEIN_POINTS)}), "xv": Counter(_XV_CHAINS.values())}
+
+
 def certify_rationality(scenario: QuotientScenario) -> dict[str, RationalityCertificate]:
     """The blow-down certificates of the scenario's ``rationality_case``: 'klein-option-1'
-    and 'klein-option-2' for "klein", 'xv' for "xv".  They prove rationality only on a
-    regular surface, so q is checked first; every failure raises ``NoCertificate``."""
+    and 'klein-option-2' for "klein", 'xv' for "xv".  They prove rationality only on a regular
+    surface with the singularities the proof resolves, so q and the scenario's chains are
+    checked first; every failure raises ``NoCertificate``."""
     q = scenario.report.q
     if q != 0:
         raise NoCertificate(f"case {scenario.label}: irregularity {q} != 0, no rationality conclusion")
     case = scenario.annotations.get("rationality_case")
+    if case not in _PROOF_CHAINS:
+        raise NoCertificate(f"case {scenario.label}: no rationality case annotated")
+    found: Counter = Counter()  # multiset of chains up to reversal
+    for sing, count in scenario.singularities:
+        found[min(sing.chain().selfints, sing.chain().selfints[::-1])] += count
+    if found != _PROOF_CHAINS[case]:
+        raise NoCertificate(f"case {scenario.label}: the {case} proof resolves the chains "
+                            f"{dict(_PROOF_CHAINS[case])}, but the scenario's singularities give {dict(found)}")
     if case == "klein":
         survivors = _klein_stages()[1].survivors
         configs = {f"klein-option-{i}": build_klein_config(option) for i, option in enumerate(survivors, start=1)}
-    elif case == "xv":
-        configs = {"xv": build_xv_config()}
     else:
-        raise NoCertificate(f"case {scenario.label}: no rationality case annotated")
+        configs = {"xv": build_xv_config()}
     certificates = {}
     for name, config in configs.items():
         certificate = find_rationality_certificate(config)

@@ -9,6 +9,7 @@ import pytest
 
 from fanoquotients import catalog
 from fanoquotients.cli import main
+from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent.parent / "src" / "fanoquotients" / "data"
@@ -180,6 +181,18 @@ class TestCliExitCodes:
     def test_resolve_bad_input(self, capsys):
         assert main(["resolve", "6", "2"]) == 2
 
+    def test_resolve_is_bounded(self):
+        # the chain of A_{n,n-1} has n - 1 components: a huge n must be refused, not resolved
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "resolve", "1000000001", "1000000000"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert time.monotonic() - start < 0.5
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"n must be at most {MAX_GROUP_ORDER}, got 1000000001\n"
+
     def test_rationality(self, capsys):
         assert main(["rationality", "xv"]) == 0
         assert "rational" in capsys.readouterr().out
@@ -268,6 +281,21 @@ class TestRationalityCatalog:
         assert proc.returncode == 1
         assert "irregularity 1 != 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_swapped_annotation_has_no_certificate(self, tmp_path, capsys):
+        # XI has five A11,3 points; the order-15 proof resolves 2 A15,4 + 5 A3,1
+        for path in DATA.glob("*.json"):
+            (tmp_path / path.name).write_text(path.read_text())
+        data = json.loads((DATA / "xi.json").read_text())
+        data["annotations"]["rationality_case"] = "xv"
+        (tmp_path / "xi.json").write_text(json.dumps(data))
+        line = ("case XI: the xv proof resolves the chains {(4, 4): 2, (3,): 5}, "
+                "but the scenario's singularities give {(3, 4): 5}\n")
+        for argv in (["rationality", "klein"], ["tables"]):
+            assert main(["--catalog", str(tmp_path), *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == line
 
     def test_unannotated_case_has_no_certificate(self, tmp_path, capsys):
         data = json.loads((DATA / "xi.json").read_text())
@@ -404,6 +432,37 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{file}: {field}: ")
+
+    @pytest.mark.parametrize("file, path, diagnostic", [
+        ("v.json", ("schema",), "schema: "),
+        ("xi.json", ("group", "conductor"), "group.conductor: "),
+        ("v.json", ("strata", 0, "stabilizer_order"), "strata[0].stabilizer_order: "),
+        ("v.json", ("strata", 0, "euler"), "strata[0].euler: "),
+        ("iv2.json", ("ramification", 0, "index"), "ramification[0].index: "),
+        ("v.json", ("singularities", 0, "n"), "singularities[0]: "),
+        ("v.json", ("singularities", 0, "q"), "singularities[0]: "),
+        ("v.json", ("singularities", 0, "count"), "singularities[0]: "),
+        ("v.json", ("table",), "table: "),
+        ("v.json", ("table_position",), "table_position: "),
+        ("i.json", ("fibration", "fiber_genus"), "fibration: "),
+        ("i.json", ("fibration", "deck_order"), "fibration: "),
+        ("i.json", ("fibration", "ramification"), "fibration: "),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_boolean_is_not_an_integer(self, tmp_path, capsys, file, path, diagnostic):
+        # bool is a subclass of int in Python, but JSON true is no integer
+        data = json.loads((DATA / file).read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        bad = tmp_path / file
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert f"{file}: {diagnostic}" in capsys.readouterr().out
+        assert main(["--catalog", str(tmp_path), "tables"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{file}: {diagnostic}")
 
     def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
         identity = [[int(i == j) for j in range(5)] for i in range(5)]

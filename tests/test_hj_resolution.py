@@ -8,10 +8,17 @@ from fanoquotients.hj_resolution import (
     ExceptionalChain,
     NotIsolated,
     chain_solve,
-    evaluate_chain,
     hj_continued_fraction,
     sing_from_eigenvalues,
 )
+
+
+def evaluate_chain(selfints):
+    """Fold the continued fraction back to n/q (round-trip oracle)."""
+    value = F(selfints[-1])
+    for b in reversed(selfints[:-1]):
+        value = b - 1 / value
+    return value
 
 
 def all_types(max_n):
@@ -127,6 +134,15 @@ class TestK2Correction:
                           for j in range(k)] for i in range(k)])
             chain = ExceptionalChain.from_selfints(selfints)
             assert chain.k2_correction() == quadratic_form(m, chain.discrepancies)
+
+    def test_closed_form_below_300(self):
+        # second route, no linear solve: K^2 correction = 2 - (2 + q + q')/n - sum (b_i - 2), q' = q^-1 mod n
+        for n, q in all_types(299):
+            chain = CyclicSing(n, q).chain()
+            closed = 2 - F(2 + q + pow(q, -1, n), n) - sum(b - 2 for b in chain.selfints)
+            assert chain.k2_correction() == closed, (n, q)
+            scaled = [a * n for a in chain.discrepancies]
+            assert all(s.denominator == 1 and 0 <= s < n for s in scaled), (n, q)
 
     def test_reversal_invariance(self):
         # computing on the reversed chain gives the same correction
