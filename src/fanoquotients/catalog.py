@@ -75,6 +75,12 @@ def _parse_generator(entry: dict, conductor: int, path: str, diags: list[str]) -
     if not isinstance(rows, list) or len(rows) != 5 or any(not isinstance(r, list) or len(r) != 5 for r in rows):
         diags.append(f"{path}.rows: must be a 5x5 array")
         return None
+    entries = [e for row in rows for e in row]
+    # with the coefficients and exponents of the term lists [[coeff, exp], ...]
+    entries += [x for e in entries if isinstance(e, list) for term in e if isinstance(term, list) for x in term]
+    if bool in set(map(type, entries)):  # bool subclasses int, but JSON true is no number
+        diags.append(f"{path}.rows: true/false is not a number")
+        return None
     try:
         return CycMatrix.from_rows(conductor, rows)
     except Exception as exc:  # malformed term lists

@@ -101,11 +101,6 @@ class CycNum:
         return cls._make(n, {0: value.numerator}, value.denominator)
 
     @classmethod
-    def zeta_power(cls, n: int, k: int, coeff=1) -> "CycNum":
-        """coeff * zeta_n^k."""
-        return cls.from_terms(n, [(coeff, k)])
-
-    @classmethod
     def from_terms(cls, n: int, terms: Iterable[tuple]) -> "CycNum":
         """Sum of coeff * zeta_n^exp terms."""
         coeffs: list = [0] * n
@@ -288,9 +283,6 @@ class CycMatrix:
 
     def trace(self) -> CycNum:
         return sum((self.rows[i][i] for i in range(self.dim)), CycNum.from_rational(0, self.n))
-
-    def transpose(self) -> "CycMatrix":
-        return CycMatrix([[self.rows[j][i] for j in range(self.dim)] for i in range(self.dim)])
 
     def key(self) -> tuple:
         """Canonical hashable form (conductor plus the reduced entries)."""

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .blowdown import CurveConfig, RationalityCertificate, find_rationality_certificate
-from .hj_resolution import ExceptionalChain
+from .hj_resolution import ExceptionalChain, scaled_chain_solve
 from .mumford import ResolutionModel, adjunction_genus
 from .quotient_engine import QuotientScenario
 
@@ -48,20 +48,31 @@ class MatrixMismatch(NoCertificate):
 # ---------------------------------------------------------------------------
 # the order-11 Diophantine stages
 #
-# Chain matrix of one A_{11,3} point, components (A_ij, B_ij):
+# One A_{11,3} point resolves into A_ij, B_ij with self-intersections -3, -4
+# (_KLEIN_CHAIN, chain matrix M).  A coefficient pair (a, b)/n on it, n = det M,
+# and its intersections with A_ij, B_ij are kept as integer numerators over n.
 
-_M = ((-3, 1), (1, -4))
-_N = 11
+_KLEIN_CHAIN = (3, 4)
+_KLEIN_DET = scaled_chain_solve(_KLEIN_CHAIN, (0, 0))[1]  # n = det M
+# rows of the linear map u -> n x, x solving M x = -u, from its values on the unit vectors
+_LATTICE_ROWS = tuple(zip(*(scaled_chain_solve(_KLEIN_CHAIN, e)[0] for e in ((-1, 0), (0, -1)))))
 
 
 def _lattice_point(u1: int, u2: int) -> tuple[int, int]:
-    """(a, b) with (a, b) M = (-11 u1, -11 u2): the integrality lattice."""
-    return (4 * u1 + u2, u1 + 3 * u2)
+    """n x for the solution x of M x = -(u1, u2): the integrality lattice."""
+    return tuple(u1 * c1 + u2 * c2 for c1, c2 in _LATTICE_ROWS)
 
 
-def _incidence_of(a: int, b: int) -> tuple[Fraction, Fraction]:
-    """(Dbar.A, Dbar.B) for coefficient pair (a, b)/11: equals -M (a,b)^T / 11."""
-    return (Fraction(3 * a - b, _N), Fraction(-a + 4 * b, _N))
+def _incidence_of(a: int, b: int) -> tuple[int, int]:
+    """n (Dbar.A, Dbar.B) for the coefficient pair (a, b)/n: the integers -M (a, b)."""
+    b1, b2 = _KLEIN_CHAIN
+    return (b1 * a - b, b2 * b - a)
+
+
+def _whole(numerators: Iterable[int]) -> Optional[tuple[int, ...]]:
+    """The numerators divided by n if all quotients are nonnegative integers, else None."""
+    quotients = [divmod(x, _KLEIN_DET) for x in numerators]
+    return None if any(r or q < 0 for q, r in quotients) else tuple(q for q, _ in quotients)
 
 
 def klein_stage1(budget: int = 5, search_bound: int = 50) -> list[tuple[int, int, int, int]]:
@@ -109,48 +120,29 @@ def klein_stage2(stage1: Sequence[tuple[int, int, int, int]], budget: int = 5) -
     quotient (w1, w2), and the remaining pair (a13, b13) obeys the same
     budget equation against (w1, w2) plus integrality of Dbar13.A13.
     """
-    options = []
+    w_of = {}  # option (a14, b14, a23, b23) -> w of its sum vector
     for a14, b14, u1, u2 in stage1:
         a23, b23 = _lattice_point(u1, u2)
-        options.append((a14, b14, a23, b23))
-    w_list: list[tuple[int, int]] = []
-    for a14, b14, a23, b23 in options:
         sa, sb = a14 + a23, b14 + b23
-        w1, rem1 = divmod(3 * sa - sb, _N)
-        w2, rem2 = divmod(-sa + 4 * sb, _N)
-        if rem1 or rem2 or w1 < 0 or w2 < 0:
+        w = _whole(_incidence_of(sa, sb))
+        if w is None:
             raise NoSolution(f"sum vector ({sa},{sb}) leaves the integrality lattice")
-        if (w1, w2) not in w_list:
-            w_list.append((w1, w2))
-    candidates_per_w = {}
-    kept_per_w = {}
-    surviving_first = []
-    surviving_w = []
-    for w1, w2 in w_list:
-        cands = tuple((a13, b13) for a13 in range(budget + 1) for b13 in range(budget + 1)
-                      if a13 * w1 + b13 * w2 == budget)
-        kept = tuple((a13, b13) for a13, b13 in cands
-                     if (3 * a13 - b13) % _N == 0 and 3 * a13 - b13 >= 0 and a13 >= 1 and b13 >= 1)
-        candidates_per_w[(w1, w2)] = cands
-        kept_per_w[(w1, w2)] = kept
-        surviving_first += kept
-        surviving_w += [(w1, w2)] * len(kept)
-    if not surviving_first:
+        w_of[(a14, b14, a23, b23)] = w
+    w_list = tuple(dict.fromkeys(w_of.values()))
+    box = list(itertools.product(range(budget + 1), repeat=2))
+    candidates_per_w = {(w1, w2): tuple((a13, b13) for a13, b13 in box if a13 * w1 + b13 * w2 == budget)
+                        for w1, w2 in w_list}
+    kept_per_w = {w: tuple((a13, b13) for a13, b13 in cands
+                           if a13 >= 1 and b13 >= 1 and _whole(_incidence_of(a13, b13)[:1]) is not None)
+                  for w, cands in candidates_per_w.items()}
+    surviving = [(pair, w) for w in w_list for pair in kept_per_w[w]]
+    if not surviving:
         raise NoSolution("every (a13, b13) candidate fails integrality")
-    if len(set(surviving_first)) != 1:
-        raise NoSolution(f"ambiguous first pair: {surviving_first}")
-    first = surviving_first[0]
-    w_win = surviving_w[0]
-    survivors = tuple(
-        opt for opt in options
-        if (opt[0] + opt[2], opt[1] + opt[3]) == (4 * w_win[0] + w_win[1], w_win[0] + 3 * w_win[1]))
-    return KleinStage2(
-        first_pair=first,
-        survivors=survivors,
-        w_candidates=tuple(w_list),
-        candidates_per_w=candidates_per_w,
-        kept_per_w=kept_per_w,
-    )
+    if len({pair for pair, _ in surviving}) != 1:
+        raise NoSolution(f"ambiguous first pair: {[pair for pair, _ in surviving]}")
+    first, w_win = surviving[0]
+    return KleinStage2(first_pair=first, survivors=tuple(option for option, w in w_of.items() if w == w_win),
+                       w_candidates=w_list, candidates_per_w=candidates_per_w, kept_per_w=kept_per_w)
 
 
 @functools.cache
@@ -168,7 +160,9 @@ def _klein_stages() -> tuple[tuple[tuple[int, int, int, int], ...], KleinStage2]
 
 _KLEIN_POINTS = ("s13", "s25", "s14", "s23", "s45")
 _KLEIN_SUFFIX = ("13", "25", "14", "23", "45")
-_KLEIN_CHAIN = (3, 4)  # the A_{11,3} chain, whose matrix is _M
+
+# every incidence divisor C on the Fano surface has C^2 = 5 and K_S.C = 15 (K_S = 3C)
+_INCIDENCE_SQ, _INCIDENCE_K = 5, 15
 
 
 def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
@@ -195,25 +189,26 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
     for name, per_point in coeff_at.items():
         inc = {}
         for point, (a, b) in per_point.items():
-            ia, ib = _incidence_of(a, b)
-            if ia.denominator != 1 or ib.denominator != 1 or ia < 0 or ib < 0:
+            inc[point] = _whole(_incidence_of(a, b))
+            if inc[point] is None:
+                ia, ib = (Fraction(x, _KLEIN_DET) for x in _incidence_of(a, b))
                 raise IntegralityViolation(
                     f"{name} at {point}: intersections ({ia}, {ib}) must be nonnegative integers")
-            inc[point] = (int(ia), int(ib))
         incidence[name] = inc
 
-    # downstairs: all the incidence curves are numerically equivalent with
-    # square 5 and canonical degree 15 upstairs, and the quotient is etale in
-    # codimension one, so every pairing descends divided by the group order
-    pairing = {(c1, c2): Fraction(5, _N)
+    # downstairs: all the incidence curves are numerically equivalent upstairs,
+    # and the quotient is etale in codimension one, so every pairing descends
+    # divided by the group order
+    order = _PROOFS["klein"][0]
+    pairing = {(c1, c2): Fraction(_INCIDENCE_SQ, order)
                for c1 in curve_names for c2 in curve_names}
-    k_degree = {c: Fraction(15, _N) for c in curve_names}
+    k_degree = {c: Fraction(_INCIDENCE_K, order) for c in curve_names}
     model = ResolutionModel.build(chains, curve_names, pairing, k_degree, incidence)
 
     for name in curve_names:
         solved = model.strict_transform_coeffs(name)
         for point, (a, b) in coeff_at[name].items():
-            expected = (Fraction(a, _N), Fraction(b, _N))
+            expected = (Fraction(a, _KLEIN_DET), Fraction(b, _KLEIN_DET))
             if solved[point] != expected:
                 raise MatrixMismatch(f"{name} at {point}: solved {solved[point]}, expected {expected}")
         if model.pair_on_resolution(name, name) != -1:
@@ -243,9 +238,6 @@ class EllipticLattice:
     """The ten elliptic curves E_ij (1 <= i < j <= 5) and their pairing:
     E_ij^2 = -3, E_ij.E_st = 1 when the index sets are disjoint, 0 when they
     share one index."""
-
-    def __init__(self):
-        self.indices = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 6))
 
     @staticmethod
     def pair(ij: tuple[int, int], st: tuple[int, int]) -> int:
@@ -279,13 +271,13 @@ def build_xv_config() -> CurveConfig:
     e1_e2 = lattice.divisor_pair(XV_CYCLE, XV_PENTAGRAM)
     if e1_sq != -5 or e1_e2 != 5:
         raise MatrixMismatch(f"elliptic orbit pairings: E1^2 = {e1_sq}, E1.E2 = {e1_e2}")
-    order = 15
-    h_sq = Fraction(e1_sq, order)           # -1/3
-    h_l = Fraction(e1_e2, order)            # 1/3
-    incidence_sq = Fraction(5, order)       # images of incidence divisors: C^2 = 5
-    k_inc = Fraction(15, order)             # K_S.C = 15
-    k_ell = Fraction(15, order)             # K_S.E_orbit = 5 * 3
-    inc_ell = Fraction(5, order)            # C.E_orbit = 5 * 1
+    order = _PROOFS["xv"][0]
+    h_sq = Fraction(e1_sq, order)                  # -1/3
+    h_l = Fraction(e1_e2, order)                   # 1/3
+    incidence_sq = Fraction(_INCIDENCE_SQ, order)  # images of incidence divisors
+    k_inc = Fraction(_INCIDENCE_K, order)
+    k_ell = Fraction(3 * len(XV_CYCLE), order)     # K_S.E_orbit: K_S.E_ij = 3 on each curve
+    inc_ell = Fraction(5, order)                   # C.E_orbit = 5 * 1
 
     chains = {point: ExceptionalChain.from_selfints(b) for point, b in _XV_CHAINS.items()}
     curves = ("A", "B", "H", "L")
@@ -369,27 +361,32 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
     return CurveConfig.build(names, matrix, k_degrees, genera)
 
 
-# the exceptional chains each proof's configuration resolves, in their lesser orientation
-_PROOF_CHAINS = {"klein": Counter({_KLEIN_CHAIN: len(_KLEIN_POINTS)}), "xv": Counter(_XV_CHAINS.values())}
+# per proof: the group order |G| its pairings are divided by, and the exceptional
+# chains its configuration resolves, in their lesser orientation
+_PROOFS = {"klein": (11, Counter({_KLEIN_CHAIN: len(_KLEIN_POINTS)})), "xv": (15, Counter(_XV_CHAINS.values()))}
 
 
 def certify_rationality(scenario: QuotientScenario) -> dict[str, RationalityCertificate]:
     """The blow-down certificates of the scenario's ``rationality_case``: 'klein-option-1'
     and 'klein-option-2' for "klein", 'xv' for "xv".  They prove rationality only on a regular
-    surface with the singularities the proof resolves, so q and the scenario's chains are
-    checked first; every failure raises ``NoCertificate``."""
+    surface with the singularities the proof resolves, and for the group order it divides by,
+    so q, the scenario's chains and |G| are checked first; every failure raises ``NoCertificate``."""
     q = scenario.report.q
     if q != 0:
         raise NoCertificate(f"case {scenario.label}: irregularity {q} != 0, no rationality conclusion")
     case = scenario.annotations.get("rationality_case")
-    if case not in _PROOF_CHAINS:
+    if case not in _PROOFS:
         raise NoCertificate(f"case {scenario.label}: no rationality case annotated")
+    order, chains = _PROOFS[case]
     found: Counter = Counter()  # multiset of chains up to reversal
     for sing, count in scenario.singularities:
         found[min(sing.chain().selfints, sing.chain().selfints[::-1])] += count
-    if found != _PROOF_CHAINS[case]:
+    if found != chains:
         raise NoCertificate(f"case {scenario.label}: the {case} proof resolves the chains "
-                            f"{dict(_PROOF_CHAINS[case])}, but the scenario's singularities give {dict(found)}")
+                            f"{dict(chains)}, but the scenario's singularities give {dict(found)}")
+    if scenario.group().order != order:
+        raise NoCertificate(f"case {scenario.label}: the {case} proof divides by |G| = {order}, "
+                            f"but the scenario's group has order {scenario.group().order}")
     if case == "klein":
         survivors = _klein_stages()[1].survivors
         configs = {f"klein-option-{i}": build_klein_config(option) for i, option in enumerate(survivors, start=1)}
@@ -451,10 +448,11 @@ def _xv_text(certificates: dict[str, RationalityCertificate]) -> str:
     lattice = EllipticLattice()
     e1_sq = lattice.divisor_pair(XV_CYCLE, XV_CYCLE)
     e1_e2 = lattice.divisor_pair(XV_CYCLE, XV_PENTAGRAM)
+    order = _PROOFS["xv"][0]
     lines = ["rationality search: order-15 quotient (case XV)"]
     lines.append("elliptic-curve orbit divisors: E1^2 = E2^2 = "
                  f"{e1_sq}, E1.E2 = {e1_e2}; their images have "
-                 f"H^2 = L^2 = {Fraction(e1_sq, 15)} and H.L = {Fraction(e1_e2, 15)}")
+                 f"H^2 = L^2 = {Fraction(e1_sq, order)} and H.L = {Fraction(e1_e2, order)}")
     lines.append("strict transforms: Hbar^2 = Lbar^2 = -2 with K.Hbar = K.Lbar = 0,")
     lines.append("  Abar^2 = Bbar^2 = -1 with K.Abar = K.Bbar = -1, all checked exactly")
     lines.append("configuration (Abar, Bbar, Tm, Hbar, Lbar), intersection matrix:")

@@ -297,6 +297,24 @@ class TestRationalityCatalog:
             assert captured.out == ""
             assert captured.err == line
 
+    def test_group_of_another_order_has_no_certificate(self, tmp_path):
+        # XI with -I adjoined: same five A11,3 points, but |G| = 22 and the klein proof divides by 11
+        data = json.loads((DATA / "xi.json").read_text())
+        data["group"]["generators"].append({"rows": [[-int(i == j) for j in range(5)] for i in range(5)]})
+        data["strata"] = [{"stabilizer_order": 11, "euler": 5}, {"stabilizer_order": 2, "euler": 77}]
+        (tmp_path / "xi.json").write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+
+        def fanoq(*argv):
+            return subprocess.run([sys.executable, "-m", "fanoquotients.cli", *argv],
+                                  capture_output=True, text=True, timeout=60, env=env)
+
+        assert fanoq("validate", str(tmp_path / "xi.json")).returncode == 0
+        line = "case XI: the klein proof divides by |G| = 11, but the scenario's group has order 22\n"
+        for argv in (["rationality", "klein"], ["tables"]):
+            proc = fanoq("--catalog", str(tmp_path), *argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line)
+
     def test_unannotated_case_has_no_certificate(self, tmp_path, capsys):
         data = json.loads((DATA / "xi.json").read_text())
         del data["annotations"]["rationality_case"]
@@ -447,6 +465,9 @@ class TestHardenedInput:
         ("i.json", ("fibration", "fiber_genus"), "fibration: "),
         ("i.json", ("fibration", "deck_order"), "fibration: "),
         ("i.json", ("fibration", "ramification"), "fibration: "),
+        ("ii.json", ("group", "generators", 0, "rows", 2, 2), "group.generators[0].rows: "),  # entry
+        ("xi.json", ("group", "generators", 0, "rows", 0, 0, 0, 0), "group.generators[0].rows: "),  # coefficient
+        ("xi.json", ("group", "generators", 0, "rows", 0, 0, 0, 1), "group.generators[0].rows: "),  # exponent
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
     def test_boolean_is_not_an_integer(self, tmp_path, capsys, file, path, diagnostic):
         # bool is a subclass of int in Python, but JSON true is no integer

@@ -74,28 +74,28 @@ class TestCyclotomicPoly:
 
 class TestCycNum:
     def test_primitive_relations(self):
-        i = CycNum.zeta_power(4, 1)
+        i = CycNum.from_terms(4, [(1, 1)])
         assert i * i == CycNum.from_rational(-1)
-        alpha = CycNum.zeta_power(3, 1)
+        alpha = CycNum.from_terms(3, [(1, 1)])
         assert alpha * alpha + alpha + 1 == CycNum.from_rational(0)
 
     def test_mixed_conductors(self):
         minus_one = CycNum.from_rational(-1)
-        alpha = CycNum.zeta_power(3, 1)
+        alpha = CycNum.from_terms(3, [(1, 1)])
         product = minus_one * alpha
         assert product == -alpha
         # equality identifies an element with its image in a larger field
         assert alpha == alpha.promote(6)
-        assert alpha.promote(6) == CycNum.zeta_power(6, 2)
+        assert alpha.promote(6) == CycNum.from_terms(6, [(1, 2)])
 
     def test_rationality_detection(self):
-        xi = CycNum.zeta_power(5, 1)
-        total = sum((CycNum.zeta_power(5, k) for k in range(1, 5)), CycNum.from_rational(0))
+        xi = CycNum.from_terms(5, [(1, 1)])
+        total = sum((CycNum.from_terms(5, [(1, k)]) for k in range(1, 5)), CycNum.from_rational(0))
         assert total.is_rational() and total.as_fraction() == -1
         assert not xi.is_rational()
 
     def test_inverse(self):
-        mu = CycNum.zeta_power(15, 7)
+        mu = CycNum.from_terms(15, [(1, 7)])
         assert mu * mu.inverse() == CycNum.from_rational(1)
         y = CycNum.from_terms(8, [(1, 0), (2, 1)])  # 1 + 2*zeta_8
         assert y * y.inverse() == CycNum.from_rational(1)
@@ -116,7 +116,7 @@ def cyclotomic_numbers(draw, nonzero=False):
         min_size=width, max_size=width))
     x = CycNum(n, coeffs)
     if nonzero and x.is_zero():
-        x = x + CycNum.zeta_power(n, 0)
+        x = x + CycNum.from_terms(n, [(1, 0)])
     return x
 
 
@@ -200,7 +200,7 @@ class TestExteriorSquare:
 
     def test_order_five_diagonal(self):
         m = diag_matrix(5, [1, 2, 3, 4, 0])
-        eigen = [CycNum.zeta_power(5, k) for k in (1, 2, 3, 4, 0)]
+        eigen = [CycNum.from_terms(5, [(1, k)]) for k in (1, 2, 3, 4, 0)]
         assert exterior_square_trace(m) == ext_square_oracle(eigen)
         assert exterior_square_trace(m) == CycNum.from_rational(0)
 
@@ -367,7 +367,7 @@ class TestInvariantDimension:
         for label in ("IV(2)", "XI"):
             scenario = catalog.find_case(label)
             group = scenario.group()
-            dual_elements = [g.transpose() for g in group]
+            dual_elements = [CycMatrix([list(col) for col in zip(*g.rows)]) for g in group]
             dual = group_closure(dual_elements)
             assert dual.order == group.order
             for chi in (lambda m: m.trace(), exterior_square_trace):

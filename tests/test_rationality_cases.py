@@ -74,6 +74,16 @@ class TestKleinStage2:
         stage2 = rc.klein_stage2(rc.klein_stage1())
         assert stage2.candidates_per_w[(2, 2)] == ()
 
+    @pytest.mark.parametrize("stage1, budget, message", [
+        ([(1, 1, 1, 0)], 5, "sum vector (5,2) leaves the integrality lattice"),
+        ([(5, 15, 1, 0)], 5, "every (a13, b13) candidate fails integrality"),
+        ([(1, 3, 2, 1), (4, 1, 1, 1)], 10, "ambiguous first pair: [(4, 1), (2, 6)]"),
+    ], ids=["sum-off-lattice", "no-first-pair", "ambiguous-first-pair"])
+    def test_failure_paths(self, stage1, budget, message):
+        with pytest.raises(rc.NoSolution) as excinfo:
+            rc.klein_stage2(stage1, budget=budget)
+        assert str(excinfo.value) == message
+
 
 class TestKleinConfig:
     @pytest.mark.parametrize("option", STAGE2_SURVIVORS)
@@ -114,8 +124,9 @@ class TestKleinConfig:
 class TestEllipticLattice:
     def test_pairing_rules_all_pairs(self):
         lattice = rc.EllipticLattice()
-        assert len(lattice.indices) == 10
-        for ij, st in itertools.combinations_with_replacement(lattice.indices, 2):
+        indices = list(itertools.combinations(range(1, 6), 2))
+        assert len(indices) == 10
+        for ij, st in itertools.combinations_with_replacement(indices, 2):
             value = lattice.pair(ij, st)
             overlap = len({*ij, *st})
             if overlap == 2:
