@@ -13,17 +13,15 @@ on a regular (q = 0) surface; the caller checks q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class NotMinusOneCurve(ValueError):
     """Attempted to contract a curve that is not a smooth rational (-1)-curve."""
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(NamedTuple):
     names: tuple[str, ...]
     matrix: tuple[tuple[Fraction, ...], ...]
     k_degrees: tuple[Fraction, ...]
@@ -111,8 +109,7 @@ def _assert_adjunction(config: CurveConfig):
             f"adjunction broken for {name}: genus formula gives {g} < {config.genus(name)}"
 
 
-@dataclass(frozen=True)
-class RationalityCertificate:
+class RationalityCertificate(NamedTuple):
     """An explicit blow-down sequence ending in a genus-0 curve with C^2 >= 0."""
 
     contractions: tuple[str, ...]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -257,12 +256,10 @@ def validate_scenario(data: dict) -> list[str]:
 
 
 def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]]:
-    if catalog_dir is not None:
-        entries = sorted(Path(catalog_dir).glob("*.json"))
-    else:
-        root = resources.files("fanoquotients").joinpath("data")
-        entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
-    for entry in entries:
+    root = Path(__file__).with_name("data") if catalog_dir is None else Path(catalog_dir)
+    if not root.is_dir():  # a missing directory would otherwise read as an empty catalog
+        raise InvalidScenario([f"{root}: catalog is not a directory"])
+    for entry in sorted(root.glob("*.json")):
         try:
             data = json.loads(entry.read_text())
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON

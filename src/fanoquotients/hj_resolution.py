@@ -16,9 +16,9 @@ into Fractions once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class NotIsolated(ValueError):
@@ -63,13 +63,31 @@ def chain_solve(selfints: tuple[int, ...], rhs) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, n) for x in s)
 
 
-@dataclass(frozen=True)
 class ExceptionalChain:
-    """A Hirzebruch-Jung chain with its discrepancy coefficients."""
+    """A Hirzebruch-Jung chain with its discrepancy coefficients; its length is the component count."""
 
-    selfints: tuple[int, ...]
-    discrepancies: tuple[Fraction, ...]
-    _k2: Fraction = field(repr=False, compare=False)
+    __slots__ = ("selfints", "discrepancies", "_k2")
+
+    def __init__(self, selfints: tuple[int, ...], discrepancies: tuple[Fraction, ...], _k2: Fraction):
+        for name, value in zip(self.__slots__, (selfints, discrepancies, _k2)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: chains are shared through the chain cache")
+
+    def __reduce__(self):  # copy and pickle call the constructor, not __setattr__
+        return ExceptionalChain, (self.selfints, self.discrepancies, self._k2)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ExceptionalChain:
+            return NotImplemented
+        return (self.selfints, self.discrepancies) == (other.selfints, other.discrepancies)
+
+    def __hash__(self) -> int:
+        return hash((self.selfints, self.discrepancies))
+
+    def __repr__(self) -> str:
+        return f"ExceptionalChain(selfints={self.selfints!r}, discrepancies={self.discrepancies!r})"
 
     @classmethod
     def from_selfints(cls, selfints) -> "ExceptionalChain":
@@ -113,22 +131,19 @@ class ExceptionalChain:
         return self._k2
 
 
-@dataclass(frozen=True, order=True)
-class CyclicSing:
-    """The A_{n,q} singularity in canonical form (q replaced by min(q, q^-1 mod n))."""
+class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
+    """The A_{n,q} singularity in canonical form (q replaced by min(q, q^-1 mod n)), ordered as (n, q)."""
 
-    n: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __new__(cls, n: int, q: int):
+        if n < 2:
             raise ValueError("cyclic singularity needs n >= 2")
-        if not 1 <= self.q < self.n:
-            raise ValueError(f"q must satisfy 1 <= q < n, got q={self.q}, n={self.n}")
-        if math.gcd(self.n, self.q) != 1:
-            raise ValueError(f"gcd(n, q) must be 1, got ({self.n}, {self.q})")
-        q_inv = pow(self.q, -1, self.n)
-        object.__setattr__(self, "q", min(self.q, q_inv))
+        if not 1 <= q < n:
+            raise ValueError(f"q must satisfy 1 <= q < n, got q={q}, n={n}")
+        if math.gcd(n, q) != 1:
+            raise ValueError(f"gcd(n, q) must be 1, got ({n}, {q})")
+        return super().__new__(cls, n, min(q, pow(q, -1, n)))
 
     @property
     def is_du_val(self) -> bool:

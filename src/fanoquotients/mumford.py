@@ -12,9 +12,8 @@ correction) expands bilinearly from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .hj_resolution import ExceptionalChain, chain_solve
 
@@ -31,8 +30,15 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class ResolutionModel:
+class _ModelFields(NamedTuple):
+    chains: dict[str, ExceptionalChain]
+    curves: tuple[str, ...]
+    pairing: dict[tuple[str, str], Fraction]
+    k_degree: dict[str, Fraction]
+    incidence: dict[str, dict[str, tuple[int, ...]]]
+
+
+class ResolutionModel(_ModelFields):
     """Named curves on a normal surface together with its resolution data.
 
     chains: singular point name -> exceptional chain of its resolution
@@ -41,14 +47,8 @@ class ResolutionModel:
     incidence: curve -> point -> per-component multiplicities of Cbar.C_i
     """
 
-    chains: dict[str, ExceptionalChain]
-    curves: tuple[str, ...]
-    pairing: dict[tuple[str, str], Fraction]
-    k_degree: dict[str, Fraction]
-    incidence: dict[str, dict[str, tuple[int, ...]]]
-    # strict-transform coefficients, solved and checked once per curve
-    _strict: dict[str, dict[str, tuple[Fraction, ...]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # no __slots__: the instance __dict__ keeps the strict-transform
+    # coefficients, solved and checked once per curve
 
     @classmethod
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
@@ -81,8 +81,9 @@ class ResolutionModel:
 
     def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Fraction, ...]]:
         """Per singular point, the coefficients a with M a = -m (all >= 0)."""
-        if curve in self._strict:
-            return self._strict[curve]
+        strict = vars(self).setdefault("strict", {})
+        if curve in strict:
+            return strict[curve]
         if curve not in self.incidence:
             raise UnknownCurve(curve)
         out = {}
@@ -95,7 +96,7 @@ class ResolutionModel:
             if any(c < 0 for c in coeffs):
                 raise ValueError(f"negative strict-transform coefficient for {curve} at {point}")
             out[point] = coeffs
-        self._strict[curve] = out
+        strict[curve] = out
         return out
 
     def pair_on_resolution(self, c1: str, c2: str) -> Fraction:

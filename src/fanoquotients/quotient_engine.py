@@ -17,10 +17,9 @@ and cross-checks Noether's relation 12 chi = c1^2 + c2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic_rep import (
     CycMatrix,
@@ -45,8 +44,7 @@ class MissingIntersection(KeyError):
     """A needed R.R' value is absent from the ramification data."""
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """Points whose stabilizer has the given order, with their Euler number."""
 
     order: int
@@ -54,19 +52,25 @@ class Stratum:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class RamificationCurve:
-    """A curve on S fixed pointwise by a subgroup of the given order."""
-
+class _RamificationFields(NamedTuple):
     name: str
     index: int
     self_int: Fraction
     k_degree: Fraction
-    meets: dict[str, Fraction] = field(default_factory=dict)
+    meets: dict[str, Fraction]
 
 
-@dataclass(frozen=True)
-class Fibration:
+class RamificationCurve(_RamificationFields):
+    """A curve on S fixed pointwise by a subgroup of the given order."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, index, self_int, k_degree, meets=None):
+        # a NamedTuple default would be one dict shared by every curve
+        return super().__new__(cls, name, index, self_int, k_degree, {} if meets is None else meets)
+
+
+class Fibration(NamedTuple):
     """Genus data for the induced fibration over an elliptic Albanese image."""
 
     fiber_genus: int
@@ -74,21 +78,29 @@ class Fibration:
     ramification: int
 
 
-@dataclass(frozen=True)
-class QuotientScenario:
+class _ScenarioFields(NamedTuple):
     label: str
     generators: tuple[CycMatrix, ...]
     strata: tuple[Stratum, ...]
     ramification: tuple[RamificationCurve, ...]
     singularities: tuple[tuple[CyclicSing, int], ...]
-    fibration: Optional[Fibration] = None
-    annotations: dict = field(default_factory=dict)
-    display: dict = field(default_factory=dict)
-    table: Optional[int] = None
-    source: str = ""
+    fibration: Optional[Fibration]
+    annotations: dict
+    display: dict
+    table: Optional[int]
+    source: str
 
+
+class QuotientScenario(_ScenarioFields):
     # derived values are computed once per scenario; cached_property stores
-    # them in the instance __dict__, which the frozen __setattr__ does not guard
+    # them in the instance __dict__, which this subclass keeps by declaring no __slots__;
+    # omitted annotations and display get a dict of their own, as meets does above
+
+    def __new__(cls, label, generators, strata, ramification, singularities, fibration=None,
+                annotations=None, display=None, table=None, source=""):
+        return super().__new__(cls, label, generators, strata, ramification, singularities, fibration,
+                               {} if annotations is None else annotations, {} if display is None else display,
+                               table, source)
 
     def group(self) -> FiniteMatrixGroup:
         return self._group
@@ -195,8 +207,7 @@ def albanese_fiber_genus(fiber_genus: int, deck_order: int, ramification: int) -
     return int(value)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     label: str
     c1_sq: int | Fraction  # stays a Fraction only for flagged, inconsistent input
     c2: int

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .blowdown import CurveConfig, RationalityCertificate, find_rationality_certificate
 from .hj_resolution import ExceptionalChain, scaled_chain_solve
@@ -103,8 +102,7 @@ def klein_stage1(budget: int = 5, search_bound: int = 50) -> list[tuple[int, int
     return sorted(solutions)
 
 
-@dataclass(frozen=True)
-class KleinStage2:
+class KleinStage2(NamedTuple):
     first_pair: tuple[int, int]                      # (a13, b13)
     survivors: tuple[tuple[int, int, int, int], ...]  # (a14, b14, a23, b23)
     w_candidates: tuple[tuple[int, int], ...]

@@ -95,6 +95,28 @@ def test_certificate_modules_load_only_for_rationality(argv):
     assert not {"fanoquotients.rationality_cases", "fanoquotients.blowdown"} & set(counts["modules"])
 
 
+START_UP_RUN = """
+import json, sys
+preloaded = set(sys.modules)
+from fanoquotients import cli
+imported = set(sys.modules) - preloaded
+rc = cli.main(["rationality", "klein"])
+print(json.dumps([rc, sorted(imported), sorted(set(sys.modules) - preloaded)]))
+"""
+
+
+def test_start_up_leaves_out_dataclasses_inspect_and_ast():
+    # dataclasses imports inspect, ast, dis and tokenize, and writes the methods of
+    # each class with exec: about 8 ms of every fresh-process command
+    proc = subprocess.run([sys.executable, "-c", START_UP_RUN], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    rc, after_import, after_command = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    for loaded in (after_import, after_command):
+        assert not {"dataclasses", "inspect", "ast"} & set(loaded)
+
+
 @pytest.mark.parametrize("build, solves", [
     # one solve per (curve, singular point): klein 5 curves x 3 points; xv 3 + 3 + 2 + 2
     *[(lambda option=option: rationality_cases.build_klein_config(option), 15)

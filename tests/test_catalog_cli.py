@@ -255,6 +255,19 @@ class TestRationalityCatalog:
         assert main(["--catalog", str(tmp_path), "rationality", case]) == 2
         assert "unknown case" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["tables"], ["report", "XI"], ["rationality", "klein"]],
+                             ids=["tables", "report", "rationality"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_catalog_path_must_be_a_directory(self, tmp_path, argv, kind):
+        # an empty directory is an empty catalog, but a missing path or a file is an input error
+        path = tmp_path / "catalog"
+        if kind == "file":
+            path.write_text("{}")
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "--catalog", str(path), *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"{path}: catalog is not a directory\n")
+
     def test_catalog_with_only_xi(self, tmp_path, capsys):
         (tmp_path / "xi.json").write_text((DATA / "xi.json").read_text())
         assert main(["--catalog", str(tmp_path), "rationality", "klein"]) == 0

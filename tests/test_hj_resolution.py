@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -50,6 +52,22 @@ class TestExpansion:
     def test_du_val_chain_lengths(self):
         for n in range(2, 60):
             assert len(CyclicSing(n, n - 1).chain()) == n - 1
+
+    def test_chain_length_is_its_component_count(self):
+        for n, q in all_types(40):
+            chain = CyclicSing(n, q).chain()
+            assert len(chain) == len(chain.selfints) == len(chain.discrepancies)
+
+    def test_from_selfints_is_a_classmethod_of_the_class_body(self):
+        # benchmark/tracer.py wraps it through ExceptionalChain.__dict__
+        assert isinstance(ExceptionalChain.__dict__["from_selfints"], classmethod)
+
+    def test_cached_chain_is_read_only_and_survives_copy_and_pickle(self):
+        chain = CyclicSing(11, 3).chain()
+        with pytest.raises(AttributeError):
+            chain.selfints = (2,)
+        for clone in (copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
+            assert clone == chain and clone.k2_correction() == chain.k2_correction()
 
 
 class TestDiscrepancies:
@@ -167,6 +185,12 @@ class TestCanonicalForm:
             CyclicSing(1, 0)
         with pytest.raises(ValueError):
             CyclicSing(5, 5)
+
+    def test_equal_types_hash_equal_and_sort_by_n_then_q(self):
+        assert hash(CyclicSing(11, 4)) == hash(CyclicSing(11, 3))
+        assert len({CyclicSing(11, 4), CyclicSing(11, 3), CyclicSing(11, 2)}) == 2
+        assert sorted([CyclicSing(15, 4), CyclicSing(3, 2), CyclicSing(11, 6), CyclicSing(3, 1)]) == [
+            CyclicSing(3, 1), CyclicSing(3, 2), CyclicSing(11, 2), CyclicSing(15, 4)]
 
     def test_display(self):
         assert CyclicSing(2, 1).display() == "A1"

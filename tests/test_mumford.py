@@ -27,6 +27,11 @@ def xv_style_model(chain_order=("m", "n", "p")):
     return ResolutionModel.build(chains, ("H", "L", "Z"), pairing, k_degree, incidence)
 
 
+def test_build_is_a_classmethod_of_the_class_body():
+    # benchmark/tracer.py wraps it through ResolutionModel.__dict__
+    assert isinstance(ResolutionModel.__dict__["build"], classmethod)
+
+
 class TestStrictTransformCoeffs:
     def test_curve_missing_all_points(self):
         model = xv_style_model()

@@ -68,6 +68,11 @@ class TestK2Quotient:
     def test_etale_case(self):
         assert k2_quotient(case("III(1)")) == 15
 
+    def test_meets_defaults_to_a_fresh_dict(self):
+        first, second = RamificationCurve("R1", 2, F(-3), F(9)), RamificationCurve("R2", 2, F(-3), F(9))
+        assert first.meets == second.meets == {}
+        assert first.meets is not second.meets
+
     def test_missing_intersection_raises(self):
         scenario = QuotientScenario(
             label="bad", generators=case("D2").generators,

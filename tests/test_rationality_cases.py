@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction as F
 
@@ -7,6 +6,7 @@ import pytest
 from fanoquotients import catalog
 from fanoquotients import rationality_cases as rc
 from fanoquotients.blowdown import CurveConfig, find_rationality_certificate
+from fanoquotients.quotient_engine import QuotientScenario
 
 
 STAGE1_EXPECTED = {
@@ -14,6 +14,14 @@ STAGE1_EXPECTED = {
     (1, 3, 5, 0), (4, 1, 0, 5), (9, 5, 0, 1), (20, 5, 0, 1),
 }
 STAGE2_SURVIVORS = ((4, 1, 5, 4), (5, 4, 4, 1))
+
+
+def annotated(label, annotations):
+    """The catalog case ``label``, rebuilt with other annotations."""
+    s = catalog.find_case(label)
+    return QuotientScenario(label=s.label, generators=s.generators, strata=s.strata, ramification=s.ramification,
+                            singularities=s.singularities, fibration=s.fibration, annotations=annotations,
+                            display=s.display, table=s.table, source=s.source)
 
 
 def full_box_stage1(budget, search_bound=50):
@@ -184,12 +192,12 @@ class TestCertifyRationality:
         assert cert.final_self_intersection >= 0
 
     def test_regularity_guard(self):
-        d3 = dataclasses.replace(catalog.find_case("D3"), annotations={"rationality_case": "xv"})
+        d3 = annotated("D3", {"rationality_case": "xv"})
         with pytest.raises(rc.NoCertificate, match="irregularity 1 != 0"):
             rc.certify_rationality(d3)
 
     def test_unknown_case(self):
-        xi = dataclasses.replace(catalog.find_case("XI"), annotations={"rationality_case": "klein-option-3"})
+        xi = annotated("XI", {"rationality_case": "klein-option-3"})
         with pytest.raises(rc.NoCertificate, match="no rationality case"):
             rc.certify_rationality(xi)
 
