@@ -1,8 +1,8 @@
 """Blow-downs of curve configurations and rationality certificates.
 
 A ``CurveConfig`` records finitely many curves on a smooth surface: their
-exact intersection matrix, canonical degrees, and genera.  Contracting a
-(-1)-curve E transforms the rest by the classical rules
+intersection matrix, canonical degrees, and genera, all integers.
+Contracting a (-1)-curve E transforms the rest by the classical rules
 
     C.C'  ->  C.C' + (C.E)(C'.E),      K.C  ->  K.C - C.E,
 
@@ -21,44 +21,62 @@ class NotMinusOneCurve(ValueError):
     """Attempted to contract a curve that is not a smooth rational (-1)-curve."""
 
 
+def _integer(value, what: str) -> int:
+    """The integer equal to ``value``; a fractional value is rejected, never truncated."""
+    if isinstance(value, int):
+        return value
+    exact = Fraction(value)
+    if exact.denominator != 1:
+        raise ValueError(f"{what} = {value} is not an integer")
+    return exact.numerator
+
+
 class CurveConfig(NamedTuple):
     names: tuple[str, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-    k_degrees: tuple[Fraction, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    k_degrees: tuple[int, ...]
     genera: tuple[int, ...]
 
     @classmethod
     def build(cls, names: Sequence[str], matrix: Sequence[Sequence], k_degrees: Sequence,
               genera: Sequence[int]) -> "CurveConfig":
         names = tuple(names)
-        m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        if len(m) != len(names) or any(len(row) != len(names) for row in m):
-            raise ValueError("intersection matrix shape does not match curve count")
+        if any(len(x) != len(names) for x in (matrix, *matrix, k_degrees, genera)):
+            raise ValueError("intersection matrix, K-degrees or genera do not match the curve count")
+        m = tuple(tuple(_integer(x, f"{a}.{b}") for b, x in zip(names, row)) for a, row in zip(names, matrix))
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 if m[i][j] != m[j][i]:
                     raise ValueError(f"intersection matrix not symmetric at {names[i]},{names[j]}")
-        return cls(names, m, tuple(Fraction(k) for k in k_degrees), tuple(int(g) for g in genera))
+        config = cls(names, m, tuple(_integer(k, f"K.{a}") for a, k in zip(names, k_degrees)),
+                     tuple(_integer(g, f"genus of {a}") for a, g in zip(names, genera)))
+        for name in names:
+            config.arithmetic_genus(name)  # rejects an odd C^2 + K.C
+        return config
 
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def pair(self, a: str, b: str) -> Fraction:
+    def pair(self, a: str, b: str) -> int:
         return self.matrix[self.index(a)][self.index(b)]
 
-    def self_int(self, name: str) -> Fraction:
+    def self_int(self, name: str) -> int:
         i = self.index(name)
         return self.matrix[i][i]
 
-    def k_degree(self, name: str) -> Fraction:
+    def k_degree(self, name: str) -> int:
         return self.k_degrees[self.index(name)]
 
     def genus(self, name: str) -> int:
         return self.genera[self.index(name)]
 
-    def arithmetic_genus(self, name: str) -> Fraction:
+    def arithmetic_genus(self, name: str) -> int:
+        """1 + (C^2 + K.C)/2; C^2 + K.C is even for every curve on a smooth surface."""
         i = self.index(name)
-        return 1 + (self.matrix[i][i] + self.k_degrees[i]) / 2
+        half, odd = divmod(self.matrix[i][i] + self.k_degrees[i], 2)
+        if odd:
+            raise ValueError(f"{name}: C^2 + K.C = {2 * half + odd} is odd")
+        return 1 + half
 
     def is_smooth(self, name: str) -> bool:
         """Adjunction genus equals the carried geometric genus."""
@@ -105,7 +123,7 @@ def _assert_adjunction(config: CurveConfig):
     # but can never drop below it
     for name in config.names:
         g = config.arithmetic_genus(name)
-        assert g.denominator == 1 and g >= config.genus(name), \
+        assert g >= config.genus(name), \
             f"adjunction broken for {name}: genus formula gives {g} < {config.genus(name)}"
 
 
@@ -114,7 +132,7 @@ class RationalityCertificate(NamedTuple):
 
     contractions: tuple[str, ...]
     final_curve: str
-    final_self_intersection: Fraction
+    final_self_intersection: int
     states: tuple[CurveConfig, ...]  # configuration before each contraction, then final
 
     @property

@@ -108,12 +108,6 @@ class CycNum:
             coeffs[exp % n] += Fraction(coeff)
         return cls(n, coeffs)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficient of zeta_n^k at index k, for 0 <= k < n."""
-        terms = dict(self.terms)
-        return tuple(Fraction(terms.get(k, 0), self.den) for k in range(self.n))
-
     def _canonical(self) -> tuple[tuple[int, ...], int]:
         """Coefficients mod Phi_n over a reduced denominator: equal iff the numbers are."""
         if self._canon is None:
@@ -190,22 +184,6 @@ class CycNum:
         return _sum_of_products(a.n, [(a, b)])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "CycNum":
-        inverse = other.inverse() if isinstance(other, CycNum) else CycNum.from_rational(1 / Fraction(other))
-        return self * inverse
-
-    def inverse(self) -> "CycNum":
-        """x^-1 = prod_{a != 1} sigma_a(x) / N(x), over the units a mod n (sigma_a: zeta -> zeta^a)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        others = CycNum.from_rational(1, self.n)
-        for a in range(2, self.n):
-            if math.gcd(a, self.n) == 1:
-                others = others * self._galois(a)
-        coeffs, den = (others / (self * others).as_fraction())._canonical()
-        # the canonical representative: the product itself has large cancelling coefficients
-        return CycNum._make(self.n, dict(enumerate(coeffs)), den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (int, Fraction, CycNum)):

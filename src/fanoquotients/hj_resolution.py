@@ -56,13 +56,6 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
     return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
 
 
-def chain_solve(selfints: tuple[int, ...], rhs) -> tuple[Fraction, ...]:
-    """The exact solution a of M a = r, as Fractions (see ``scaled_chain_solve``)."""
-    s, n = scaled_chain_solve(selfints, rhs)
-    # n is zero exactly when M is singular: Fraction then raises ZeroDivisionError
-    return tuple(Fraction(x, n) for x in s)
-
-
 class ExceptionalChain:
     """A Hirzebruch-Jung chain with its discrepancy coefficients; its length is the component count."""
 
@@ -105,26 +98,11 @@ class ExceptionalChain:
     def __len__(self) -> int:
         return len(self.selfints)
 
-    def pair(self, i: int, j: int) -> Fraction:
+    def pair(self, i: int, j: int) -> int:
         """Entry (i, j) of the chain intersection matrix."""
         if i == j:
-            return Fraction(-self.selfints[i])
-        return Fraction(1) if abs(i - j) == 1 else Fraction(0)
-
-    def bilinear(self, u, v) -> Fraction:
-        """u^T M v for the tridiagonal chain matrix, in O(length)."""
-        k = len(self.selfints)
-        total = Fraction(0)
-        for i in range(k):
-            if u[i] == 0:
-                continue
-            s = -self.selfints[i] * v[i]
-            if i > 0:
-                s += v[i - 1]
-            if i + 1 < k:
-                s += v[i + 1]
-            total += u[i] * s
-        return total
+            return -self.selfints[i]
+        return int(abs(i - j) == 1)
 
     def k2_correction(self) -> Fraction:
         """(sum a_i C_i)^2 = a^T M a; zero exactly on du Val chains."""

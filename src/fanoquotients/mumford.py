@@ -5,9 +5,9 @@ chains of its minimal resolution g: Z -> Y plus, for each named curve C on Y,
 the pairing values C.C' downstairs, the degree K_Y.C, and the multiplicities
 with which the strict transform meets each exceptional component.  Writing
 Cbar = g*C - sum a_i C_i with the defining relations g*C . C_i = 0, the
-coefficients a_i solve M a = -m against the chain intersection matrix, and
-everything else (strict-transform pairings, canonical degrees on Z, the K^2
-correction) expands bilinearly from there.
+coefficients a_i solve M a = -m against the chain intersection matrix.  They
+share the chain's denominator n, so they are kept as the integers n a_i, and
+every pairing on Z is one integer sum per singular point divided by n once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .hj_resolution import ExceptionalChain, chain_solve
+from .hj_resolution import ExceptionalChain, scaled_chain_solve
 
 
 class NonIntegralGenus(ArithmeticError):
@@ -48,7 +48,7 @@ class ResolutionModel(_ModelFields):
     """
 
     # no __slots__: the instance __dict__ keeps the strict-transform
-    # coefficients, solved and checked once per curve
+    # numerators, solved and checked once per curve
 
     @classmethod
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
@@ -79,8 +79,8 @@ class ResolutionModel(_ModelFields):
 
     # -- strict transforms ---------------------------------------------------
 
-    def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Fraction, ...]]:
-        """Per singular point, the coefficients a with M a = -m (all >= 0)."""
+    def strict_transform_numerators(self, curve: str) -> dict[str, tuple[tuple[int, ...], int]]:
+        """Per singular point, (s, n) with a = s / n solving M a = -m (all s_i >= 0)."""
         strict = vars(self).setdefault("strict", {})
         if curve in strict:
             return strict[curve]
@@ -88,40 +88,44 @@ class ResolutionModel(_ModelFields):
             raise UnknownCurve(curve)
         out = {}
         for point, mults in self.incidence[curve].items():
-            chain = self.chains[point]
-            coeffs = chain_solve(chain.selfints, [-m for m in mults])
-            # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0
-            residual = [chain.bilinear(_unit(len(mults), i), coeffs) + mults[i] for i in range(len(mults))]
-            assert all(r == 0 for r in residual), f"pullback relation violated at {point}"
-            if any(c < 0 for c in coeffs):
+            b = self.chains[point].selfints
+            s, n = scaled_chain_solve(b, [-m for m in mults])
+            # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0, times n
+            padded = (0, *s, 0)
+            assert all(n * m + padded[i] - bi * padded[i + 1] + padded[i + 2] == 0
+                       for i, (m, bi) in enumerate(zip(mults, b))), f"pullback relation violated at {point}"
+            if any(x < 0 for x in s):
                 raise ValueError(f"negative strict-transform coefficient for {curve} at {point}")
-            out[point] = coeffs
+            out[point] = (tuple(s), n)
         strict[curve] = out
         return out
 
-    def pair_on_resolution(self, c1: str, c2: str) -> Fraction:
-        """Strict-transform intersection Cbar1 . Cbar2 on the resolution."""
-        base = self.downstairs(c1, c2)
-        a1 = self.strict_transform_coeffs(c1)
-        a2 = self.strict_transform_coeffs(c2)
-        for point in set(a1) & set(a2):
-            base += self.chains[point].bilinear(a1[point], a2[point])
-        return base
+    def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Fraction, ...]]:
+        """Per singular point, the coefficients a with M a = -m, as Fractions."""
+        return {point: tuple(Fraction(x, n) for x in s)
+                for point, (s, n) in self.strict_transform_numerators(curve).items()}
 
-    def pair_with_component(self, curve: str, point: str, index: int) -> Fraction:
+    def pair_on_resolution(self, c1: str, c2: str) -> Fraction:
+        """Strict-transform intersection Cbar1 . Cbar2 = C1.C2 + a1^T M a2 = C1.C2 - a1.m2."""
+        total = self.downstairs(c1, c2)
+        if c2 not in self.incidence:
+            raise UnknownCurve(c2)
+        mults2 = self.incidence[c2]
+        for point, (s, n) in self.strict_transform_numerators(c1).items():
+            if point in mults2:
+                total -= Fraction(sum(x * m for x, m in zip(s, mults2[point])), n)
+        return total
+
+    def pair_with_component(self, curve: str, point: str, index: int) -> int:
         """Cbar . C_i for an exceptional component (the incidence multiplicity)."""
         mults = self.incidence[curve].get(point)
-        if mults is None:
-            return Fraction(0)
-        return Fraction(mults[index])
+        return 0 if mults is None else mults[index]
 
     def kz_degree(self, curve: str) -> Fraction:
-        """K_Z . Cbar from K_Z = g*K_Y - sum (discrepancies) and the relations."""
+        """K_Z . Cbar = K_Y . C + sum (2 - b_i) a_i, from K_Z = g*K_Y - sum d_i C_i with M d = (2 - b)."""
         total = self.k_degree[curve]
-        for point, coeffs in self.strict_transform_coeffs(curve).items():
-            chain = self.chains[point]
-            # (sum d_i C_i).(sum a_j C_j) with M d = (2 - b): collapses to sum (2-b_i) a_i
-            total += sum((2 - b) * a for b, a in zip(chain.selfints, coeffs))
+        for point, (s, n) in self.strict_transform_numerators(curve).items():
+            total += Fraction(sum((2 - b) * x for b, x in zip(self.chains[point].selfints, s)), n)
         return total
 
     def downstairs(self, c1: str, c2: str) -> Fraction:
@@ -131,13 +135,9 @@ class ResolutionModel(_ModelFields):
         return self.pairing[key]
 
 
-def _unit(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(j == i)) for j in range(n))
-
-
-def adjunction_genus(self_int: Fraction, k_degree: Fraction) -> Fraction:
+def adjunction_genus(self_int: Fraction, k_degree: Fraction) -> int:
     """Arithmetic genus 1 + (C^2 + K.C)/2 of a curve on a smooth surface."""
     g = 1 + (Fraction(self_int) + Fraction(k_degree)) / 2
     if g.denominator != 1 or g < 0:
         raise NonIntegralGenus(f"genus {g} is not a nonnegative integer")
-    return g
+    return g.numerator

@@ -37,7 +37,8 @@ class NoSolution(NoCertificate):
 
 
 class IntegralityViolation(NoCertificate):
-    """A distinct-curve intersection number came out negative or fractional."""
+    """An entry of a configuration on the smooth resolution came out fractional, or a
+    distinct-curve intersection number came out negative."""
 
 
 class MatrixMismatch(NoCertificate):
@@ -311,7 +312,7 @@ def build_xv_config() -> CurveConfig:
             raise MatrixMismatch(f"K.{name}bar = {got}, expected {expected}")
 
     config = _config_from_model(model, curves, [("m", 0, "Tm")], order=("A", "B", "Tm", "H", "L"))
-    if config.matrix != tuple(tuple(Fraction(x) for x in row) for row in _XV_MATRIX):
+    if config.matrix != _XV_MATRIX:
         raise MatrixMismatch(f"configuration matrix {config.matrix} differs from the expected one")
     return config
 
@@ -324,14 +325,17 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
                        exceptional: Sequence[tuple[str, int, str]],
                        order: Optional[Sequence[str]] = None) -> CurveConfig:
     """Assemble a blow-down configuration from strict transforms plus chosen
-    exceptional components (given as (point, component index, display name))."""
+    exceptional components (given as (point, component index, display name)).
+    Every entry lives on the smooth resolution, so a fractional self-intersection,
+    K-degree or pairing, or a negative pairing of distinct curves, raises
+    ``IntegralityViolation``."""
     entries: list[tuple[str, tuple]] = [(name, ("curve", name)) for name in curve_names]
     entries += [(display, ("exc", point, idx)) for point, idx, display in exceptional]
     if order is not None:
         by_name = dict(entries)
         entries = [(name, by_name[name]) for name in order]
 
-    def pair(x: tuple, y: tuple) -> Fraction:
+    def pair(x: tuple, y: tuple) -> Fraction | int:
         if x[0] == "curve" and y[0] == "curve":
             return model.pair_on_resolution(x[1], y[1])
         if x[0] == "curve":
@@ -339,43 +343,47 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
         if y[0] == "curve":
             return model.pair_with_component(y[1], x[1], x[2])
         if x[1] != y[1]:
-            return Fraction(0)
+            return 0
         return model.chains[x[1]].pair(x[2], y[2])
 
     names = [name for name, _ in entries]
     kinds = [kind for _, kind in entries]
     matrix = [[pair(a, b) for b in kinds] for a in kinds]
     k_degrees = [
-        model.kz_degree(kind[1]) if kind[0] == "curve"
-        else Fraction(model.chains[kind[1]].selfints[kind[2]] - 2)
+        model.kz_degree(kind[1]) if kind[0] == "curve" else model.chains[kind[1]].selfints[kind[2]] - 2
         for kind in kinds
     ]
-    genera = [int(adjunction_genus(matrix[i][i], k_degrees[i])) for i in range(len(names))]
     for i, name in enumerate(names):
-        for j in range(i + 1, len(names)):
+        for j in range(i, len(names)):
             v = matrix[i][j]
-            if v.denominator != 1 or v < 0:
+            if v.denominator != 1 or (v < 0 and j > i):
                 raise IntegralityViolation(f"{name}.{names[j]} = {v}")
+        if k_degrees[i].denominator != 1:
+            raise IntegralityViolation(f"K.{name} = {k_degrees[i]}")
+    genera = [adjunction_genus(matrix[i][i], k_degrees[i]) for i in range(len(names))]
     return CurveConfig.build(names, matrix, k_degrees, genera)
 
 
-# per proof: the group order |G| its pairings are divided by, and the exceptional
-# chains its configuration resolves, in their lesser orientation
-_PROOFS = {"klein": (11, Counter({_KLEIN_CHAIN: len(_KLEIN_POINTS)})), "xv": (15, Counter(_XV_CHAINS.values()))}
+# per proof: the group order |G| its pairings are divided by, the exceptional chains
+# its configuration resolves, in their lesser orientation, and its contraction count
+_PROOFS = {"klein": (11, Counter({_KLEIN_CHAIN: len(_KLEIN_POINTS)}), 6),
+           "xv": (15, Counter(_XV_CHAINS.values()), 4)}
 
 
 def certify_rationality(scenario: QuotientScenario) -> dict[str, RationalityCertificate]:
     """The blow-down certificates of the scenario's ``rationality_case``: 'klein-option-1'
     and 'klein-option-2' for "klein", 'xv' for "xv".  They prove rationality only on a regular
     surface with the singularities the proof resolves, and for the group order it divides by,
-    so q, the scenario's chains and |G| are checked first; every failure raises ``NoCertificate``."""
+    so q, the scenario's chains and |G| are checked first.  Each certificate found must then
+    keep the report's (K^2, c2) within the bounds of a rational surface and make as many
+    contractions as the proof predicts.  Every failure raises ``NoCertificate``."""
     q = scenario.report.q
     if q != 0:
         raise NoCertificate(f"case {scenario.label}: irregularity {q} != 0, no rationality conclusion")
     case = scenario.annotations.get("rationality_case")
     if case not in _PROOFS:
         raise NoCertificate(f"case {scenario.label}: no rationality case annotated")
-    order, chains = _PROOFS[case]
+    order, chains, predicted = _PROOFS[case]
     found: Counter = Counter()  # multiset of chains up to reversal
     for sing, count in scenario.singularities:
         found[min(sing.chain().selfints, sing.chain().selfints[::-1])] += count
@@ -395,6 +403,15 @@ def certify_rationality(scenario: QuotientScenario) -> dict[str, RationalityCert
         certificate = find_rationality_certificate(config)
         if certificate is None:
             raise NoCertificate(f"no contraction sequence found for {name}")
+        # each blow-down raises K^2 by 1 and lowers c2 by 1; both proofs end on a smooth
+        # rational curve of square 0, and a rational surface holding one is not P^2
+        k = len(certificate.contractions)
+        k2, c2 = scenario.report.c1_sq + k, scenario.report.c2 - k
+        if k2 > 8 or c2 < 4:
+            raise NoCertificate(f"{name}: {k} contractions take (K^2, c2) to ({k2}, {c2}), "
+                                f"beyond K^2 <= 8 and c2 >= 4")
+        if k != predicted:
+            raise NoCertificate(f"{name}: {k} contractions, but the {case} proof predicts {predicted}")
         certificates[name] = certificate
     return certificates
 

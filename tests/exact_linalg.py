@@ -4,13 +4,18 @@ Everything is built on ``fractions.Fraction`` (arbitrary-precision, always in
 lowest terms, positive denominator), so no operation ever rounds.  The
 matrices checked against it are tiny (intersection forms of curve
 configurations), hence the dense representation and plain Gaussian
-elimination, independent of the package's tridiagonal chain solver.
+elimination, independent of the package's tridiagonal chain solver.  The
+last two functions work on a Hirzebruch-Jung chain alone: ``chain_solve``
+reads the package's integer solver as Fractions for the tests that compare
+it with ``solve_linear``, and ``chain_bilinear`` expands u^T M v directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from fanoquotients.hj_resolution import scaled_chain_solve
 
 
 Rat = Fraction
@@ -168,3 +173,24 @@ def quadratic_form(a: QMatrix, v: Sequence) -> Rat:
     if len(vec) != a.rows:
         raise DimensionMismatch(f"quadratic_form: {a.rows}x{a.cols} matrix vs vector of length {len(vec)}")
     return sum(vec[i] * x for i, x in enumerate(a.matvec(vec)))
+
+
+def chain_solve(selfints: Sequence[int], rhs: Sequence) -> tuple[Rat, ...]:
+    """The exact solution a of M a = r on the chain matrix (-b_i diagonal, 1 off it)."""
+    s, n = scaled_chain_solve(selfints, rhs)
+    # n is zero exactly when M is singular: Fraction then raises ZeroDivisionError
+    return tuple(Fraction(x, n) for x in s)
+
+
+def chain_bilinear(selfints: Sequence[int], u: Sequence, v: Sequence) -> Rat:
+    """u^T M v for the tridiagonal chain matrix, in O(length)."""
+    k = len(selfints)
+    total = Fraction(0)
+    for i in range(k):
+        s = -selfints[i] * v[i]
+        if i > 0:
+            s += v[i - 1]
+        if i + 1 < k:
+            s += v[i + 1]
+        total += u[i] * s
+    return total

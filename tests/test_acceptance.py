@@ -29,12 +29,11 @@ from fanoquotients.cyclotomic_rep import (
 from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
-    chain_solve,
     hj_continued_fraction,
 )
 from fanoquotients.quotient_engine import euler_quotient
 
-from exact_linalg import QMatrix, is_negative_definite, quadratic_form, solve_linear
+from exact_linalg import QMatrix, chain_solve, is_negative_definite, quadratic_form, solve_linear
 
 
 # -- criterion 1: both tables, every computed column, exact -----------------
@@ -127,7 +126,7 @@ def test_criterion_2_trivial_values():
 
 def _conjugate(z: CycNum) -> CycNum:
     """Complex conjugate in Q(zeta_n), the Galois map zeta -> zeta^-1."""
-    return CycNum.from_terms(z.n, [(c, -k) for k, c in enumerate(z.coeffs)])
+    return CycNum.from_terms(z.n, [(F(c, z.den), -k) for k, c in z.terms])
 
 
 def lefschetz_fixed_euler(g: CycMatrix) -> int:

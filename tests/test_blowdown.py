@@ -18,6 +18,34 @@ def simple_config(matrix, k, genera=None, names=None):
         genera or [0] * n)
 
 
+class TestBuild:
+    def test_fractional_entries_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"C0\.C1 = 1/2 is not an integer"):
+            simple_config([[-1, F(1, 2)], [F(1, 2), -2]], [-1, 0])
+        with pytest.raises(ValueError, match=r"K\.C0 = 1/2 is not an integer"):
+            simple_config([[-1]], [F(1, 2)])
+        with pytest.raises(ValueError, match=r"genus of C0 = 1/2 is not an integer"):
+            simple_config([[-1]], [-1], genera=[F(1, 2)])
+
+    def test_shapes_must_match_the_curve_count(self):
+        for matrix, k, genera in [([[-1, 1]], [-1], [0]), ([[-1, 1], [1, -1]], [-1], [0, 0]),
+                                  ([[-1, 1], [1, -1]], [-1, -1], [0])]:
+            with pytest.raises(ValueError, match="do not match the curve count"):
+                CurveConfig.build(["C0", "C1"], matrix, k, genera)
+
+    def test_integral_entries_become_ints(self):
+        config = simple_config([[F(-1), F(2, 2)], [1, F(-4, 2)]], [F(-1), 0], genera=[F(0), 0])
+        assert config.matrix == ((-1, 1), (1, -2)) and config.k_degrees == (-1, 0) and config.genera == (0, 0)
+        assert all(type(x) is int for row in config.matrix for x in (*row, *config.k_degrees, *config.genera))
+
+    def test_odd_adjunction_parity_has_no_genus(self):
+        # C^2 + K.C is even for every curve on a smooth surface
+        with pytest.raises(ValueError, match="C0: C\\^2 \\+ K.C = -1 is odd"):
+            simple_config([[0]], [-1])
+        with pytest.raises(ValueError, match="C0: C\\^2 \\+ K.C = -1 is odd"):
+            CurveConfig(("C0",), ((-1,),), (0,), (0,)).arithmetic_genus("C0")
+
+
 class TestContract:
     def test_isolated_minus_one(self):
         config = simple_config(

@@ -125,7 +125,7 @@ def test_start_up_leaves_out_dataclasses_inspect_and_ast():
 ], ids=["klein-option-1", "klein-option-2", "xv"])
 def test_strict_transforms_solved_once(monkeypatch, build, solves):
     calls = []
-    original = mumford.chain_solve
-    monkeypatch.setattr(mumford, "chain_solve", lambda *args: calls.append(args) or original(*args))
+    original = mumford.scaled_chain_solve
+    monkeypatch.setattr(mumford, "scaled_chain_solve", lambda *args: calls.append(args) or original(*args))
     build()
     assert len(calls) == solves

@@ -94,30 +94,19 @@ class TestCycNum:
         assert total.is_rational() and total.as_fraction() == -1
         assert not xi.is_rational()
 
-    def test_inverse(self):
-        mu = CycNum.from_terms(15, [(1, 7)])
-        assert mu * mu.inverse() == CycNum.from_rational(1)
-        y = CycNum.from_terms(8, [(1, 0), (2, 1)])  # 1 + 2*zeta_8
-        assert y * y.inverse() == CycNum.from_rational(1)
-        with pytest.raises(ZeroDivisionError):
-            CycNum.from_rational(0).inverse()
-
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
 @st.composite
-def cyclotomic_numbers(draw, nonzero=False):
+def cyclotomic_numbers(draw):
     n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
     width = euler_phi(n)
     coeffs = draw(st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=2),
         min_size=width, max_size=width))
-    x = CycNum(n, coeffs)
-    if nonzero and x.is_zero():
-        x = x + CycNum.from_terms(n, [(1, 0)])
-    return x
+    return CycNum(n, coeffs)
 
 
 @given(cyclotomic_numbers(), cyclotomic_numbers(), cyclotomic_numbers())
@@ -127,12 +116,6 @@ def test_field_axioms(x, y, z):
     assert x + y == y + x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-
-
-@given(cyclotomic_numbers(nonzero=True))
-@settings(max_examples=60, deadline=None)
-def test_inverse_round_trip(x):
-    assert x * x.inverse() == CycNum.from_rational(1)
 
 
 @st.composite
@@ -147,7 +130,7 @@ def unreduced_numbers(draw):
 def embedded(x, m, k):
     """x as a complex number under zeta_m -> exp(2 pi i k / m), for x.n dividing m."""
     step = m // x.n
-    return sum(float(c) * cmath.exp(2j * cmath.pi * e * step * k / m) for e, c in enumerate(x.coeffs))
+    return sum(c * cmath.exp(2j * cmath.pi * e * step * k / m) for e, c in x.terms) / x.den
 
 
 def close(a, b):
@@ -156,7 +139,7 @@ def close(a, b):
 
 @given(unreduced_numbers(), unreduced_numbers(), st.integers(0, 14), st.booleans())
 @settings(max_examples=80, deadline=None)
-# an unreduced Galois-norm inverse has coefficients near 4.4e4 that cancel in every embedding
+# a conductor-15 number with a half-integer coefficient
 @example(x=CycNum(15, [0, 3, 3, F(3, 2), 3, 1, 0, 1]), y=CycNum(15, []), shift=0, rewrite=False)
 def test_complex_embeddings_oracle(x, y, shift, rewrite):
     if rewrite:  # the same number as x, written differently: x + zeta^shift Phi_n(zeta)
@@ -167,8 +150,6 @@ def test_complex_embeddings_oracle(x, y, shift, rewrite):
         ex, ey = embedded(x, m, k), embedded(y, m, k)
         assert close(embedded(x + y, m, k), ex + ey)
         assert close(embedded(x * y, m, k), ex * ey)
-        if not x.is_zero():
-            assert close(embedded(x.inverse(), m, k), 1 / ex)
     # 2(x - y) is an algebraic integer, so it is zero iff every embedding is tiny
     assert (x == y) == all(close(embedded(x, m, k), embedded(y, m, k)) for k in primitive)
     assert x == y or not rewrite

@@ -9,7 +9,6 @@ from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
     NotIsolated,
-    chain_solve,
     hj_continued_fraction,
     sing_from_eigenvalues,
 )
@@ -103,7 +102,7 @@ class TestDiscrepancies:
 
     def test_agrees_with_dense_solver(self):
         # dual-route check against the generic exact linear solver
-        from exact_linalg import QMatrix, solve_linear
+        from exact_linalg import QMatrix, chain_solve, solve_linear
 
         for n, q in all_types(40):
             chain = hj_continued_fraction(n, q)

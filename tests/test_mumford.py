@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fanoquotients import rationality_cases
 from fanoquotients.hj_resolution import CyclicSing, ExceptionalChain
 from fanoquotients.mumford import (
     NonIntegralGenus,
@@ -89,6 +90,40 @@ class TestPairOnResolution:
         model = xv_style_model()
         assert model.kz_degree("H") == 0
         assert model.kz_degree("Z") == 0
+
+
+def models_built_by(monkeypatch, build):
+    """Every ResolutionModel that ``build()`` constructs."""
+    models = []
+    original = ResolutionModel.__dict__["build"].__func__
+    monkeypatch.setattr(ResolutionModel, "build",
+                        classmethod(lambda cls, *args: models.append(original(cls, *args)) or models[-1]))
+    build()
+    return models
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda option=option: rationality_cases.build_klein_config(option) for option in [(4, 1, 5, 4), (5, 4, 4, 1)]],
+    rationality_cases.build_xv_config,
+], ids=["klein-option-1", "klein-option-2", "xv"])
+def test_pairings_match_the_full_bilinear_expansion(monkeypatch, build):
+    # second route: expand (g*C1 - A1).(g*C2 - A2) = C1.C2 + a1^T M a2 and
+    # K_Z.Cbar = K_Y.C + d^T M a on each chain matrix, against C1.C2 - a1.m2
+    # and K_Y.C + sum (2 - b) a in the package
+    from exact_linalg import chain_bilinear
+
+    models = models_built_by(monkeypatch, build) + [xv_style_model()]
+    for model in models:
+        for c1 in model.curves:
+            a1 = model.strict_transform_coeffs(c1)
+            k_expected = model.k_degree[c1] + sum(
+                chain_bilinear(model.chains[p].selfints, model.chains[p].discrepancies, a) for p, a in a1.items())
+            assert model.kz_degree(c1) == k_expected
+            for c2 in model.curves:
+                a2 = model.strict_transform_coeffs(c2)
+                expected = model.downstairs(c1, c2) + sum(
+                    chain_bilinear(model.chains[p].selfints, a1[p], a2[p]) for p in set(a1) & set(a2))
+                assert model.pair_on_resolution(c1, c2) == expected
 
 
 class TestKzSquared:

@@ -6,6 +6,7 @@ import pytest
 from fanoquotients import catalog
 from fanoquotients import rationality_cases as rc
 from fanoquotients.blowdown import CurveConfig, find_rationality_certificate
+from fanoquotients.mumford import ResolutionModel
 from fanoquotients.quotient_engine import QuotientScenario
 
 
@@ -204,6 +205,62 @@ class TestCertifyRationality:
     def test_no_certificate_for_rigid_config(self):
         config = CurveConfig.build(["C"], [[-2]], [0], [0])
         assert find_rationality_certificate(config) is None
+
+    def test_contraction_count_must_match_the_proof(self, monkeypatch):
+        order, chains, _ = rc._PROOFS["xv"]
+        monkeypatch.setitem(rc._PROOFS, "xv", (order, chains, 5))
+        with pytest.raises(rc.NoCertificate, match="xv: 4 contractions, but the xv proof predicts 5"):
+            rc.certify_rationality(catalog.find_case("XV"))
+
+    def test_one_extra_minus_one_curve_fails_the_count(self, monkeypatch):
+        # (K^2, c2) = (-4, 16) moves only to (1, 11): the bookkeeping bound cannot see it
+        config = with_minus_one_curves_first(rc.build_xv_config(), 1)
+        monkeypatch.setattr(rc, "build_xv_config", lambda: config)
+        with pytest.raises(rc.NoCertificate, match="xv: 5 contractions, but the xv proof predicts 4"):
+            rc.certify_rationality(catalog.find_case("XV"))
+
+    def test_bookkeeping_bound(self, monkeypatch):
+        # 13 contractions take (K^2, c2) = (-4, 16) to (9, 3), which a surface holding
+        # a curve of square 0 cannot reach
+        config = with_minus_one_curves_first(rc.build_xv_config(), 9)
+        monkeypatch.setattr(rc, "build_xv_config", lambda: config)
+        with pytest.raises(rc.NoCertificate, match=r"xv: 13 contractions take \(K\^2, c2\) to \(9, 3\), "
+                                                   r"beyond K\^2 <= 8 and c2 >= 4"):
+            rc.certify_rationality(catalog.find_case("XV"))
+
+
+def with_minus_one_curves_first(config, count):
+    """``config`` plus ``count`` disjoint (-1)-curves listed first, so the search contracts them first."""
+    width = count + len(config.names)
+    matrix = [[-(i == j) for j in range(width)] for i in range(count)]
+    matrix += [[0] * count + list(row) for row in config.matrix]
+    return CurveConfig.build([f"E{i}" for i in range(count)] + list(config.names), matrix,
+                             [-1] * count + list(config.k_degrees), [0] * count + list(config.genera))
+
+
+class TestIntegralityOnTheResolution:
+    def one_curve_model(self, self_int, k_degree):
+        return ResolutionModel.build({}, ("C",), {("C", "C"): self_int}, {"C": k_degree}, {})
+
+    def test_fractional_self_intersection(self):
+        # adjunction gives the integer genus 1 + (-1/2 - 3/2)/2 = 0, yet C cannot live on Z
+        model = self.one_curve_model(F(-1, 2), F(-3, 2))
+        with pytest.raises(rc.IntegralityViolation, match=r"^C\.C = -1/2$"):
+            rc._config_from_model(model, ("C",), [])
+
+    def test_fractional_k_degree(self):
+        with pytest.raises(rc.IntegralityViolation, match=r"^K\.C = -1/2$"):
+            rc._config_from_model(self.one_curve_model(-1, F(-1, 2)), ("C",), [])
+
+    def test_negative_distinct_pairing(self):
+        pairing = {("C", "C"): -1, ("D", "D"): -1, ("C", "D"): -1}
+        model = ResolutionModel.build({}, ("C", "D"), pairing, {"C": -1, "D": -1}, {})
+        with pytest.raises(rc.IntegralityViolation, match=r"^C\.D = -1$"):
+            rc._config_from_model(model, ("C", "D"), [])
+
+    def test_configurations_hold_ints(self):
+        for config in (rc.build_xv_config(), rc.build_klein_config(STAGE2_SURVIVORS[0])):
+            assert all(type(x) is int for row in config.matrix for x in (*row, *config.k_degrees))
 
 
 class TestTranscripts:
