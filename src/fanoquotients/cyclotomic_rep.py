@@ -5,12 +5,16 @@ polynomial in Z[x]/(x^n - 1), x standing for zeta_n, over one shared
 denominator.  Products are cyclic convolutions and a conductor m > n
 re-indexes x^k as x^(k m/n), so groups generated by +-zeta^k entries close in
 small integers.  Equality, hash keys and the rationality tests use the one
-canonical form, the remainder mod Phi_n.  A finite group is closed under
-products, and invariant dimensions are character averages over it.
+canonical form, the remainder mod Phi_n, memoised per written form.  Every
+sum of products (a number product or sum, a matrix entry, a trace, a character
+sum) runs through one integer accumulator that skips zero factors.  A finite
+group is closed under products, and invariant dimensions are character
+averages over it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -70,7 +74,7 @@ def _powers_mod_phi(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 class CycNum:
     """An element of Q(zeta_n): sum of c * zeta_n^k over ``terms``, divided by ``den``."""
 
-    __slots__ = ("n", "terms", "den", "_canon")
+    __slots__ = ("n", "terms", "den")
 
     def __init__(self, n: int, coeffs: Iterable):
         """The number sum_k coeffs[k] zeta_n^k, for rational coefficients."""
@@ -86,7 +90,7 @@ class CycNum:
         if den != 1:
             g = math.gcd(den, *(c for _, c in terms))
             terms, den = tuple((k, c // g) for k, c in terms), den // g
-        self.n, self.terms, self.den, self._canon = n, terms, den, None
+        self.n, self.terms, self.den = n, terms, den
 
     @classmethod
     def _make(cls, n: int, acc: dict[int, int], den: int = 1) -> "CycNum":
@@ -97,7 +101,7 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, value, n: int = 1) -> "CycNum":
-        value = Fraction(value)
+        value = value if type(value) is int else Fraction(value)  # an int is its own numerator
         return cls._make(n, {0: value.numerator}, value.denominator)
 
     @classmethod
@@ -110,15 +114,7 @@ class CycNum:
 
     def _canonical(self) -> tuple[tuple[int, ...], int]:
         """Coefficients mod Phi_n over a reduced denominator: equal iff the numbers are."""
-        if self._canon is None:
-            powers = _powers_mod_phi(self.n)
-            out = [0] * euler_phi(self.n)
-            for k, c in self.terms:
-                for i, p in powers[k]:
-                    out[i] += c * p
-            g = math.gcd(self.den, *out)
-            self._canon = (tuple(out), self.den) if g == 1 else (tuple([c // g for c in out]), self.den // g)
-        return self._canon
+        return _reduce(self.n, self.terms, self.den)
 
     def promote(self, m: int) -> "CycNum":
         """Embed into Q(zeta_m) for n | m via zeta_n = zeta_m^(m/n)."""
@@ -160,13 +156,8 @@ class CycNum:
 
     def __add__(self, other) -> "CycNum":
         a, b = self._common(self, other)
-        den = math.lcm(a.den, b.den)
-        acc: dict[int, int] = {}
-        for x in (a, b):
-            scale = den // x.den
-            for k, c in x.terms:
-                acc[k] = acc.get(k, 0) + scale * c
-        return CycNum._make(a.n, acc, den)
+        one = _constant(a.n, 1)
+        return _sum_of_products(a.n, [(a, one), (b, one)])
 
     __radd__ = __add__
 
@@ -201,25 +192,59 @@ class CycNum:
         return "CycNum(" + " + ".join(terms) + ")"
 
 
-def _sum_of_products(n: int, pairs: Iterable[tuple[CycNum, CycNum]]) -> CycNum:
-    """The sum of a * b over pairs at conductor n; each product is a cyclic convolution."""
+@lru_cache(maxsize=4096)  # group elements repeat a few entries, such as +-zeta^k, many times
+def _reduce(n: int, terms: tuple[tuple[int, int], ...], den: int) -> tuple[tuple[int, ...], int]:
+    width = euler_phi(n)
+    out = [0] * width
+    for k, c in terms:
+        if k < width:  # x^k is reduced already; the table of the others is built on first need
+            out[k] += c
+            continue
+        for i, p in _powers_mod_phi(n)[k]:
+            out[i] += c * p
+    g = math.gcd(den, *out)
+    return (tuple(out), den) if g == 1 else (tuple([c // g for c in out]), den // g)
+
+
+@lru_cache(maxsize=256)
+def _constant(n: int, value: int) -> CycNum:
+    """The integer ``value`` at conductor n, one shared object each (numbers are never mutated)."""
+    return CycNum.from_rational(value, n)
+
+
+def _sum_of_products(n: int, pairs: Iterable[tuple[CycNum, CycNum]],
+                     minus: Iterable[tuple[CycNum, CycNum]] = ()) -> CycNum:
+    """The kernel's one accumulator: sum a * b over pairs minus sum a * b over ``minus``.
+
+    Every factor has conductor n and each product is a cyclic convolution into
+    one dict, over one denominator that grows to an lcm only when a product
+    needs it.  Zero factors are skipped.
+    """
     acc: dict[int, int] = {}
     den = 1
-    for a, b in pairs:
-        if not (a.terms and b.terms):
-            continue
-        d = a.den * b.den
-        if den % d:
-            new = math.lcm(den, d)
-            acc = {k: c * (new // den) for k, c in acc.items()}
-            den = new
-        scale = den // d
-        for i, x in a.terms:
-            x *= scale
-            for j, y in b.terms:
-                k = (i + j) % n
-                acc[k] = acc.get(k, 0) + x * y
-    return CycNum._make(n, acc, den)
+    for sign, group in ((1, pairs), (-1, minus)):
+        for a, b in group:
+            if not (a.terms and b.terms):
+                continue
+            d = a.den * b.den
+            if den % d:
+                new = math.lcm(den, d)
+                acc = {k: c * (new // den) for k, c in acc.items()}
+                den = new
+            scale = sign * (den // d)
+            for i, x in a.terms:
+                x *= scale
+                for j, y in b.terms:
+                    k = (i + j) % n
+                    acc[k] = acc.get(k, 0) + x * y
+    return CycNum._make(n, acc, den) if acc else _constant(n, 0)
+
+
+def character_sum(values: Sequence[CycNum], weights: Sequence[CycNum] = ()) -> CycNum:
+    """sum v * w over values and weights, w = 1 past the weights, in one accumulator."""
+    n = math.lcm(1, *(v.n for v in values), *(w.n for w in weights))
+    pairs = itertools.zip_longest(values, weights, fillvalue=_constant(n, 1))
+    return _sum_of_products(n, [(v.promote(n), w.promote(n)) for v, w in pairs])
 
 
 class CycMatrix:
@@ -235,8 +260,15 @@ class CycMatrix:
         self.rows = tuple(tuple(e.promote(self.n) for e in row) for row in entries)
 
     @classmethod
+    def _make(cls, n: int, rows: tuple[tuple[CycNum, ...], ...]) -> "CycMatrix":
+        """From rows whose entries all have conductor n already."""
+        m = object.__new__(cls)
+        m.n, m.dim, m.rows = n, len(rows), rows
+        return m
+
+    @classmethod
     def identity(cls, dim: int, n: int = 1) -> "CycMatrix":
-        return cls([[CycNum.from_rational(int(i == j), n) for j in range(dim)] for i in range(dim)])
+        return cls._make(n, tuple(tuple(_constant(n, int(i == j)) for j in range(dim)) for i in range(dim)))
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "CycMatrix":
@@ -252,19 +284,25 @@ class CycMatrix:
         return self if m == self.n else CycMatrix([[e.promote(m) for e in row] for row in self.rows])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
+        """Row-sparse: each entry sums a_ik b_kj over the k with both factors nonzero."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        m = math.lcm(self.n, other.n)
-        cols = list(zip(*other.promote(m).rows))
-        return CycMatrix([[_sum_of_products(m, zip(row, col)) for col in cols]
-                          for row in self.promote(m).rows])
+        n = self.n if self.n == other.n else math.lcm(self.n, other.n)
+        cols, zero = list(zip(*other.promote(n).rows)), _constant(n, 0)
+        rows = []
+        for row in self.promote(n).rows:
+            nonzero = [(k, a) for k, a in enumerate(row) if a.terms]
+            entries = ([(a, col[k]) for k, a in nonzero if col[k].terms] for col in cols)
+            rows.append(tuple([_sum_of_products(n, pairs) if pairs else zero for pairs in entries]))
+        return CycMatrix._make(n, tuple(rows))
 
     def trace(self) -> CycNum:
-        return sum((self.rows[i][i] for i in range(self.dim)), CycNum.from_rational(0, self.n))
+        one = _constant(self.n, 1)
+        return _sum_of_products(self.n, [(self.rows[i][i], one) for i in range(self.dim)])
 
     def key(self) -> tuple:
         """Canonical hashable form (conductor plus the reduced entries)."""
-        return (self.n, tuple(e._canonical() for row in self.rows for e in row))
+        return (self.n, tuple([_reduce(e.n, e.terms, e.den) for row in self.rows for e in row]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
@@ -276,10 +314,9 @@ class CycMatrix:
 
 
 def exterior_square_trace(m: CycMatrix) -> CycNum:
-    """Character of the exterior square: (tr(m)^2 - tr(m^2)) / 2, tr(m^2) = sum_ij m_ij m_ji."""
-    t = m.trace()
-    t2 = _sum_of_products(m.n, ((m.rows[i][j], m.rows[j][i]) for i in range(m.dim) for j in range(m.dim)))
-    return (t * t - t2) * Fraction(1, 2)
+    """Character of the exterior square: the sum of the principal 2x2 minors m_ii m_jj - m_ij m_ji, i < j."""
+    r, pairs = m.rows, list(itertools.combinations(range(m.dim), 2))
+    return _sum_of_products(m.n, [(r[i][i], r[j][j]) for i, j in pairs], [(r[i][j], r[j][i]) for i, j in pairs])
 
 
 class FiniteMatrixGroup(tuple):
@@ -297,6 +334,32 @@ class FiniteMatrixGroup(tuple):
         return values[chi]
 
 
+def _power(g: CycMatrix, e: int) -> CycMatrix:
+    """g^e for e >= 1, by square and multiply from the top bit down."""
+    x = g
+    for bit in bin(e)[3:]:
+        x = x @ x
+        x = x @ g if bit == "1" else x
+    return x
+
+
+def _order_dividing(g: CycMatrix, multiple: int, one: tuple) -> int:
+    """The order of g if g^multiple = I, else 0, found one prime power p^e of ``multiple`` at a time:
+    h = g^(multiple / p^e) has order the p-part of g's, the least p^f with h^(p^f) = I."""
+    if _power(g, multiple).key() != one:
+        return 0
+    order, rest, p = 1, multiple, 2
+    while rest > 1:
+        p, part = (p if p * p <= rest else rest), 1  # what is left is prime
+        while rest % p == 0:
+            rest, part = rest // p, part * p
+        h = _power(g, multiple // part)
+        while h.key() != one:
+            h, order = _power(h, p), order * p
+        p += 1
+    return order
+
+
 def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER) -> FiniteMatrixGroup:
     """Close a generator set under products (BFS; deterministic element order).
 
@@ -307,8 +370,10 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
     even, that degree is k times (1 - 1/p) for each odd prime p dividing k but
     not m, which is at least 6 once k >= 7.  So the order of g divides
     L(n) = lcm(m, 2m, ..., 6m) = 60 m.  Powers that miss the identity up to
-    min(L(n), bound), or repeat without it (g singular), raise ``BoundExceeded``,
-    and a generator that passes has finite order, so it is invertible; finite
+    min(L(n), bound), or repeat without it (g singular), raise ``BoundExceeded``.
+    A walk past 2 bit_length(L) powers first finds g^L by squaring: g^L != I, or
+    an exact order above the bound, is rejected without walking further.  A
+    generator that passes has finite order, so it is invertible; finite
     order makes closure under products suffice for a group.  The powers seed
     the closure and x g is skipped for x a power of g, so no product is formed
     twice.  ``BoundExceeded`` also signals more than ``bound`` elements.
@@ -319,13 +384,15 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
         raise ValueError("generators must share one size, at most 5")
     gens = [g.promote(conductor) for g in generators]
     identity = CycMatrix.identity(dim, conductor)
-    one, cap = identity.key(), min(60 * math.lcm(2, conductor), bound)
+    multiple = 60 * math.lcm(2, conductor)
+    one, cap, walk = identity.key(), min(multiple, bound), 2 * multiple.bit_length()
     seen = {one: identity}
     cycles = []
     for i, g in enumerate(gens):
         powers, x = {one: identity}, g
         while (key := x.key()) != one:
-            if key in powers or len(powers) >= cap:
+            if key in powers or len(powers) >= cap or (
+                    len(powers) == walk and not 0 < _order_dividing(g, multiple, one) <= cap):
                 raise BoundExceeded(f"generator {i} is singular or of order above {cap}")
             powers[key] = x
             x = x @ g
@@ -353,10 +420,10 @@ def invariant_dimension(group: FiniteMatrixGroup, character: Callable[[CycMatrix
     The average must come out a nonnegative rational integer; anything else
     means the input data is inconsistent and raises ``NonIntegralDimension``.
     """
-    avg = sum(group.character(character), CycNum.from_rational(0)) * Fraction(1, group.order)
-    if not avg.is_rational():
-        raise NonIntegralDimension(f"character average is irrational: {avg!r}")
-    value = avg.as_fraction()
+    total = character_sum(group.character(character))
+    if not total.is_rational():
+        raise NonIntegralDimension(f"character average is irrational: {total * Fraction(1, group.order)!r}")
+    value = total.as_fraction() / group.order
     if value.denominator != 1 or value < 0:
         raise NonIntegralDimension(f"character average {value} is not a nonnegative integer")
     return int(value)

@@ -30,15 +30,10 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-class _ModelFields(NamedTuple):
-    chains: dict[str, ExceptionalChain]
-    curves: tuple[str, ...]
-    pairing: dict[tuple[str, str], Fraction]
-    k_degree: dict[str, Fraction]
-    incidence: dict[str, dict[str, tuple[int, ...]]]
-
-
-class ResolutionModel(_ModelFields):
+class ResolutionModel(NamedTuple("ResolutionModel", [
+        ("chains", dict[str, ExceptionalChain]), ("curves", tuple[str, ...]),
+        ("pairing", dict[tuple[str, str], Fraction]), ("k_degree", dict[str, Fraction]),
+        ("incidence", dict[str, dict[str, tuple[int, ...]]])])):
     """Named curves on a normal surface together with its resolution data.
 
     chains: singular point name -> exceptional chain of its resolution

@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .cyclotomic_rep import (
     CycMatrix,
-    CycNum,
     FiniteMatrixGroup,
+    character_sum,
     exterior_square_trace,
     group_closure,
     invariant_dimension,
@@ -44,23 +44,21 @@ class MissingIntersection(KeyError):
     """A needed R.R' value is absent from the ramification data."""
 
 
-class Stratum(NamedTuple):
+# records take their fields in the functional form, whose types are objects: the class
+# form would compile each annotation, a string under the __future__ import, at import time
+
+class Stratum(NamedTuple("Stratum", [("order", int), ("euler", int), ("note", str)])):
     """Points whose stabilizer has the given order, with their Euler number."""
 
-    order: int
-    euler: int
-    note: str = ""
+    __slots__ = ()
+
+    def __new__(cls, order, euler, note=""):
+        return super().__new__(cls, order, euler, note)
 
 
-class _RamificationFields(NamedTuple):
-    name: str
-    index: int
-    self_int: Fraction
-    k_degree: Fraction
-    meets: dict[str, Fraction]
-
-
-class RamificationCurve(_RamificationFields):
+class RamificationCurve(NamedTuple("RamificationCurve", [
+        ("name", str), ("index", int), ("self_int", Fraction), ("k_degree", Fraction),
+        ("meets", dict[str, Fraction])])):
     """A curve on S fixed pointwise by a subgroup of the given order."""
 
     __slots__ = ()
@@ -70,28 +68,15 @@ class RamificationCurve(_RamificationFields):
         return super().__new__(cls, name, index, self_int, k_degree, {} if meets is None else meets)
 
 
-class Fibration(NamedTuple):
-    """Genus data for the induced fibration over an elliptic Albanese image."""
-
-    fiber_genus: int
-    deck_order: int
-    ramification: int
+# genus data for the induced fibration over an elliptic Albanese image
+Fibration = NamedTuple("Fibration", [("fiber_genus", int), ("deck_order", int), ("ramification", int)])
 
 
-class _ScenarioFields(NamedTuple):
-    label: str
-    generators: tuple[CycMatrix, ...]
-    strata: tuple[Stratum, ...]
-    ramification: tuple[RamificationCurve, ...]
-    singularities: tuple[tuple[CyclicSing, int], ...]
-    fibration: Optional[Fibration]
-    annotations: dict
-    display: dict
-    table: Optional[int]
-    source: str
-
-
-class QuotientScenario(_ScenarioFields):
+class QuotientScenario(NamedTuple("QuotientScenario", [
+        ("label", str), ("generators", tuple[CycMatrix, ...]), ("strata", tuple[Stratum, ...]),
+        ("ramification", tuple[RamificationCurve, ...]), ("singularities", tuple[tuple[CyclicSing, int], ...]),
+        ("fibration", Optional[Fibration]), ("annotations", dict), ("display", dict), ("table", Optional[int]),
+        ("source", str)])):
     # derived values are computed once per scenario; cached_property stores
     # them in the instance __dict__, which this subclass keeps by declaring no __slots__;
     # omitted annotations and display get a dict of their own, as meets does above
@@ -146,13 +131,19 @@ def lefschetz_euler_quotient(group: FiniteMatrixGroup) -> int:
 
     H^1(S) = V + conj(V) for the 1-forms V and H^2(S) = Lambda^2 H^1, so with
     s = tr g, t = s + conj(s) and t2 = tr g^2 + conj(tr g^2) the fixed locus
-    has e(S^g) = 2 - 2t + (t^2 - t2)/2, and (t^2 - t2)/2 is the exterior-square
-    character plus its conjugate plus s conj(s).  e(S/G) is the average over G,
-    read from the character values the group keeps for q and p_g.
+    has e(S^g) = 2 - 2t + (t^2 - t2)/2, and (t^2 - t2)/2, the character of
+    Lambda^2 (V + conj(V)) = Lambda^2 V + Lambda^2 conj(V) + V conj(V), is
+    w + conj(w) + s conj(s) with w the exterior-square character.  Summed over
+    G with S = sum s and W = sum w, read from the values the group keeps for q
+    and p_g, that is 2|G| - 2(S + conj S) + W + conj W + sum s conj(s).  As
+    S = |G| q, W = |G| p_g and sum s conj(s) = |G| <chi, chi>,
+
+        e(S/G) = 2 - 4q + 2p_g + <chi, chi>.
     """
-    total = CycNum.from_rational(0)
-    for s, wedge in zip(group.character(CycMatrix.trace), group.character(exterior_square_trace)):
-        total = total + 2 - 2 * (s + s.conjugate()) + wedge + wedge.conjugate() + s * s.conjugate()
+    traces = group.character(CycMatrix.trace)
+    trace_sum, wedge_sum = character_sum(traces), character_sum(group.character(exterior_square_trace))
+    norms = character_sum(traces, [t.conjugate() for t in traces])
+    total = norms + wedge_sum + wedge_sum.conjugate() - 2 * (trace_sum + trace_sum.conjugate()) + 2 * group.order
     value = total.as_fraction() / group.order if total.is_rational() else None
     if value is None or value.denominator != 1:
         raise NonIntegralEuler(f"the Lefschetz average {total!r} / {group.order} is not an integer")
@@ -207,26 +198,12 @@ def albanese_fiber_genus(fiber_genus: int, deck_order: int, ramification: int) -
     return int(value)
 
 
-class InvariantReport(NamedTuple):
-    label: str
-    c1_sq: int | Fraction  # stays a Fraction only for flagged, inconsistent input
-    c2: int
-    q: int
-    p_g: int
-    chi: int
-    h11: int
-    fiber_genus: Optional[int]
-    singularities: str
-    noether_ok: bool
-    k2_quotient: Fraction
-    k2_correction: Fraction
-    euler_quotient: int
-    exceptional_components: int
-    flags: tuple[str, ...]
-    annotations: dict
-    display: dict
-    table: Optional[int]
-    source: str
+InvariantReport = NamedTuple("InvariantReport", [
+    ("label", str), ("c1_sq", int | Fraction),  # c1_sq stays a Fraction only for flagged, inconsistent input
+    ("c2", int), ("q", int), ("p_g", int), ("chi", int), ("h11", int), ("fiber_genus", Optional[int]),
+    ("singularities", str), ("noether_ok", bool), ("k2_quotient", Fraction), ("k2_correction", Fraction),
+    ("euler_quotient", int), ("exceptional_components", int), ("flags", tuple[str, ...]), ("annotations", dict),
+    ("display", dict), ("table", Optional[int]), ("source", str)])
 
 
 def full_report(scenario: QuotientScenario) -> InvariantReport:

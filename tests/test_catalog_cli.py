@@ -441,6 +441,20 @@ class TestHardenedInput:
         assert time.monotonic() - start < 0.5
         assert "group: closure failed: generator 0 is singular or of order above 120" in capsys.readouterr().out
 
+    def test_conductor_1000_shear_exits_two_within_a_second(self, tmp_path):
+        # L(1000) = 60,000 > the closure bound, so a power walk alone would take 10,000 products
+        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)]
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps({"schema": 1, "label": "shear",
+                                    "group": {"conductor": 1000, "generators": [{"rows": rows}]}}))
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == f"{path}: group: closure failed: generator 0 is singular or of order above 10000\n"
+
     @pytest.mark.parametrize("file, field, value", [
         ("xi.json", "annotations.rationality_case", "foo"),
         ("v.json", "table", "1"),

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fanoquotients import catalog
+from fanoquotients import catalog, cyclotomic_rep
 from fanoquotients.cyclotomic_rep import (
     BoundExceeded,
     CycMatrix,
@@ -155,6 +155,64 @@ def test_complex_embeddings_oracle(x, y, shift, rewrite):
     assert x == y or not rewrite
 
 
+@st.composite
+def dense_matrices(draw, zero_row=False):
+    """A 5x5 matrix whose entries have conductor 1, 3 or 5 (promoted together, to 15
+    once both 3 and 5 occur) and coefficients with denominators up to 3."""
+    conductors = draw(st.lists(st.sampled_from([1, 3, 5]), min_size=25, max_size=25))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=25, max_size=25))
+    nums = draw(st.lists(st.integers(-4, 4), min_size=125, max_size=125))
+    rows = [[CycNum(conductors[e], [F(c, dens[e]) for c in nums[5 * e:5 * e + conductors[e]]])
+             for e in range(5 * i, 5 * i + 5)] for i in range(5)]
+    if zero_row:
+        rows[draw(st.integers(0, 4))] = [CycNum.from_rational(0)] * 5
+    return CycMatrix(rows)
+
+
+@st.composite
+def monomial_matrices(draw):
+    """One entry +-zeta_15^k per row and column, as the catalog generators have."""
+    perm = draw(st.permutations(range(5)))
+    return CycMatrix.from_rows(15, [[[(draw(st.sampled_from([-1, 1])), draw(st.integers(0, 14)))]
+                                     if perm[i] == j else 0 for j in range(5)] for i in range(5)])
+
+
+def entrywise_product(a, b):
+    """sum_k a_ik b_kj by the number arithmetic of CycNum, one entry at a time."""
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(5)), CycNum.from_rational(0))
+             for j in range(5)] for i in range(5)]
+
+
+@given(st.one_of(dense_matrices(), dense_matrices(zero_row=True), monomial_matrices()),
+       st.one_of(dense_matrices(), dense_matrices(zero_row=True), monomial_matrices()))
+@settings(max_examples=60, deadline=None)
+def test_row_sparse_product_matches_the_entrywise_sum(a, b):
+    product = a @ b
+    assert product.n == math.lcm(a.n, b.n)
+    expected = entrywise_product(a, b)
+    for i in range(5):
+        for j in range(5):
+            assert product.rows[i][j].n == product.n
+            assert product.rows[i][j] == expected[i][j]
+            # and a route through C that shares no code with the kernel
+            for k in (1, product.n - 1):
+                value = sum(embedded(a.rows[i][m], product.n, k) * embedded(b.rows[m][j], product.n, k)
+                            for m in range(5))
+                assert close(embedded(product.rows[i][j], product.n, k), value)
+    assert product.key() == CycMatrix(expected).key()
+
+
+def test_equal_numbers_written_differently_share_one_memoised_key():
+    one_plus_zeta = CycNum.from_terms(3, [(1, 0), (1, 1)])
+    minus_zeta_squared = CycNum.from_terms(3, [(-1, 2)])  # 1 + z + z^2 = 0
+    assert one_plus_zeta.terms != minus_zeta_squared.terms
+    first, second = CycMatrix([[one_plus_zeta]]), CycMatrix([[minus_zeta_squared]])
+    assert first.key() == second.key() and first == second
+    hits = cyclotomic_rep._reduce.cache_info().hits
+    assert first.key() == second.key()
+    assert cyclotomic_rep._reduce.cache_info().hits == hits + 2  # a lookup each, no reduction
+
+
 def ext_square_oracle(eigenvalues):
     """Sum of all pairwise eigenvalue products lambda_i lambda_j, i < j."""
     total = CycNum.from_rational(0)
@@ -273,6 +331,31 @@ class TestGroupClosure:
                     rows[start + i][start + i - 1] = 1
             start += len(column)
         assert group_closure([CycMatrix.from_rows(n, rows)]).order == order
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_infinite_order_is_rejected_after_a_short_walk(self, monkeypatch, n):
+        # L(n) = 60 lcm(2, n); past 2 bit_length(L) powers, g^L != I is found by squaring
+        products = []
+        original = CycMatrix.__matmul__
+        monkeypatch.setattr(CycMatrix, "__matmul__", lambda a, b: products.append(1) or original(a, b))
+        shear = CycMatrix.from_rows(n, [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)])
+        multiple = 60 * math.lcm(2, n)
+        with pytest.raises(BoundExceeded, match=f"order above {min(multiple, 10000)}"):
+            group_closure([shear])
+        walk = 2 * multiple.bit_length()
+        assert walk <= len(products) <= walk + 2 * multiple.bit_length()
+
+    def test_exact_order_above_the_bound_is_rejected_without_walking(self, monkeypatch):
+        products = []
+        original = CycMatrix.__matmul__
+        monkeypatch.setattr(CycMatrix, "__matmul__", lambda a, b: products.append(1) or original(a, b))
+        g = diag_matrix(1000, [1, 0, 0, 0, 0])  # order 1000 divides L(1000) = 60000
+        with pytest.raises(BoundExceeded, match="order above 500"):
+            group_closure([g], bound=500)
+        assert len(products) < 250  # walking to the bound would take 500
+        # under the bound, the walk goes on to the identity once the order is found
+        g = diag_matrix(60, [1, 0, 0, 0, 0])
+        assert group_closure([g], bound=100).order == 60
 
     def test_no_product_is_formed_twice(self, monkeypatch):
         # the powers of each generator seed the closure, so s generators cost

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from fanoquotients import catalog, mumford
+from fanoquotients.cyclotomic_rep import CycMatrix, CycNum, FiniteMatrixGroup, group_closure
 from fanoquotients.hj_resolution import CyclicSing
 from fanoquotients.quotient_engine import (
     NonIntegralEuler,
@@ -18,7 +19,10 @@ from fanoquotients.quotient_engine import (
     geometric_genus,
     irregularity,
     k2_quotient,
+    lefschetz_euler_quotient,
 )
+
+from test_acceptance import lefschetz_euler_quotient as per_element_oracle
 
 
 def case(label):
@@ -42,6 +46,47 @@ class TestEulerQuotient:
             strata=(Stratum(5, 3),), ramification=(), singularities=())
         with pytest.raises(NonIntegralEuler):
             euler_quotient(bad)
+
+
+LABELS = ("trivial", "I", "II", "III(1)", "III(2)", "III(3)", "III(4)", "IV(1)", "IV(2)", "V", "XI", "XV",
+          "Z2xZ2", "S3", "Z3xZ3", "D2", "D3", "D5", "S3xZ3")
+# P = I + N, N the superdiagonal ones, and its inverse, the full triangle of (-1)^(j-i)
+P = [[int(j in (i, i + 1)) for j in range(5)] for i in range(5)]
+P_INV = [[(-1) ** (j - i) if j >= i else 0 for j in range(5)] for i in range(5)]
+
+
+class TestLefschetzEulerQuotient:
+    """The sums of the stored characters, 2|G| - 2(S + conj S) + W + conj W + sum s conj(s),
+    against the per-element Lefschetz numbers of the acceptance suite."""
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_matches_the_per_element_oracle(self, label):
+        group = case(label).group()
+        assert lefschetz_euler_quotient(group) == per_element_oracle(group) == euler_quotient(case(label))
+
+    @pytest.mark.parametrize("label", ["XI", "XV"])
+    def test_dense_conjugates(self, label):
+        p, p_inv = CycMatrix.from_rows(1, P), CycMatrix.from_rows(1, P_INV)
+        assert p @ p_inv == CycMatrix.identity(5)
+        group = group_closure([p @ g @ p_inv for g in case(label).generators])
+        assert sum(not e.is_zero() for g in group for row in g.rows for e in row) > 10 * len(group)
+        assert lefschetz_euler_quotient(group) == per_element_oracle(group) == euler_quotient(case(label))
+
+    @pytest.mark.parametrize("shift", [CycNum.from_rational(1), CycNum.from_terms(5, [(1, 1)])],
+                             ids=["odd-total", "irrational"])
+    def test_non_integral_character_sum_rejected(self, monkeypatch, shift):
+        # I has order 2: moving one trace by 1 changes the total by an odd number,
+        # and by zeta_5 it leaves Q
+        group = group_closure(list(case("I").generators))
+        original = FiniteMatrixGroup.character
+
+        def shifted(self, chi):
+            values = original(self, chi)
+            return (values[0] + shift, *values[1:]) if chi is CycMatrix.trace else values
+
+        monkeypatch.setattr(FiniteMatrixGroup, "character", shifted)
+        with pytest.raises(NonIntegralEuler, match="Lefschetz average"):
+            lefschetz_euler_quotient(group)
 
 
 class TestExceptionalComponents:
