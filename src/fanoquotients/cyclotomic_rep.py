@@ -133,9 +133,6 @@ class CycNum:
         """The complex conjugate, zeta_n -> zeta_n^-1."""
         return self._galois(-1)
 
-    def is_zero(self) -> bool:
-        return not self.terms or not any(self._canonical()[0])
-
     def is_rational(self) -> bool:
         return not any(self._canonical()[0][1:])
 

@@ -21,10 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 
-class NotIsolated(ValueError):
-    """A tangent eigenvalue is trivial, so a fixed curve passes through the point."""
-
-
 def hj_continued_fraction(n: int, q: int) -> tuple[int, ...]:
     """Expansion n/q = b_1 - 1/(b_2 - ...) with every b_i >= 2."""
     out = []
@@ -141,22 +137,3 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
 def _chain_for(n: int, q: int) -> ExceptionalChain:
     return ExceptionalChain.from_selfints(hj_continued_fraction(n, q))
 
-
-def sing_from_eigenvalues(order: int, exponents: tuple[int, int]) -> CyclicSing:
-    """Singularity type from tangent-space eigenvalue exponents (p, q) mod n.
-
-    The stabilizer acts on the tangent plane by (x, y) -> (z^p x, z^q y); the
-    point is isolated only when no group element fixes a curve through it,
-    which forces both exponents prime to n.  The type is normalised to
-    1/n(1, q p^-1).
-    """
-    n = order
-    p, q = exponents[0] % n, exponents[1] % n
-    if p == 0 or q == 0:
-        raise NotIsolated(f"tangent exponent 0 mod {n}: a fixed curve passes through the point")
-    if math.gcd(math.gcd(p, q), n) != 1:
-        raise ValueError(f"exponents ({p}, {q}) mod {n} do not act faithfully")
-    if math.gcd(p, n) != 1 or math.gcd(q, n) != 1:
-        # some power of the generator is a pseudo-reflection there
-        raise NotIsolated(f"exponents ({p}, {q}) mod {n}: a subgroup element fixes a curve")
-    return CyclicSing(n, (q * pow(p, -1, n)) % n)

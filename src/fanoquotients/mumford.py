@@ -95,11 +95,6 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
         strict[curve] = out
         return out
 
-    def strict_transform_coeffs(self, curve: str) -> dict[str, tuple[Fraction, ...]]:
-        """Per singular point, the coefficients a with M a = -m, as Fractions."""
-        return {point: tuple(Fraction(x, n) for x in s)
-                for point, (s, n) in self.strict_transform_numerators(curve).items()}
-
     def pair_on_resolution(self, c1: str, c2: str) -> Fraction:
         """Strict-transform intersection Cbar1 . Cbar2 = C1.C2 + a1^T M a2 = C1.C2 - a1.m2."""
         total = self.downstairs(c1, c2)

@@ -162,6 +162,8 @@ _KLEIN_SUFFIX = ("13", "25", "14", "23", "45")
 
 # every incidence divisor C on the Fano surface has C^2 = 5 and K_S.C = 15 (K_S = 3C)
 _INCIDENCE_SQ, _INCIDENCE_K = 5, 15
+# expected on the resolution: the five D curves are disjoint (-1)-curves with K.D = -1
+_KLEIN_EXPECTED = (tuple(tuple(-(i == j) for j in range(5)) for i in range(5)), (-1,) * 5)
 
 
 def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
@@ -205,27 +207,17 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
     model = ResolutionModel.build(chains, curve_names, pairing, k_degree, incidence)
 
     for name in curve_names:
-        solved = model.strict_transform_coeffs(name)
-        for point, (a, b) in coeff_at[name].items():
-            expected = (Fraction(a, _KLEIN_DET), Fraction(b, _KLEIN_DET))
-            if solved[point] != expected:
-                raise MatrixMismatch(f"{name} at {point}: solved {solved[point]}, expected {expected}")
-        if model.pair_on_resolution(name, name) != -1:
-            raise MatrixMismatch(f"{name}^2 != -1")
-        if model.kz_degree(name) != -1:
-            raise MatrixMismatch(f"K.{name} != -1")
-    for c1, c2 in itertools.combinations(curve_names, 2):
-        value = model.pair_on_resolution(c1, c2)
-        if value.denominator != 1 or value < 0:
-            raise IntegralityViolation(f"{c1}.{c2} = {value}")
-        if value != 0:
-            raise MatrixMismatch(f"{c1}.{c2} = {value}, expected disjoint curves")
+        solved = model.strict_transform_numerators(name)
+        expected = {point: (pair, _KLEIN_DET) for point, pair in coeff_at[name].items()}
+        if solved != expected:
+            raise MatrixMismatch(f"{name}: solved {solved}, expected {expected}")
 
     return _config_from_model(
         model,
         curve_names,
         [(point, i, f"{kind}{suffix}") for point, suffix in zip(_KLEIN_POINTS, _KLEIN_SUFFIX)
          for i, kind in enumerate(("A", "B"))],
+        _KLEIN_EXPECTED,
     )
 
 
@@ -259,6 +251,7 @@ _XV_MATRIX = (
     (0, 0, 1, -2, 0),
     (0, 0, 1, 0, -2),
 )
+_XV_K_DEGREES = (-1, -1, 1, 0, 0)
 _XV_CHAINS = {"a": (4, 4), "b": (4, 4), "g": (3,), "f": (3,), "m": (3,), "n": (3,), "p": (3,)}  # 2 A15,4 + 5 A3,1
 
 
@@ -296,25 +289,8 @@ def build_xv_config() -> CurveConfig:
     }
     model = ResolutionModel.build(chains, curves, pairing, k_degree, incidence)
 
-    checks = {
-        ("A", "A"): -1, ("B", "B"): -1, ("H", "H"): -2, ("L", "L"): -2,
-        ("A", "B"): 0, ("A", "H"): 0, ("A", "L"): 0,
-        ("B", "H"): 0, ("B", "L"): 0, ("H", "L"): 0,
-    }
-    for (c1, c2), expected in checks.items():
-        got = model.pair_on_resolution(c1, c2)
-        if got != expected:
-            raise MatrixMismatch(f"{c1}bar.{c2}bar = {got}, expected {expected}")
-    k_checks = {"A": -1, "B": -1, "H": 0, "L": 0}
-    for name, expected in k_checks.items():
-        got = model.kz_degree(name)
-        if got != expected:
-            raise MatrixMismatch(f"K.{name}bar = {got}, expected {expected}")
-
-    config = _config_from_model(model, curves, [("m", 0, "Tm")], order=("A", "B", "Tm", "H", "L"))
-    if config.matrix != _XV_MATRIX:
-        raise MatrixMismatch(f"configuration matrix {config.matrix} differs from the expected one")
-    return config
+    return _config_from_model(model, curves, [("m", 0, "Tm")], (_XV_MATRIX, _XV_K_DEGREES),
+                              order=("A", "B", "Tm", "H", "L"))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +299,14 @@ def build_xv_config() -> CurveConfig:
 
 def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
                        exceptional: Sequence[tuple[str, int, str]],
+                       expected: tuple[Sequence[Sequence[int]], Sequence[int]],
                        order: Optional[Sequence[str]] = None) -> CurveConfig:
     """Assemble a blow-down configuration from strict transforms plus chosen
     exceptional components (given as (point, component index, display name)).
     Every entry lives on the smooth resolution, so a fractional self-intersection,
     K-degree or pairing, or a negative pairing of distinct curves, raises
-    ``IntegralityViolation``."""
+    ``IntegralityViolation``.  The proof's ``expected`` (matrix, K-degrees) block
+    must then equal the leading entries; the first that differs raises ``MatrixMismatch``."""
     entries: list[tuple[str, tuple]] = [(name, ("curve", name)) for name in curve_names]
     entries += [(display, ("exc", point, idx)) for point, idx, display in exceptional]
     if order is not None:
@@ -348,18 +326,25 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
 
     names = [name for name, _ in entries]
     kinds = [kind for _, kind in entries]
-    matrix = [[pair(a, b) for b in kinds] for a in kinds]
+    matrix = [[0] * len(kinds) for _ in kinds]
     k_degrees = [
         model.kz_degree(kind[1]) if kind[0] == "curve" else model.chains[kind[1]].selfints[kind[2]] - 2
         for kind in kinds
     ]
     for i, name in enumerate(names):
         for j in range(i, len(names)):
-            v = matrix[i][j]
+            v = matrix[i][j] = matrix[j][i] = pair(kinds[i], kinds[j])
             if v.denominator != 1 or (v < 0 and j > i):
                 raise IntegralityViolation(f"{name}.{names[j]} = {v}")
         if k_degrees[i].denominator != 1:
             raise IntegralityViolation(f"K.{name} = {k_degrees[i]}")
+    expected_matrix, expected_k = expected
+    for i, (row, k) in enumerate(zip(expected_matrix, expected_k)):
+        for j, e in enumerate(row):
+            if matrix[i][j] != e:
+                raise MatrixMismatch(f"{names[i]}.{names[j]} = {matrix[i][j]}, expected {e}")
+        if k_degrees[i] != k:
+            raise MatrixMismatch(f"K.{names[i]} = {k_degrees[i]}, expected {k}")
     genera = [adjunction_genus(matrix[i][i], k_degrees[i]) for i in range(len(names))]
     return CurveConfig.build(names, matrix, k_degrees, genera)
 

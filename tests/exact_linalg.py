@@ -5,9 +5,11 @@ lowest terms, positive denominator), so no operation ever rounds.  The
 matrices checked against it are tiny (intersection forms of curve
 configurations), hence the dense representation and plain Gaussian
 elimination, independent of the package's tridiagonal chain solver.  The
-last two functions work on a Hirzebruch-Jung chain alone: ``chain_solve``
-reads the package's integer solver as Fractions for the tests that compare
-it with ``solve_linear``, and ``chain_bilinear`` expands u^T M v directly.
+last three functions are Fraction views of the package's integer routes:
+``chain_solve`` reads its chain solver for the tests that compare it with
+``solve_linear``, ``chain_bilinear`` expands u^T M v directly on a
+Hirzebruch-Jung chain, and ``strict_transform_coeffs`` reads a resolution
+model's strict-transform numerators as coefficients.
 """
 
 from __future__ import annotations
@@ -194,3 +196,9 @@ def chain_bilinear(selfints: Sequence[int], u: Sequence, v: Sequence) -> Rat:
             s += v[i + 1]
         total += u[i] * s
     return total
+
+
+def strict_transform_coeffs(model, curve: str) -> dict[str, tuple[Rat, ...]]:
+    """Per singular point, the coefficients a with M a = -m of ``curve`` in a ``ResolutionModel``."""
+    return {point: tuple(Fraction(x, n) for x in s)
+            for point, (s, n) in model.strict_transform_numerators(curve).items()}

@@ -239,10 +239,10 @@ def test_criterion_3_full_sweep_under_one_second():
             assert (num, den) == (n, q)
             a = chain_solve(chain, [2 - b for b in chain])
             # verify M a = (2 - b) over the integers after clearing the
-            # common denominator n
-            scaled = [x * n for x in a]
-            assert all(s.denominator == 1 for s in scaled)
-            s = [int(x) for x in scaled]
+            # common denominator n; a is in lowest terms, so n a is integral
+            # exactly when each denominator divides n
+            assert all(n % x.denominator == 0 for x in a)
+            s = [x.numerator * (n // x.denominator) for x in a]
             k = len(chain)
             for i in range(k):
                 lhs = -chain[i] * s[i]
@@ -359,7 +359,7 @@ def test_criterion_7_exterior_square_oracle_on_catalog():
     checked = 0
     for scenario in catalog.load_catalog().values():
         for g in scenario.group():
-            if any(not g.rows[i][j].is_zero() for i in range(5) for j in range(5) if i != j):
+            if any(g.rows[i][j] != 0 for i in range(5) for j in range(5) if i != j):
                 continue
             eigen = [g.rows[i][i] for i in range(5)]
             brute = CycNum.from_rational(0)

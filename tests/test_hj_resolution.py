@@ -8,9 +8,7 @@ import pytest
 from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
-    NotIsolated,
     hj_continued_fraction,
-    sing_from_eigenvalues,
 )
 
 
@@ -196,29 +194,3 @@ class TestCanonicalForm:
         assert CyclicSing(4, 3).display() == "A3"
         assert CyclicSing(11, 3).display() == "A11,3"
 
-
-class TestSingFromEigenvalues:
-    def test_order_three_isolated_types(self):
-        assert sing_from_eigenvalues(3, (1, 2)) == CyclicSing(3, 2)
-        assert sing_from_eigenvalues(3, (1, 1)) == CyclicSing(3, 1)
-
-    def test_order_fifteen(self):
-        assert sing_from_eigenvalues(15, (4, 1)) == CyclicSing(15, 4)
-
-    def test_order_four(self):
-        assert sing_from_eigenvalues(4, (1, 3)) == CyclicSing(4, 3)
-
-    def test_normalisation_uses_inverse(self):
-        # 1/5(2, 3) = 1/5(1, 3 * 2^-1) = 1/5(1, 4)
-        assert sing_from_eigenvalues(5, (2, 3)) == CyclicSing(5, 4)
-
-    def test_fixed_curve_detected(self):
-        with pytest.raises(NotIsolated):
-            sing_from_eigenvalues(2, (0, 1))
-        with pytest.raises(NotIsolated):
-            # a power acts as a pseudo-reflection
-            sing_from_eigenvalues(4, (2, 1))
-
-    def test_unfaithful_rejected(self):
-        with pytest.raises(ValueError):
-            sing_from_eigenvalues(6, (2, 4))

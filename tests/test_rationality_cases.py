@@ -239,6 +239,10 @@ def with_minus_one_curves_first(config, count):
 
 
 class TestIntegralityOnTheResolution:
+    # each model's expected block is the one its curves should have met, so these
+    # also check that integrality is tested before the expected configuration
+    ONE_MINUS_ONE_CURVE = (((-1,),), (-1,))
+
     def one_curve_model(self, self_int, k_degree):
         return ResolutionModel.build({}, ("C",), {("C", "C"): self_int}, {"C": k_degree}, {})
 
@@ -246,21 +250,58 @@ class TestIntegralityOnTheResolution:
         # adjunction gives the integer genus 1 + (-1/2 - 3/2)/2 = 0, yet C cannot live on Z
         model = self.one_curve_model(F(-1, 2), F(-3, 2))
         with pytest.raises(rc.IntegralityViolation, match=r"^C\.C = -1/2$"):
-            rc._config_from_model(model, ("C",), [])
+            rc._config_from_model(model, ("C",), [], self.ONE_MINUS_ONE_CURVE)
 
     def test_fractional_k_degree(self):
         with pytest.raises(rc.IntegralityViolation, match=r"^K\.C = -1/2$"):
-            rc._config_from_model(self.one_curve_model(-1, F(-1, 2)), ("C",), [])
+            rc._config_from_model(self.one_curve_model(-1, F(-1, 2)), ("C",), [], self.ONE_MINUS_ONE_CURVE)
 
     def test_negative_distinct_pairing(self):
         pairing = {("C", "C"): -1, ("D", "D"): -1, ("C", "D"): -1}
         model = ResolutionModel.build({}, ("C", "D"), pairing, {"C": -1, "D": -1}, {})
         with pytest.raises(rc.IntegralityViolation, match=r"^C\.D = -1$"):
-            rc._config_from_model(model, ("C", "D"), [])
+            rc._config_from_model(model, ("C", "D"), [], (((-1, 0), (0, -1)), (-1, -1)))
 
     def test_configurations_hold_ints(self):
         for config in (rc.build_xv_config(), rc.build_klein_config(STAGE2_SURVIVORS[0])):
             assert all(type(x) is int for row in config.matrix for x in (*row, *config.k_degrees))
+
+
+class TestWrongConfigurationFails:
+    """A configuration that differs from its proof's expected block raises ``MatrixMismatch``,
+    naming the first entry that differs, before adjunction sees it."""
+
+    @pytest.mark.parametrize("option", STAGE2_SURVIVORS)
+    @pytest.mark.parametrize("constant, value, message", [
+        # D^2 = 16/11 - 16/11 = 0: integral, but adjunction would give genus 1/2
+        ("_INCIDENCE_SQ", 16, r"^D13\.D13 = 0, expected -1$"),
+        # K.D = 26/11 - 26/11 = 0, with D^2 = -1 still
+        ("_INCIDENCE_K", 26, r"^K\.D13 = 0, expected -1$"),
+    ], ids=["square", "k-degree"])
+    def test_klein_incidence_divisor_changed(self, monkeypatch, option, constant, value, message):
+        monkeypatch.setattr(rc, constant, value)
+        with pytest.raises(rc.MatrixMismatch, match=message):
+            rc.build_klein_config(option)
+
+    def test_xv_k_degree_of_tm(self, monkeypatch):
+        monkeypatch.setattr(rc, "_XV_K_DEGREES", (-1, -1, 2, 0, 0))
+        with pytest.raises(rc.MatrixMismatch, match=r"^K\.Tm = 1, expected 2$"):
+            rc.build_xv_config()
+
+    def test_xv_matrix_entry(self, monkeypatch):
+        matrix = [list(row) for row in rc._XV_MATRIX]
+        matrix[3][4] = matrix[4][3] = 1
+        monkeypatch.setattr(rc, "_XV_MATRIX", matrix)
+        with pytest.raises(rc.MatrixMismatch, match=r"^H\.L = 0, expected 1$"):
+            rc.build_xv_config()
+
+    def test_mismatch_is_a_one_line_exit_one(self, monkeypatch, capsys):
+        from fanoquotients.cli import main
+
+        monkeypatch.setattr(rc, "_INCIDENCE_SQ", 16)
+        assert main(["rationality", "klein"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "D13.D13 = 0, expected -1\n")
 
 
 class TestTranscripts:
