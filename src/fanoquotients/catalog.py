@@ -19,7 +19,6 @@ from .cyclotomic_rep import CycMatrix
 from .hj_resolution import CyclicSing
 from .quotient_engine import (
     Fibration,
-    InvariantReport,
     QuotientScenario,
     RamificationCurve,
     Stratum,
@@ -75,16 +74,19 @@ def _parse_generator(entry: dict, conductor: int, path: str, diags: list[str]) -
         diags.append(f"{path}.rows: must be a 5x5 array")
         return None
     entries = [e for row in rows for e in row]
-    # with the coefficients and exponents of the term lists [[coeff, exp], ...]
-    entries += [x for e in entries if isinstance(e, list) for term in e if isinstance(term, list) for x in term]
-    if bool in set(map(type, entries)):  # bool subclasses int, but JSON true is no number
+    terms = [term for e in entries if isinstance(e, list) for term in e]
+    if any(not isinstance(term, list) or len(term) != 2 for term in terms):
+        diags.append(f"{path}.rows: a term must be a [coefficient, exponent] pair")
+        return None
+    # the plain entries, with the coefficients and exponents of the term lists [[coeff, exp], ...]
+    numbers = [e for e in entries if not isinstance(e, list)] + [x for term in terms for x in term]
+    if bool in set(map(type, numbers)):  # bool subclasses int, but JSON true is no number
         diags.append(f"{path}.rows: true/false is not a number")
         return None
-    try:
-        return CycMatrix.from_rows(conductor, rows)
-    except Exception as exc:  # malformed term lists
-        diags.append(f"{path}.rows: {exc}")
+    if any(type(x) is not int for x in numbers):  # 1.0 and "1" are no JSON integers
+        diags.append(f"{path}.rows: entries, coefficients and exponents must be integers")
         return None
+    return CycMatrix.from_rows(conductor, rows)
 
 
 def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -> Optional[QuotientScenario]:
@@ -118,13 +120,17 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     for i, st in _objects(data.get("strata", []), "strata", diags):
         order = st.get("stabilizer_order")
         euler = st.get("euler")
+        note = st.get("note", "")
         if type(order) is not int or order < 2:
             diags.append(f"strata[{i}].stabilizer_order: must be an integer >= 2")
             continue
         if type(euler) is not int:
             diags.append(f"strata[{i}].euler: must be an integer")
             continue
-        strata.append(Stratum(order, euler, st.get("note", "")))
+        if not isinstance(note, str):
+            diags.append(f"strata[{i}].note: must be a string")
+            continue
+        strata.append(Stratum(order, euler, note))
 
     ram = []
     ram_entries = _objects(data.get("ramification", []), "ramification", diags)
@@ -184,6 +190,9 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     for key in ("annotations", "display"):
         if not isinstance(data.get(key, {}), dict):
             diags.append(f"{key}: must be an object")
+    display = data.get("display", {})
+    if isinstance(display, dict) and any(not isinstance(v, str) for v in display.values()):
+        diags.append("display: every value must be a string")  # the table cells are these strings
     annotations = data.get("annotations", {})
     if isinstance(annotations, dict) and "rationality_case" in annotations \
             and annotations["rationality_case"] not in ("klein", "xv"):
@@ -193,6 +202,8 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         diags.append("table: must be 1, 2 or null")
     if data.get("table_position") is not None and type(data["table_position"]) is not int:
         diags.append("table_position: must be an integer or null")
+    if not isinstance(data.get("source", ""), str):
+        diags.append("source: must be a string")
     if diags:
         return None
     annotations = dict(annotations)
@@ -206,7 +217,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         singularities=tuple(sings),
         fibration=fibration,
         annotations=annotations,
-        display=dict(data.get("display", {})),
+        display=dict(display),
         table=table,
         source=data.get("source", ""),
     )
@@ -323,23 +334,20 @@ def find_case(label: str, catalog_dir: Optional[Path] = None) -> QuotientScenari
     return catalog.checked(key)
 
 
-def report_for(label: str, catalog_dir: Optional[Path] = None) -> InvariantReport:
-    return find_case(label, catalog_dir).report
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def _kappa_text(report: InvariantReport, certified: bool) -> str:
-    kappa = str(report.annotations.get("kodaira", "?"))
+def _kappa_text(scenario: QuotientScenario, certified: bool) -> str:
+    kappa = str(scenario.annotations.get("kodaira", "?"))
     text = f"{kappa}*"
     if certified:
         text += " certified"
     return text
 
 
-def table_rows(report: InvariantReport, certified: bool) -> dict[str, str]:
+def table_rows(scenario: QuotientScenario, certified: bool) -> dict[str, str]:
+    report = scenario.report
     row = {
         "c1^2": str(report.c1_sq),
         "c2": str(report.c2),
@@ -348,14 +356,14 @@ def table_rows(report: InvariantReport, certified: bool) -> dict[str, str]:
         "chi": str(report.chi),
         "g": "" if report.fiber_genus is None else str(report.fiber_genus),
         "Singularities": report.singularities,
-        "Min": f"{report.annotations.get('minimal', '?')}*",
-        "kappa": _kappa_text(report, certified),
+        "Min": f"{scenario.annotations.get('minimal', '?')}*",
+        "kappa": _kappa_text(scenario, certified),
     }
-    if report.table == 1:
-        row["O"] = report.display.get("order", "")
-        row["Type"] = report.display.get("type", "")
+    if scenario.table == 1:
+        row["O"] = scenario.display.get("order", "")
+        row["Type"] = scenario.display.get("type", "")
     else:
-        row["G"] = report.display.get("group", "")
+        row["G"] = scenario.display.get("group", "")
     return row
 
 
@@ -379,7 +387,7 @@ def run_tables(catalog_dir: Optional[Path] = None):
         members = sorted(
             (s for s in catalog.values() if s.table == table_number),
             key=lambda s: s.annotations.get("table_position", 0))
-        rows = [table_rows(s.report, s.label in certified) for s in members]
+        rows = [table_rows(s, s.label in certified) for s in members]
         tables.append((columns, rows))
     return tables
 
@@ -403,38 +411,28 @@ def render_table(columns: tuple[str, ...], rows: list[dict[str, str]], fmt: str 
     return "\n".join(lines)
 
 
-def report_to_json_dict(report: InvariantReport) -> dict:
+def report_to_json_dict(scenario: QuotientScenario) -> dict:
+    """The scenario's own fields around its computed record; rationals are written as strings."""
+    computed = scenario.report._asdict()
+    flags = computed.pop("flags")
     return {
-        "label": report.label,
-        "table": report.table,
-        "display": report.display,
-        "computed": {
-            "c1_sq": report.c1_sq if isinstance(report.c1_sq, int) else str(report.c1_sq),
-            "c2": report.c2,
-            "q": report.q,
-            "p_g": report.p_g,
-            "chi": report.chi,
-            "h11": report.h11,
-            "fiber_genus": report.fiber_genus,
-            "singularities": report.singularities,
-            "noether_ok": report.noether_ok,
-            "k2_quotient": str(report.k2_quotient),
-            "k2_correction": str(report.k2_correction),
-            "euler_quotient": report.euler_quotient,
-            "exceptional_components": report.exceptional_components,
-        },
-        "annotations": report.annotations,
-        "flags": list(report.flags),
-        "source": report.source,
+        "label": scenario.label,
+        "table": scenario.table,
+        "display": scenario.display,
+        "computed": {key: str(value) if isinstance(value, Fraction) else value for key, value in computed.items()},
+        "annotations": scenario.annotations,
+        "flags": list(flags),
+        "source": scenario.source,
     }
 
 
-def render_report(report: InvariantReport, fmt: str = "text") -> str:
+def render_report(scenario: QuotientScenario, fmt: str = "text") -> str:
     if fmt == "json":
-        return json.dumps(report_to_json_dict(report), indent=2, sort_keys=True)
+        return json.dumps(report_to_json_dict(scenario), indent=2, sort_keys=True)
+    report = scenario.report
     items = []
-    if report.source:
-        items.append(f"data source: {report.source}")
+    if scenario.source:
+        items.append(f"data source: {scenario.source}")
     items.append(f"c1^2 = {report.c1_sq}   "
                  f"(K^2 of quotient {report.k2_quotient}, "
                  f"resolution correction {report.k2_correction})")
@@ -449,10 +447,10 @@ def render_report(report: InvariantReport, fmt: str = "text") -> str:
     items.append(f"noether check 12*chi = c1^2 + c2: {'ok' if report.noether_ok else 'FAILED'}")
     for flag in report.flags:
         items.append(f"flag: {flag}")
-    annotated = {k: v for k, v in report.annotations.items() if k != "table_position"}
+    annotated = {k: v for k, v in scenario.annotations.items() if k != "table_position"}
     if annotated:
         asserted = ", ".join(f"{k} = {v}*" for k, v in sorted(annotated.items()))
         items.append(f"annotations (asserted, not computed; marked *): {asserted}")
     if fmt == "markdown":
-        return "\n".join([f"### case {report.label}"] + [f"- {item}" for item in items])
-    return "\n".join([f"case {report.label}"] + [f"  {item}" for item in items])
+        return "\n".join([f"### case {scenario.label}"] + [f"- {item}" for item in items])
+    return "\n".join([f"case {scenario.label}"] + [f"  {item}" for item in items])

@@ -27,9 +27,9 @@ OK, INCONSISTENT, INPUT_ERROR = 0, 1, 2
 
 
 def _cmd_report(args) -> int:
-    report = catalog.report_for(args.case, args.catalog)
-    print(catalog.render_report(report, args.format))
-    return OK if report.noether_ok and not report.flags else INCONSISTENT
+    scenario = catalog.find_case(args.case, args.catalog)
+    print(catalog.render_report(scenario, args.format))
+    return OK if scenario.report.noether_ok and not scenario.report.flags else INCONSISTENT
 
 
 def _cmd_tables(args) -> int:

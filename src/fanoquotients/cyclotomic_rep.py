@@ -55,7 +55,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
+    """The degree of Phi_n, counted without building Phi_n."""
+    return sum(1 for k in range(n) if math.gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)

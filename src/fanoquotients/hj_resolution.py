@@ -133,7 +133,7 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
         return _chain_for(self.n, self.q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # hits come from the q, q^-1 pairs of one n: at most about 500 chains for n <= 1005
 def _chain_for(n: int, q: int) -> ExceptionalChain:
     return ExceptionalChain.from_selfints(hj_continued_fraction(n, q))
 

@@ -16,10 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .hj_resolution import ExceptionalChain, scaled_chain_solve
-
-
-class NonIntegralGenus(ArithmeticError):
-    """A genus formula (adjunction, Riemann-Hurwitz) gave no nonnegative integer."""
+from .quotient_engine import NonIntegralGenus
 
 
 class UnknownCurve(KeyError):

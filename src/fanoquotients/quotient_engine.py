@@ -30,7 +30,6 @@ from .cyclotomic_rep import (
     invariant_dimension,
 )
 from .hj_resolution import CyclicSing
-from .mumford import NonIntegralGenus
 
 BASE_K2 = Fraction(45)
 BASE_EULER = 27
@@ -38,6 +37,10 @@ BASE_EULER = 27
 
 class NonIntegralEuler(ArithmeticError):
     """The stratified Euler number of the quotient failed to be an integer."""
+
+
+class NonIntegralGenus(ArithmeticError):
+    """A genus formula (adjunction, Riemann-Hurwitz) gave no nonnegative integer."""
 
 
 class MissingIntersection(KeyError):
@@ -198,12 +201,13 @@ def albanese_fiber_genus(fiber_genus: int, deck_order: int, ramification: int) -
     return int(value)
 
 
+# what full_report computes, and nothing the scenario already holds: every field but flags
+# is a key of the JSON report's computed block
 InvariantReport = NamedTuple("InvariantReport", [
-    ("label", str), ("c1_sq", int | Fraction),  # c1_sq stays a Fraction only for flagged, inconsistent input
+    ("c1_sq", int | Fraction),  # c1_sq stays a Fraction only for flagged, inconsistent input
     ("c2", int), ("q", int), ("p_g", int), ("chi", int), ("h11", int), ("fiber_genus", Optional[int]),
     ("singularities", str), ("noether_ok", bool), ("k2_quotient", Fraction), ("k2_correction", Fraction),
-    ("euler_quotient", int), ("exceptional_components", int), ("flags", tuple[str, ...]), ("annotations", dict),
-    ("display", dict), ("table", Optional[int]), ("source", str)])
+    ("euler_quotient", int), ("exceptional_components", int), ("flags", tuple[str, ...])])
 
 
 def full_report(scenario: QuotientScenario) -> InvariantReport:
@@ -234,7 +238,6 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
         fib = scenario.fibration
         fiber = albanese_fiber_genus(fib.fiber_genus, fib.deck_order, fib.ramification)
     return InvariantReport(
-        label=scenario.label,
         c1_sq=int(c1_sq) if c1_sq.denominator == 1 else c1_sq,
         c2=c2,
         q=q,
@@ -249,8 +252,4 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
         euler_quotient=e_quot,
         exceptional_components=components,
         flags=tuple(flags),
-        annotations=dict(scenario.annotations),
-        display=dict(scenario.display),
-        table=scenario.table,
-        source=scenario.source,
     )

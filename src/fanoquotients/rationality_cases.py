@@ -75,19 +75,15 @@ def _whole(numerators: Iterable[int]) -> Optional[tuple[int, ...]]:
     return None if any(r or q < 0 for q, r in quotients) else tuple(q for q, _ in quotients)
 
 
-def klein_stage1(budget: int = 5, search_bound: int = 50) -> list[tuple[int, int, int, int]]:
+def klein_stage1(budget: int = 5) -> list[tuple[int, int, int, int]]:
     """All (a14, b14, u1, u2) with both coefficient pairs in the integrality
     lattice, positive, and a14*u1 + b14*u2 equal to the budget.
 
     Since a14, b14 >= 1, the budget equation gives u1, u2 <= budget.  One of
     u1, u2 is nonzero (a23, b23 >= 1), so a14 or b14 is at most the budget;
     with (a14, b14) = (4 v1 + v2, v1 + 3 v2) that gives v1, v2 <= budget and
-    a14, b14 <= 4 budget.  So the loops below are complete, and every
-    solution lies strictly inside the box [0, ``search_bound``]^4 whenever
-    4 budget < search_bound; any other budget raises ``NoSolution``.
+    a14, b14 <= 4 budget.  So the loops below are complete.
     """
-    if 4 * budget >= search_bound:
-        raise NoSolution(f"search bound {search_bound} does not exceed 4 * budget = {4 * budget}")
     box = range(budget + 1)
     lattice_pairs = [_lattice_point(v1, v2) for v1 in box for v2 in box]
     lattice_pairs = [(a, b) for a, b in lattice_pairs if a >= 1 and b >= 1]

@@ -112,14 +112,14 @@ ALL_LABELS = ["I", "II", "III(1)", "III(2)", "III(3)", "III(4)", "IV(1)", "IV(2)
 
 @pytest.mark.parametrize("label", ALL_LABELS + ["trivial"])
 def test_criterion_2_noether(label):
-    r = catalog.report_for(label)
+    r = catalog.find_case(label).report
     assert isinstance(r.c1_sq, int)
     assert 12 * (1 - r.q + r.p_g) == r.c1_sq + r.c2
     assert r.noether_ok
 
 
 def test_criterion_2_trivial_values():
-    r = catalog.report_for("trivial")
+    r = catalog.find_case("trivial").report
     assert (r.c1_sq, r.c2, r.chi) == (45, 27, 6)
     assert r.c1_sq + r.c2 == 72 == 12 * 6
 
@@ -175,7 +175,7 @@ def test_iii4_published_row_unreachable():
     (zeta, zeta, zeta, 1, 1) up to Galois for any order-3 action, so the
     printed row contradicts itself whatever the catalog holds.
     """
-    r = catalog.report_for("III(4)")
+    r = catalog.find_case("III(4)").report
     assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (-9, 9, 2, 1, 0)
     assert r.noether_ok
     for t in range(-200, 201):  # t = K.B - B^2 over any plausible range
@@ -397,8 +397,7 @@ def test_criterion_7_chain_reversal_invariance():
 # -- criterion 8: annotations stay annotations --------------------------------
 
 def test_criterion_8_annotations_not_computed():
-    report = catalog.report_for("XI")
-    payload = catalog.report_to_json_dict(report)
+    payload = catalog.report_to_json_dict(catalog.find_case("XI"))
     computed = payload["computed"]
     assert "minimal" not in computed and "kodaira" not in computed
     assert payload["annotations"]["minimal"] == "no"

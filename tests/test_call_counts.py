@@ -92,7 +92,8 @@ def test_each_value_computed_once(argv, expected):
 def test_certificate_modules_load_only_for_rationality(argv):
     counts = count_calls(argv)
     assert counts["rc"] == 0
-    assert not {"fanoquotients.rationality_cases", "fanoquotients.blowdown"} & set(counts["modules"])
+    assert not {"fanoquotients.rationality_cases", "fanoquotients.blowdown", "fanoquotients.mumford"} \
+        & set(counts["modules"])
 
 
 START_UP_RUN = """

@@ -12,6 +12,7 @@ from fanoquotients.cli import main
 from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+NOT_INTEGERS = "entries, coefficients and exponents must be integers"
 DATA = pathlib.Path(__file__).parent.parent / "src" / "fanoquotients" / "data"
 
 SLUGS = {
@@ -67,33 +68,32 @@ class TestValidation:
 
 class TestRunCase:
     def test_order_five_row(self):
-        r = catalog.report_for("V")
+        r = catalog.find_case("V").report
         assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (9, 15, 1, 2, 2)
         assert r.fiber_genus == 4
         assert r.singularities == "2A4"
 
     def test_symmetric_group_row(self):
-        r = catalog.report_for("S3")
+        r = catalog.find_case("S3").report
         assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (3, 45, 0, 3, 4)
         assert r.singularities == "27A1"
 
     def test_trivial_group_is_the_surface_itself(self):
-        r = catalog.report_for("trivial")
+        r = catalog.find_case("trivial").report
         assert (r.c1_sq, r.c2, r.q, r.p_g, r.chi) == (45, 27, 5, 10, 6)
         assert r.noether_ok
 
     def test_case_lookup_is_case_insensitive(self):
-        assert catalog.report_for("xi").label == "XI"
+        assert catalog.find_case("xi").label == "XI"
 
     def test_unknown_case(self):
         with pytest.raises(catalog.UnknownCase):
-            catalog.report_for("XVII")
+            catalog.find_case("XVII")
 
 
 class TestReportJson:
     def test_round_trip_and_separation(self):
-        report = catalog.report_for("XI")
-        payload = json.loads(catalog.render_report(report, "json"))
+        payload = json.loads(catalog.render_report(catalog.find_case("XI"), "json"))
         assert payload["computed"]["c1_sq"] == -5
         assert payload["computed"]["k2_quotient"] == "45/11"
         # annotations never leak into the computed block
@@ -101,18 +101,17 @@ class TestReportJson:
         assert payload["annotations"]["minimal"] == "no"
 
     def test_rationals_serialise_as_strings(self):
-        report = catalog.report_for("XI")
-        payload = catalog.report_to_json_dict(report)
+        payload = catalog.report_to_json_dict(catalog.find_case("XI"))
         assert payload["computed"]["k2_correction"] == "-100/11"
 
     def test_json_deterministic(self):
-        a = catalog.render_report(catalog.report_for("D3"), "json")
-        b = catalog.render_report(catalog.report_for("D3"), "json")
+        a = catalog.render_report(catalog.find_case("D3"), "json")
+        b = catalog.render_report(catalog.find_case("D3"), "json")
         assert a == b
 
     def test_golden_reports(self):
         for label, slug in SLUGS.items():
-            payload = catalog.report_to_json_dict(catalog.report_for(label))
+            payload = catalog.report_to_json_dict(catalog.find_case(label))
             frozen = json.loads((GOLDEN / "reports" / f"{slug}.json").read_text())
             assert payload == frozen, label
 
@@ -455,6 +454,18 @@ class TestHardenedInput:
         assert proc.returncode == 2
         assert proc.stdout == f"{path}: group: closure failed: generator 0 is singular or of order above 10000\n"
 
+    def test_conductor_1000_shear_builds_no_cyclotomic_polynomial(self, tmp_path):
+        # its entries are 0 and 1, so reducing them needs only the degree of Phi_1000
+        rows = [[int(i == j or (i, j) == (0, 1)) for j in range(5)] for i in range(5)]
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps({"schema": 1, "label": "shear",
+                                    "group": {"conductor": 1000, "generators": [{"rows": rows}]}}))
+        run = ("import sys; from fanoquotients import cli, cyclotomic_rep; rc = cli.main(['validate', sys.argv[1]]); "
+               "print(rc, cyclotomic_rep.cyclotomic_poly.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", run, str(path)], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(DATA.parents[1])})
+        assert proc.stdout.splitlines()[-1] == "2 0", proc.stderr
+
     @pytest.mark.parametrize("file, field, value", [
         ("xi.json", "annotations.rationality_case", "foo"),
         ("v.json", "table", "1"),
@@ -511,6 +522,33 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{file}: {diagnostic}")
+
+    @pytest.mark.parametrize("path, value, diagnostic", [
+        (("group", "generators", 0, "rows", 0, 0), [[1.0, 1]], "group.generators[0].rows: " + NOT_INTEGERS),
+        (("group", "generators", 0, "rows", 0, 1), 0.0, "group.generators[0].rows: " + NOT_INTEGERS),
+        (("group", "generators", 0, "rows", 0, 0), [["1", 1]], "group.generators[0].rows: " + NOT_INTEGERS),
+        (("group", "generators", 0, "rows", 0, 0), [[1, 1.0]], "group.generators[0].rows: " + NOT_INTEGERS),
+        (("group", "generators", 0, "rows", 0, 0), [[1]],
+         "group.generators[0].rows: a term must be a [coefficient, exponent] pair"),
+        (("strata", 0, "note"), 5, "strata[0].note: must be a string"),
+        (("source",), ["a"], "source: must be a string"),
+        (("display", "order"), 11, "display: every value must be a string"),
+    ], ids=["float-coefficient", "float-entry", "string-coefficient", "float-exponent", "short-term",
+            "note", "source", "display"])
+    def test_value_the_schema_forbids_is_diagnosed(self, tmp_path, capsys, path, value, diagnostic):
+        data = json.loads((DATA / "xi.json").read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "xi.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out == f"{bad}: {diagnostic}\n"
+        assert main(["--catalog", str(tmp_path), "tables"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"xi.json: {diagnostic}\n"
 
     def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
         identity = [[int(i == j) for j in range(5)] for i in range(5)]

@@ -8,6 +8,7 @@ import pytest
 from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
+    _chain_for,
     hj_continued_fraction,
 )
 
@@ -194,3 +195,16 @@ class TestCanonicalForm:
         assert CyclicSing(4, 3).display() == "A3"
         assert CyclicSing(11, 3).display() == "A11,3"
 
+
+
+class TestChainCache:
+    def test_sweep_near_1000_stays_bounded_and_hits_every_inverse(self):
+        # three primes near 1000 give about 1,490 distinct chains, more than the cache keeps
+        _chain_for.cache_clear()
+        for n in (983, 991, 997):
+            for q in range(1, n):
+                first = min(q, pow(q, -1, n)) == q  # the canonical q of the pair comes first in the sweep
+                hits = _chain_for.cache_info().hits
+                CyclicSing(n, q).chain()
+                assert _chain_for.cache_info().hits == hits + (not first), (n, q)
+        assert _chain_for.cache_info().currsize <= 1024

@@ -59,12 +59,6 @@ class TestKleinStage1:
     def test_agrees_with_the_full_box(self, budget):
         assert rc.klein_stage1(budget=budget) == full_box_stage1(budget)
 
-    def test_bound_too_small_for_the_budget_raises(self):
-        # (4 budget, budget, 0, 1) is always a solution, so 4 budget must fit in the box
-        assert (20, 5, 0, 1) in rc.klein_stage1(budget=5, search_bound=21)
-        with pytest.raises(rc.NoSolution, match="search bound 20"):
-            rc.klein_stage1(budget=5, search_bound=20)
-
 
 class TestKleinStage2:
     def test_first_pair(self):
