@@ -13,22 +13,11 @@ on a regular (q = 0) surface; the caller checks q.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 
 class NotMinusOneCurve(ValueError):
     """Attempted to contract a curve that is not a smooth rational (-1)-curve."""
-
-
-def _integer(value, what: str) -> int:
-    """The integer equal to ``value``; a fractional value is rejected, never truncated."""
-    if isinstance(value, int):
-        return value
-    exact = Fraction(value)
-    if exact.denominator != 1:
-        raise ValueError(f"{what} = {value} is not an integer")
-    return exact.numerator
 
 
 class CurveConfig(NamedTuple):
@@ -36,23 +25,6 @@ class CurveConfig(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
     k_degrees: tuple[int, ...]
     genera: tuple[int, ...]
-
-    @classmethod
-    def build(cls, names: Sequence[str], matrix: Sequence[Sequence], k_degrees: Sequence,
-              genera: Sequence[int]) -> "CurveConfig":
-        names = tuple(names)
-        if any(len(x) != len(names) for x in (matrix, *matrix, k_degrees, genera)):
-            raise ValueError("intersection matrix, K-degrees or genera do not match the curve count")
-        m = tuple(tuple(_integer(x, f"{a}.{b}") for b, x in zip(names, row)) for a, row in zip(names, matrix))
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                if m[i][j] != m[j][i]:
-                    raise ValueError(f"intersection matrix not symmetric at {names[i]},{names[j]}")
-        config = cls(names, m, tuple(_integer(k, f"K.{a}") for a, k in zip(names, k_degrees)),
-                     tuple(_integer(g, f"genus of {a}") for a, g in zip(names, genera)))
-        for name in names:
-            config.arithmetic_genus(name)  # rejects an odd C^2 + K.C
-        return config
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -90,9 +62,6 @@ class CurveConfig(NamedTuple):
         """Smooth genus-0 members with self-intersection >= 0."""
         return [n for i, n in enumerate(self.names)
                 if self.genera[i] == 0 and self.matrix[i][i] >= 0 and self.is_smooth(n)]
-
-    def key(self) -> tuple:
-        return (self.names, self.matrix, self.k_degrees, self.genera)
 
 
 def contract(config: CurveConfig, curve: str) -> CurveConfig:
@@ -158,17 +127,16 @@ def find_rationality_certificate(config: CurveConfig) -> Optional[RationalityCer
     Returns None when the search space is exhausted without reaching a
     genus-0 curve of nonnegative square.
     """
-    seen: set[tuple] = set()
+    seen: set[CurveConfig] = set()  # a configuration of tuples is its own key
 
     def dfs(state: CurveConfig, trail: tuple[str, ...], states: tuple[CurveConfig, ...]):
         winners = state.certificate_curves()
         if winners:
             name = winners[0]
             return RationalityCertificate(trail, name, state.self_int(name), states)
-        key = state.key()
-        if key in seen:
+        if state in seen:
             return None
-        seen.add(key)
+        seen.add(state)
         for curve in state.minus_one_curves():
             child = contract(state, curve)
             result = dfs(child, trail + (curve,), states + (child,))

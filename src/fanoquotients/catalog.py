@@ -11,6 +11,7 @@ never be mistaken for computed values.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
@@ -30,6 +31,9 @@ from .quotient_engine import (
 SCHEMA_VERSION = 1
 # Phi_n and the table that reduces mod Phi_n grow with n (cost ~ n^2); the catalog needs 15
 MAX_CONDUCTOR = 1000
+# every integer a scenario file holds, and the text of an intersection number
+MAX_DIGITS = 18
+_INTEGER_TEXT = rf"-?[0-9]{{1,{MAX_DIGITS}}}"  # compiled on first use, not at import
 
 TABLE1_COLUMNS = ("O", "Type", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
 TABLE2_COLUMNS = ("G", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
@@ -49,12 +53,23 @@ class InvalidScenario(ValueError):
 # loading
 
 
-def _parse_fraction(value, path: str, diags: list[str]) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        diags.append(f"{path}: not a rational number: {value!r}")
-        return Fraction(0)
+def parse_json_int(text: str) -> int:
+    """The ``parse_int`` hook of every scenario file load: a JSON integer of at most
+    MAX_DIGITS digits, so no later int <-> str conversion meets Python's digit limit."""
+    digits = len(text.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ValueError(f"a JSON integer has {digits} digits, more than {MAX_DIGITS}")
+    return int(text)
+
+
+def _parse_intersection(value, path: str, diags: list[str]) -> int:
+    """An intersection number of curves on S: a JSON integer or an integer string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(_INTEGER_TEXT, value):
+        return int(value)
+    diags.append(f"{path}: must be an integer or a string of one, got {value!r}")
+    return 0
 
 
 def _objects(value, path: str, diags: list[str]) -> list[tuple[int, dict]]:
@@ -95,7 +110,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     if not isinstance(data, dict):
         diags.append("scenario: must be a JSON object")
         return None
-    if data.get("schema") != SCHEMA_VERSION or type(data.get("schema")) is bool:
+    if type(data.get("schema")) is not int or data["schema"] != SCHEMA_VERSION:  # neither true nor 1.0
         diags.append(f"schema: expected {SCHEMA_VERSION}, got {data.get('schema')!r}")
     label = data.get("label")
     if not isinstance(label, str) or not label:
@@ -153,11 +168,11 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
             if other not in ram_names:
                 diags.append(f"ramification[{i}].meets.{other}: unknown curve name")
                 continue
-            meets[other] = _parse_fraction(value, f"ramification[{i}].meets.{other}", diags)
+            meets[other] = _parse_intersection(value, f"ramification[{i}].meets.{other}", diags)
         ram.append(RamificationCurve(
             name, index,
-            _parse_fraction(r.get("self_int"), f"ramification[{i}].self_int", diags),
-            _parse_fraction(r.get("k_degree"), f"ramification[{i}].k_degree", diags),
+            _parse_intersection(r.get("self_int"), f"ramification[{i}].self_int", diags),
+            _parse_intersection(r.get("k_degree"), f"ramification[{i}].k_degree", diags),
             meets))
     for i, r in enumerate(ram):
         for s in ram[i + 1:]:
@@ -194,6 +209,9 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     if isinstance(display, dict) and any(not isinstance(v, str) for v in display.values()):
         diags.append("display: every value must be a string")  # the table cells are these strings
     annotations = data.get("annotations", {})
+    if isinstance(annotations, dict) and any(not isinstance(v, str) and type(v) is not int
+                                             for v in annotations.values()):
+        diags.append("annotations: every value must be a string or an integer")  # printed as they are
     if isinstance(annotations, dict) and "rationality_case" in annotations \
             and annotations["rationality_case"] not in ("klein", "xv"):
         diags.append('annotations.rationality_case: must be "klein", "xv" or absent')
@@ -272,7 +290,7 @@ def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]
         raise InvalidScenario([f"{root}: catalog is not a directory"])
     for entry in sorted(root.glob("*.json")):
         try:
-            data = json.loads(entry.read_text())
+            data = json.loads(entry.read_text(), parse_int=parse_json_int)
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise InvalidScenario([f"{entry.name}: {exc}"]) from exc
         yield entry.name, data

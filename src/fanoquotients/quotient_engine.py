@@ -60,9 +60,9 @@ class Stratum(NamedTuple("Stratum", [("order", int), ("euler", int), ("note", st
 
 
 class RamificationCurve(NamedTuple("RamificationCurve", [
-        ("name", str), ("index", int), ("self_int", Fraction), ("k_degree", Fraction),
-        ("meets", dict[str, Fraction])])):
-    """A curve on S fixed pointwise by a subgroup of the given order."""
+        ("name", str), ("index", int), ("self_int", int), ("k_degree", int),
+        ("meets", dict[str, int])])):
+    """A curve on S fixed pointwise by a subgroup of the given order, with its integer intersection numbers."""
 
     __slots__ = ()
 
@@ -164,18 +164,18 @@ def k2_quotient(scenario: QuotientScenario) -> Fraction:
     total = BASE_K2
     for r in curves:
         weight = r.index - 1
-        total -= 2 * weight * Fraction(r.k_degree)
-        total += weight * weight * Fraction(r.self_int)
+        total -= 2 * weight * r.k_degree
+        total += weight * weight * r.self_int
     for i, r in enumerate(curves):
         for s in curves[i + 1:]:
             if s.name in r.meets:
-                cross = Fraction(r.meets[s.name])
+                cross = r.meets[s.name]
             elif r.name in s.meets:
-                cross = Fraction(s.meets[r.name])
+                cross = s.meets[r.name]
             else:
                 raise MissingIntersection(
                     f"{scenario.label}: no intersection value for {r.name}.{s.name}")
-            if r.name in s.meets and s.name in r.meets and Fraction(s.meets[r.name]) != Fraction(r.meets[s.name]):
+            if r.name in s.meets and s.name in r.meets and s.meets[r.name] != r.meets[s.name]:
                 raise ValueError(f"{scenario.label}: asymmetric intersection {r.name}.{s.name}")
             total += 2 * (r.index - 1) * (s.index - 1) * cross
     return total / order

@@ -208,13 +208,9 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
         if solved != expected:
             raise MatrixMismatch(f"{name}: solved {solved}, expected {expected}")
 
-    return _config_from_model(
-        model,
-        curve_names,
-        [(point, i, f"{kind}{suffix}") for point, suffix in zip(_KLEIN_POINTS, _KLEIN_SUFFIX)
-         for i, kind in enumerate(("A", "B"))],
-        _KLEIN_EXPECTED,
-    )
+    exceptional = [(point, i, f"{kind}{suffix}") for point, suffix in zip(_KLEIN_POINTS, _KLEIN_SUFFIX)
+                   for i, kind in enumerate(("A", "B"))]
+    return _config_from_model(model, [*curve_names, *exceptional], _KLEIN_EXPECTED)
 
 
 # ---------------------------------------------------------------------------
@@ -285,55 +281,48 @@ def build_xv_config() -> CurveConfig:
     }
     model = ResolutionModel.build(chains, curves, pairing, k_degree, incidence)
 
-    return _config_from_model(model, curves, [("m", 0, "Tm")], (_XV_MATRIX, _XV_K_DEGREES),
-                              order=("A", "B", "Tm", "H", "L"))
+    return _config_from_model(model, ["A", "B", ("m", 0, "Tm"), "H", "L"], (_XV_MATRIX, _XV_K_DEGREES))
 
 
 # ---------------------------------------------------------------------------
 # shared assembly and the certificates
 
 
-def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
-                       exceptional: Sequence[tuple[str, int, str]],
-                       expected: tuple[Sequence[Sequence[int]], Sequence[int]],
-                       order: Optional[Sequence[str]] = None) -> CurveConfig:
-    """Assemble a blow-down configuration from strict transforms plus chosen
-    exceptional components (given as (point, component index, display name)).
-    Every entry lives on the smooth resolution, so a fractional self-intersection,
-    K-degree or pairing, or a negative pairing of distinct curves, raises
-    ``IntegralityViolation``.  The proof's ``expected`` (matrix, K-degrees) block
-    must then equal the leading entries; the first that differs raises ``MatrixMismatch``."""
-    entries: list[tuple[str, tuple]] = [(name, ("curve", name)) for name in curve_names]
-    entries += [(display, ("exc", point, idx)) for point, idx, display in exceptional]
-    if order is not None:
-        by_name = dict(entries)
-        entries = [(name, by_name[name]) for name in order]
+def _config_from_model(model: ResolutionModel, entries: Sequence[str | tuple[str, int, str]],
+                       expected: tuple[Sequence[Sequence[int]], Sequence[int]]) -> CurveConfig:
+    """Assemble a blow-down configuration, one curve per entry and in their order: a
+    curve name stands for its strict transform, a (point, component index, display
+    name) triple for an exceptional component.  Every entry lives on the smooth
+    resolution, so a fractional self-intersection, K-degree or pairing, or a negative
+    pairing of distinct curves, raises ``IntegralityViolation``; the rest are stored
+    as ints.  The proof's ``expected`` (matrix, K-degrees) block must then equal the
+    leading entries; the first that differs raises ``MatrixMismatch``.  Adjunction
+    gives each genus, and rejects an odd C^2 + K.C."""
+    names = [e if isinstance(e, str) else e[2] for e in entries]
 
-    def pair(x: tuple, y: tuple) -> Fraction | int:
-        if x[0] == "curve" and y[0] == "curve":
-            return model.pair_on_resolution(x[1], y[1])
-        if x[0] == "curve":
-            return model.pair_with_component(x[1], y[1], y[2])
-        if y[0] == "curve":
-            return model.pair_with_component(y[1], x[1], x[2])
-        if x[1] != y[1]:
+    def pair(x, y) -> Fraction | int:
+        if isinstance(x, str) and isinstance(y, str):
+            return model.pair_on_resolution(x, y)
+        if isinstance(x, str):
+            return model.pair_with_component(x, y[0], y[1])
+        if isinstance(y, str):
+            return model.pair_with_component(y, x[0], x[1])
+        if x[0] != y[0]:
             return 0
-        return model.chains[x[1]].pair(x[2], y[2])
+        return model.chains[x[0]].pair(x[1], y[1])
 
-    names = [name for name, _ in entries]
-    kinds = [kind for _, kind in entries]
-    matrix = [[0] * len(kinds) for _ in kinds]
-    k_degrees = [
-        model.kz_degree(kind[1]) if kind[0] == "curve" else model.chains[kind[1]].selfints[kind[2]] - 2
-        for kind in kinds
-    ]
+    matrix = [[0] * len(entries) for _ in entries]
+    k_degrees = [model.kz_degree(e) if isinstance(e, str) else model.chains[e[0]].selfints[e[1]] - 2
+                 for e in entries]
     for i, name in enumerate(names):
         for j in range(i, len(names)):
-            v = matrix[i][j] = matrix[j][i] = pair(kinds[i], kinds[j])
+            v = pair(entries[i], entries[j])
             if v.denominator != 1 or (v < 0 and j > i):
                 raise IntegralityViolation(f"{name}.{names[j]} = {v}")
+            matrix[i][j] = matrix[j][i] = int(v)
         if k_degrees[i].denominator != 1:
             raise IntegralityViolation(f"K.{name} = {k_degrees[i]}")
+        k_degrees[i] = int(k_degrees[i])
     expected_matrix, expected_k = expected
     for i, (row, k) in enumerate(zip(expected_matrix, expected_k)):
         for j, e in enumerate(row):
@@ -341,8 +330,8 @@ def _config_from_model(model: ResolutionModel, curve_names: Sequence[str],
                 raise MatrixMismatch(f"{names[i]}.{names[j]} = {matrix[i][j]}, expected {e}")
         if k_degrees[i] != k:
             raise MatrixMismatch(f"K.{names[i]} = {k_degrees[i]}, expected {k}")
-    genera = [adjunction_genus(matrix[i][i], k_degrees[i]) for i in range(len(names))]
-    return CurveConfig.build(names, matrix, k_degrees, genera)
+    return CurveConfig(tuple(names), tuple(map(tuple, matrix)), tuple(k_degrees),
+                       tuple(adjunction_genus(matrix[i][i], k) for i, k in enumerate(k_degrees)))
 
 
 # per proof: the group order |G| its pairings are divided by, the exceptional chains

@@ -533,8 +533,12 @@ class TestHardenedInput:
         (("strata", 0, "note"), 5, "strata[0].note: must be a string"),
         (("source",), ["a"], "source: must be a string"),
         (("display", "order"), 11, "display: every value must be a string"),
+        # a list was rendered through str() into the kappa cell as ['x']*
+        (("annotations", "kodaira"), ["x"], "annotations: every value must be a string or an integer"),
+        (("annotations", "minimal"), None, "annotations: every value must be a string or an integer"),
+        (("schema",), 1.0, "schema: expected 1, got 1.0"),
     ], ids=["float-coefficient", "float-entry", "string-coefficient", "float-exponent", "short-term",
-            "note", "source", "display"])
+            "note", "source", "display", "annotation-list", "annotation-null", "float-schema"])
     def test_value_the_schema_forbids_is_diagnosed(self, tmp_path, capsys, path, value, diagnostic):
         data = json.loads((DATA / "xi.json").read_text())
         target = data
@@ -549,6 +553,51 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"xi.json: {diagnostic}\n"
+
+    @pytest.mark.parametrize("file, label, path, digits", [
+        ("xi.json", "XI", ("singularities", 0, "count"), 4299),  # validated, then report hit the str() limit
+        ("v.json", "V", ("strata", 0, "euler"), 4300),           # validate itself hit the str() limit
+        ("v.json", "V", ("strata", 0, "euler"), 19),
+    ])
+    def test_integer_of_more_than_18_digits_is_rejected_at_load(self, tmp_path, capsys, file, label, path, digits):
+        data = json.loads((DATA / file).read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10 ** (digits - 1)
+        bad = tmp_path / file
+        bad.write_text(json.dumps(data))
+        diagnostic = f"a JSON integer has {digits} digits, more than {catalog.MAX_DIGITS}"
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"{bad}: {diagnostic}\n")
+        assert main(["--catalog", str(tmp_path), "report", label]) == 2
+        assert capsys.readouterr() == ("", f"{file}: {diagnostic}\n")
+
+    def test_eighteen_digits_are_the_bound(self):
+        assert catalog.parse_json_int("-" + "9" * 18) == 1 - 10 ** 18
+        with pytest.raises(ValueError, match="has 19 digits"):
+            catalog.parse_json_int("1" + "0" * 18)
+
+    @pytest.mark.parametrize("field", ["self_int", "k_degree", "meets.E2"])
+    @pytest.mark.parametrize("value", ["1e3000000", "1/2", "1.5", 1.5, "1e5", " 3", "1_0", "1" * 19])
+    def test_intersection_number_is_an_integer(self, tmp_path, capsys, field, value):
+        # intersection numbers of curves on the smooth surface S; "1e3000000" took 1.8 s to
+        # validate as a Fraction, and report then hit the str() limit
+        data = json.loads((DATA / "iii4.json").read_text())
+        curve = data["ramification"][0]
+        if field == "meets.E2":
+            curve["meets"]["E2"] = value
+        else:
+            curve[field] = value
+        bad = tmp_path / "iii4.json"
+        bad.write_text(json.dumps(data))
+        diagnostic = f"ramification[0].{field}: must be an integer or a string of one, got {value!r}"
+        start = time.monotonic()
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == (f"{bad}: {diagnostic}\n", "")
+        assert main(["--catalog", str(tmp_path), "report", "III(4)"]) == 2
+        assert capsys.readouterr() == ("", f"iii4.json: {diagnostic}\n")
+        assert time.monotonic() - start < 1.0
 
     def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
         identity = [[int(i == j) for j in range(5)] for i in range(5)]

@@ -7,7 +7,7 @@ from fanoquotients import catalog
 from fanoquotients import rationality_cases as rc
 from fanoquotients.blowdown import CurveConfig, find_rationality_certificate
 from fanoquotients.mumford import ResolutionModel
-from fanoquotients.quotient_engine import QuotientScenario
+from fanoquotients.quotient_engine import NonIntegralGenus, QuotientScenario
 
 
 STAGE1_EXPECTED = {
@@ -197,7 +197,7 @@ class TestCertifyRationality:
             rc.certify_rationality(xi)
 
     def test_no_certificate_for_rigid_config(self):
-        config = CurveConfig.build(["C"], [[-2]], [0], [0])
+        config = CurveConfig(("C",), ((-2,),), (0,), (0,))
         assert find_rationality_certificate(config) is None
 
     def test_contraction_count_must_match_the_proof(self, monkeypatch):
@@ -226,10 +226,10 @@ class TestCertifyRationality:
 def with_minus_one_curves_first(config, count):
     """``config`` plus ``count`` disjoint (-1)-curves listed first, so the search contracts them first."""
     width = count + len(config.names)
-    matrix = [[-(i == j) for j in range(width)] for i in range(count)]
-    matrix += [[0] * count + list(row) for row in config.matrix]
-    return CurveConfig.build([f"E{i}" for i in range(count)] + list(config.names), matrix,
-                             [-1] * count + list(config.k_degrees), [0] * count + list(config.genera))
+    matrix = [tuple(-(i == j) for j in range(width)) for i in range(count)]
+    matrix += [(0,) * count + row for row in config.matrix]
+    return CurveConfig(tuple(f"E{i}" for i in range(count)) + config.names, tuple(matrix),
+                       (-1,) * count + config.k_degrees, (0,) * count + config.genera)
 
 
 class TestIntegralityOnTheResolution:
@@ -244,17 +244,26 @@ class TestIntegralityOnTheResolution:
         # adjunction gives the integer genus 1 + (-1/2 - 3/2)/2 = 0, yet C cannot live on Z
         model = self.one_curve_model(F(-1, 2), F(-3, 2))
         with pytest.raises(rc.IntegralityViolation, match=r"^C\.C = -1/2$"):
-            rc._config_from_model(model, ("C",), [], self.ONE_MINUS_ONE_CURVE)
+            rc._config_from_model(model, ["C"], self.ONE_MINUS_ONE_CURVE)
 
     def test_fractional_k_degree(self):
         with pytest.raises(rc.IntegralityViolation, match=r"^K\.C = -1/2$"):
-            rc._config_from_model(self.one_curve_model(-1, F(-1, 2)), ("C",), [], self.ONE_MINUS_ONE_CURVE)
+            rc._config_from_model(self.one_curve_model(-1, F(-1, 2)), ["C"], self.ONE_MINUS_ONE_CURVE)
 
     def test_negative_distinct_pairing(self):
         pairing = {("C", "C"): -1, ("D", "D"): -1, ("C", "D"): -1}
         model = ResolutionModel.build({}, ("C", "D"), pairing, {"C": -1, "D": -1}, {})
         with pytest.raises(rc.IntegralityViolation, match=r"^C\.D = -1$"):
-            rc._config_from_model(model, ("C", "D"), [], (((-1, 0), (0, -1)), (-1, -1)))
+            rc._config_from_model(model, ["C", "D"], (((-1, 0), (0, -1)), (-1, -1)))
+
+    @pytest.mark.parametrize("self_int, message", [
+        (-1, r"^genus 1/2 is not a nonnegative integer$"),  # C^2 + K.C odd
+        (-4, r"^genus -1 is not a nonnegative integer$"),
+    ])
+    def test_adjunction_rejects_the_curve(self, self_int, message):
+        # integral, and with no expected block to compare: adjunction is the one genus check left
+        with pytest.raises(NonIntegralGenus, match=message):
+            rc._config_from_model(self.one_curve_model(self_int, 0), ["C"], ((), ()))
 
     def test_configurations_hold_ints(self):
         for config in (rc.build_xv_config(), rc.build_klein_config(STAGE2_SURVIVORS[0])):
