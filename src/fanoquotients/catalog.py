@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .cyclotomic_rep import CycMatrix
 from .hj_resolution import CyclicSing
@@ -62,29 +62,104 @@ def parse_json_int(text: str) -> int:
     return int(text)
 
 
-def _parse_intersection(value, path: str, diags: list[str]) -> int:
-    """An intersection number of curves on S: a JSON integer or an integer string."""
-    if type(value) is int:
+def read_scenario_file(path: Path, name: str):
+    """The JSON value of one scenario file; if it cannot be read, raise InvalidScenario under ``name``."""
+    try:
+        return json.loads(path.read_text(), parse_int=parse_json_int)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON, or too many digits
+        raise InvalidScenario([f"{name}: {exc}"]) from exc
+
+
+class Map(NamedTuple):
+    """A free-form object: any keys, and every value passes ``test``, else one ``diagnostic``."""
+    test: Callable[[object], bool]
+    diagnostic: str
+
+
+# every intersection number of curves on S: a JSON integer or an integer string
+_INTERSECTION = (None, lambda v: type(v) is int or isinstance(v, str) and re.fullmatch(_INTEGER_TEXT, v) is not None,
+                 "must be an integer or a string of one, got {!r}")
+
+# The format of docs/scenario_schema.md.  A table maps each key of an object to its row (default,
+# shape, diagnostic), and an absent key reads as its default.  A shape is a type (so int refuses
+# true), a test, a table for an object, [table] for an array of objects, or a Map.  A value of
+# another type, that fails its test or is no object or array is refused: the diagnostic, formatted
+# with the value, goes under its JSON path (a table whose default is None admits null).  A tuple of
+# keys is tested as one, under the object's path.  A key no row names is refused, unless a "*" row
+# reads every other key.
+SCHEMA = {
+    "schema": (None, lambda v: type(v) is int and v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{!r}}"),
+    "label": (None, lambda v: type(v) is str and v != "", "missing or empty"),
+    "group": ({}, {
+        "conductor": (1, lambda v: type(v) is int and 1 <= v <= MAX_CONDUCTOR,
+                      f"must be an integer from 1 to {MAX_CONDUCTOR}"),
+        "generators": ([], [{"rows": (None, lambda v: True, "")}], "must be an array"),  # see _parse_generator
+    }, "must be an object"),
+    "strata": ([], [{
+        "stabilizer_order": (None, lambda v: type(v) is int and v >= 2, "must be an integer >= 2"),
+        "euler": (None, int, "must be an integer"),
+        "note": ("", str, "must be a string"),
+    }], "must be an array"),
+    "ramification": ([], [{
+        "name": (None, lambda v: type(v) is str and v != "", "missing"),
+        "index": (None, lambda v: type(v) is int and v >= 2, "must be an integer >= 2"),
+        "self_int": _INTERSECTION,
+        "k_degree": _INTERSECTION,
+        "meets": ({}, {"*": _INTERSECTION}, "must be an object"),
+    }], "must be an array"),
+    "singularities": ([], [{
+        ("n", "q", "count"): ((None, None, 1), lambda v: all(type(x) is int for x in v) and v[2] >= 1,
+                              "need integer n, q and a positive count"),
+    }], "must be an array"),
+    "fibration": (None, {  # optional
+        ("fiber_genus", "deck_order", "ramification"): ((None,) * 3, lambda v: all(type(x) is int for x in v),
+                                                        "needs integer fiber_genus, deck_order, ramification"),
+        "note": ("", str, "must be a string"),
+    }, "needs integer fiber_genus, deck_order, ramification"),
+    "annotations": ({}, Map(lambda v: type(v) in (str, int), "every value must be a string or an integer"),
+                    "must be an object"),  # printed as they are
+    "display": ({}, Map(lambda v: type(v) is str, "every value must be a string"), "must be an object"),
+    "table": (None, lambda v: v is None or type(v) is int and v in (1, 2), "must be 1, 2 or null"),
+    "table_position": (None, lambda v: v is None or type(v) is int, "must be an integer or null"),
+    "source": ("", str, "must be a string"),
+}
+
+
+def _read(value, row: tuple, path: str, diags: list[str]):
+    """One JSON value read by its row of SCHEMA; an object becomes a dict of every key its table names."""
+    default, shape, diagnostic = row
+    if callable(shape):
+        ok = type(value) is shape if isinstance(shape, type) else shape(value)
+    elif isinstance(shape, dict) and isinstance(value, dict):
+        prefix, fields = f"{path}." if path else "", {}
+        for key, field in shape.items():
+            if type(key) is tuple:
+                fields.update(zip(key, _read(tuple(map(value.get, key, field[0])), field, path, diags)))
+            elif key != "*":
+                fields[key] = _read(value.get(key, field[0]), field, prefix + key, diags)
+        for key in value:
+            if key in fields:
+                continue
+            if "*" in shape:
+                fields[key] = _read(value[key], shape["*"], prefix + key, diags)
+            else:
+                diags.append(f"{prefix}{key}: unknown key")
+        return fields
+    elif isinstance(shape, list) and isinstance(value, list):
+        return [_read(entry, ({}, shape[0], "must be an object"), f"{path}[{i}]", diags)
+                for i, entry in enumerate(value)]
+    elif isinstance(shape, Map) and isinstance(value, dict):
+        if not all(map(shape.test, value.values())):
+            diags.append(f"{path}: {shape.diagnostic}")
         return value
-    if isinstance(value, str) and re.fullmatch(_INTEGER_TEXT, value):
-        return int(value)
-    diags.append(f"{path}: must be an integer or a string of one, got {value!r}")
-    return 0
+    else:  # no object or array; a default of None admits null
+        ok = value is None and default is None
+    if not ok:
+        diags.append(f"{path}: " + diagnostic.format(value))
+    return value
 
 
-def _objects(value, path: str, diags: list[str]) -> list[tuple[int, dict]]:
-    """The (index, entry) pairs of a JSON array of objects; anything else is a diagnostic."""
-    if not isinstance(value, list):
-        diags.append(f"{path}: must be an array")
-        return []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            diags.append(f"{path}[{i}]: must be an object")
-    return [(i, entry) for i, entry in enumerate(value) if isinstance(entry, dict)]
-
-
-def _parse_generator(entry: dict, conductor: int, path: str, diags: list[str]) -> Optional[CycMatrix]:
-    rows = entry.get("rows")
+def _parse_generator(rows, conductor: int, path: str, diags: list[str]) -> Optional[CycMatrix]:
     if not isinstance(rows, list) or len(rows) != 5 or any(not isinstance(r, list) or len(r) != 5 for r in rows):
         diags.append(f"{path}.rows: must be a 5x5 array")
         return None
@@ -105,75 +180,33 @@ def _parse_generator(entry: dict, conductor: int, path: str, diags: list[str]) -
 
 
 def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -> Optional[QuotientScenario]:
-    """Parse and validate one scenario file; return None and fill diagnostics on failure."""
+    """Parse and validate one scenario file; return None and fill diagnostics on failure.
+
+    SCHEMA checks each field on its own; the rules here relate fields, once every field has passed.
+    """
     diags: list[str] = [] if diagnostics is None else diagnostics
     if not isinstance(data, dict):
         diags.append("scenario: must be a JSON object")
         return None
-    if type(data.get("schema")) is not int or data["schema"] != SCHEMA_VERSION:  # neither true nor 1.0
-        diags.append(f"schema: expected {SCHEMA_VERSION}, got {data.get('schema')!r}")
-    label = data.get("label")
-    if not isinstance(label, str) or not label:
-        diags.append("label: missing or empty")
-        label = "?"
-    group = data.get("group", {})
-    if not isinstance(group, dict):
-        diags.append("group: must be an object")
-        group = {}
-    conductor = group.get("conductor", 1)
-    # integer fields are checked by type(), since bool subclasses int and JSON true is no integer
-    if type(conductor) is not int or not 1 <= conductor <= MAX_CONDUCTOR:
-        diags.append(f"group.conductor: must be an integer from 1 to {MAX_CONDUCTOR}")
-        conductor = 1
-    generators = []
-    for i, gen in _objects(group.get("generators", []), "group.generators", diags):
-        matrix = _parse_generator(gen, conductor, f"group.generators[{i}]", diags)
-        if matrix is not None:
-            generators.append(matrix)
-
-    strata = []
-    for i, st in _objects(data.get("strata", []), "strata", diags):
-        order = st.get("stabilizer_order")
-        euler = st.get("euler")
-        note = st.get("note", "")
-        if type(order) is not int or order < 2:
-            diags.append(f"strata[{i}].stabilizer_order: must be an integer >= 2")
-            continue
-        if type(euler) is not int:
-            diags.append(f"strata[{i}].euler: must be an integer")
-            continue
-        if not isinstance(note, str):
-            diags.append(f"strata[{i}].note: must be a string")
-            continue
-        strata.append(Stratum(order, euler, note))
-
-    ram = []
-    ram_entries = _objects(data.get("ramification", []), "ramification", diags)
-    ram_names = [r.get("name") for _, r in ram_entries]
-    for i, r in ram_entries:
-        name = r.get("name")
-        if not isinstance(name, str) or not name:
-            diags.append(f"ramification[{i}].name: missing")
-            continue
-        index = r.get("index")
-        if type(index) is not int or index < 2:
-            diags.append(f"ramification[{i}].index: must be an integer >= 2")
-            continue
-        meets_data = r.get("meets") or {}
-        if not isinstance(meets_data, dict):
-            diags.append(f"ramification[{i}].meets: must be an object")
-            continue
-        meets = {}
-        for other, value in meets_data.items():
-            if other not in ram_names:
+    fields = _read(data, (None, SCHEMA, ""), "", diags)
+    if diags:
+        return None
+    group = fields["group"]
+    generators = [_parse_generator(gen["rows"], group["conductor"], f"group.generators[{i}]", diags)
+                  for i, gen in enumerate(group["generators"])]
+    names = [curve["name"] for curve in fields["ramification"]]
+    for i, curve in enumerate(fields["ramification"]):
+        first = names.index(curve["name"])
+        if first < i:  # the names key the meets tables
+            diags.append(f"ramification[{i}].name: {curve['name']!r} also names ramification[{first}]")
+        for other in curve["meets"]:
+            if other == curve["name"]:
+                diags.append(f"ramification[{i}].meets.{other}: a curve's own value is its self_int")
+            elif other not in names:
                 diags.append(f"ramification[{i}].meets.{other}: unknown curve name")
-                continue
-            meets[other] = _parse_intersection(value, f"ramification[{i}].meets.{other}", diags)
-        ram.append(RamificationCurve(
-            name, index,
-            _parse_intersection(r.get("self_int"), f"ramification[{i}].self_int", diags),
-            _parse_intersection(r.get("k_degree"), f"ramification[{i}].k_degree", diags),
-            meets))
+    ram = [RamificationCurve(c["name"], c["index"], int(c["self_int"]), int(c["k_degree"]),
+                             {other: int(value) for other, value in c["meets"].items()})
+           for c in fields["ramification"]]
     for i, r in enumerate(ram):
         for s in ram[i + 1:]:
             a, b = r.meets.get(s.name), s.meets.get(r.name)
@@ -181,65 +214,28 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
                 diags.append(f"ramification: no intersection value for pair ({r.name}, {s.name})")
             elif a is not None and b is not None and a != b:
                 diags.append(f"ramification: asymmetric values for pair ({r.name}, {s.name}): {a} vs {b}")
-
     sings = []
-    for i, s in _objects(data.get("singularities", []), "singularities", diags):
-        n, q, count = s.get("n"), s.get("q"), s.get("count", 1)
-        if not (type(n) is int and type(q) is int and type(count) is int and count >= 1):
-            diags.append(f"singularities[{i}]: need integer n, q and a positive count")
-            continue
+    for i, sing in enumerate(fields["singularities"]):
         try:
-            sings.append((CyclicSing(n, q), count))
+            sings.append((CyclicSing(sing["n"], sing["q"]), sing["count"]))
         except ValueError as exc:
             diags.append(f"singularities[{i}]: {exc}")
-
-    fibration = None
-    fib = data.get("fibration")
-    if fib is not None:
-        values = [fib.get(k) for k in ("fiber_genus", "deck_order", "ramification")] if isinstance(fib, dict) else []
-        if values and all(type(v) is int for v in values):
-            fibration = Fibration(*values)
-        else:
-            diags.append("fibration: needs integer fiber_genus, deck_order, ramification")
-
-    for key in ("annotations", "display"):
-        if not isinstance(data.get(key, {}), dict):
-            diags.append(f"{key}: must be an object")
-    display = data.get("display", {})
-    if isinstance(display, dict) and any(not isinstance(v, str) for v in display.values()):
-        diags.append("display: every value must be a string")  # the table cells are these strings
-    annotations = data.get("annotations", {})
-    if isinstance(annotations, dict) and any(not isinstance(v, str) and type(v) is not int
-                                             for v in annotations.values()):
-        diags.append("annotations: every value must be a string or an integer")  # printed as they are
-    if isinstance(annotations, dict) and "rationality_case" in annotations \
-            and annotations["rationality_case"] not in ("klein", "xv"):
+    annotations = dict(fields["annotations"])
+    if annotations.get("rationality_case", "klein") not in ("klein", "xv"):
         diags.append('annotations.rationality_case: must be "klein", "xv" or absent')
-    table = data.get("table")
-    if table is not None and not (type(table) is int and table in (1, 2)):
-        diags.append("table: must be 1, 2 or null")
-    if data.get("table_position") is not None and type(data["table_position"]) is not int:
-        diags.append("table_position: must be an integer or null")
-    if not isinstance(data.get("source", ""), str):
-        diags.append("source: must be a string")
+    if "table_position" in annotations:  # the tables sort by the top-level table_position, copied here
+        diags.append("annotations.table_position: reserved for the top-level table_position")
     if diags:
         return None
-    annotations = dict(annotations)
-    if data.get("table_position") is not None:
-        annotations["table_position"] = data["table_position"]
-    scenario = QuotientScenario(
-        label=label,
-        generators=tuple(generators),
-        strata=tuple(strata),
-        ramification=tuple(ram),
-        singularities=tuple(sings),
-        fibration=fibration,
-        annotations=annotations,
-        display=dict(display),
-        table=table,
-        source=data.get("source", ""),
-    )
-    return scenario
+    if fields["table_position"] is not None:
+        annotations["table_position"] = fields["table_position"]
+    fib = fields["fibration"]
+    return QuotientScenario(
+        fields["label"], tuple(generators),
+        tuple(Stratum(st["stabilizer_order"], st["euler"], st["note"]) for st in fields["strata"]),
+        tuple(ram), tuple(sings),
+        fibration=None if fib is None else Fibration(fib["fiber_genus"], fib["deck_order"], fib["ramification"]),
+        annotations=annotations, display=dict(fields["display"]), table=fields["table"], source=fields["source"])
 
 
 def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
@@ -289,11 +285,7 @@ def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]
     if not root.is_dir():  # a missing directory would otherwise read as an empty catalog
         raise InvalidScenario([f"{root}: catalog is not a directory"])
     for entry in sorted(root.glob("*.json")):
-        try:
-            data = json.loads(entry.read_text(), parse_int=parse_json_int)
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise InvalidScenario([f"{entry.name}: {exc}"]) from exc
-        yield entry.name, data
+        yield entry.name, read_scenario_file(entry, entry.name)
 
 
 class Catalog(dict):

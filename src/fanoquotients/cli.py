@@ -95,12 +95,7 @@ def _cmd_rationality(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        data = json.loads(Path(args.file).read_text(), parse_int=catalog.parse_json_int)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    diagnostics = catalog.validate_scenario(data)
+    diagnostics = catalog.validate_scenario(catalog.read_scenario_file(Path(args.file), args.file))
     if diagnostics:
         for d in diagnostics:
             print(f"{args.file}: {d}")
