@@ -8,9 +8,12 @@ curves whose self-intersections -b_i come from the continued fraction
 
 The discrepancy coefficients a_i of the chain solve M a = (2 - b_i)_i against
 the tridiagonal intersection matrix M, and the canonical self-intersection of
-the resolution picks up the correction a^T M a <= 0 per singularity.  All a_i
-share the denominator n, so they are solved as the integers n a_i and turned
-into Fractions once.
+the resolution picks up the correction a^T M a <= 0 per singularity.  That
+right-hand side has a closed form (Barth-Hulek-Peters-Van de Ven, Compact
+Complex Surfaces, III.5): n a_i = n - alpha_i - beta_i, with alpha the
+continued-fraction remainders and beta the numerators, so a chain is resolved
+in one integer pass and its values are turned into Fractions through one
+bounded memo, equal values sharing one immutable object.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
     where P is the integer trajectory for t = 0 and V the homogeneous one for
     t = 1.  The boundary condition a_{k+1} = 0 fixes t = -P_{k+1} / V_{k+1}, so
     n = V_{k+1}, the continued-fraction numerator, is the one common
-    denominator; it is positive whenever every b_i >= 2.
+    denominator; it is positive whenever every b_i >= 2.  The right-hand side
+    2 - b needs no shooting: M 1 = (2 - b) - e_1 - e_k, M alpha = -n e_1 and
+    M beta = -n e_k give n a = n - alpha - beta (``ExceptionalChain.from_selfints``).
     """
     p_prev, p = 0, 0
     v_prev, v = 0, 1
@@ -50,6 +55,11 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
         p_prev, p = p, b * p - p_prev + r
         v_prev, v = v, b * v - v_prev
     return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
+
+
+@lru_cache(maxsize=1024)  # s runs over 0..n-1, so a sweep of one n <= 1024 never evicts its own values
+def _discrepancy(s: int, n: int) -> Fraction:
+    return Fraction(s, n)
 
 
 class ExceptionalChain:
@@ -80,16 +90,32 @@ class ExceptionalChain:
 
     @classmethod
     def from_selfints(cls, selfints) -> "ExceptionalChain":
-        b = tuple(int(x) for x in selfints)
+        b = tuple(map(int, selfints))
         # all b_i >= 2 makes M diagonally dominant, hence negative definite
-        if not b or any(x < 2 for x in b):
+        if not b or min(b) < 2:
             raise ValueError(f"chain self-intersections must all be >= 2, got {b}")
-        s, n = scaled_chain_solve(b, [2 - x for x in b])
-        a = tuple(Fraction(x, n) for x in s)
-        if any(not 0 <= x < n for x in s):
+        # M 1 = (2 - b) - e_1 - e_k, while the numerators beta (beta_0 = 0, beta_1 = 1) give
+        # M beta = -n e_k and the remainders alpha (alpha_{k+1} = 0, alpha_k = 1) give
+        # M alpha = -n e_1, with n = beta_{k+1} = alpha_0; so n a = n - alpha - beta
+        betas = []
+        beta_prev, beta = 0, 1
+        for x in b:
+            betas.append(beta)
+            beta_prev, beta = beta, x * beta - beta_prev
+        n = beta
+        a, k2, in_range = [], 0, True
+        alpha_next, alpha = 0, 1
+        for x, beta in zip(reversed(b), reversed(betas)):
+            s = n - alpha - beta
+            in_range &= 0 <= s < n
+            a.append(_discrepancy(s, n))
+            if x != 2:
+                k2 += s * (2 - x)  # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i)
+            alpha_next, alpha = alpha, x * alpha - alpha_next
+        a = tuple(reversed(a))
+        if not in_range:
             raise ValueError(f"discrepancies out of range for chain {b}: {a}")
-        # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i), one division by n
-        return cls(b, a, Fraction(sum(x * (2 - y) for x, y in zip(s, b)), n))
+        return cls(b, a, Fraction(k2, n))
 
     def __len__(self) -> int:
         return len(self.selfints)
@@ -121,11 +147,11 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
 
     @property
     def is_du_val(self) -> bool:
-        return all(b == 2 for b in self.chain().selfints)
+        return self.q == self.n - 1
 
     def display(self) -> str:
         """A_k for du Val A_{k+1,k}, otherwise A_{n,q}."""
-        if self.q == self.n - 1 or (self.n, self.q) == (2, 1):
+        if self.is_du_val:
             return f"A{self.n - 1}"
         return f"A{self.n},{self.q}"
 

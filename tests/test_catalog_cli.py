@@ -174,8 +174,43 @@ class TestCliExitCodes:
 
     def test_resolve(self, capsys):
         assert main(["resolve", "11", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "-20/11" in out
+        assert capsys.readouterr().out == (
+            "A11,3: chain (-4, -3) (up to reversal)\n"
+            "  discrepancies: (7/11, 6/11)\n"
+            "  K^2 correction: -20/11\n"
+            "  components: 2\n")
+
+    def test_resolve_json(self, capsys):
+        assert main(["--format", "json", "resolve", "11", "3"]) == 0
+        assert capsys.readouterr().out == """{
+  "chain_self_intersections": [
+    -4,
+    -3
+  ],
+  "components": 2,
+  "discrepancies": [
+    "7/11",
+    "6/11"
+  ],
+  "du_val": false,
+  "k2_correction": "-20/11",
+  "n": 11,
+  "q_canonical": 3,
+  "type": "A11,3"
+}
+"""
+
+    def test_resolve_at_the_bound(self, capsys):
+        # n = MAX_GROUP_ORDER is resolved, a chain of 9,999 components; one more is refused
+        assert main(["resolve", str(MAX_GROUP_ORDER), str(MAX_GROUP_ORDER - 1)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("  K^2 correction: 0\n  components: 9999, du Val\n")
+        assert captured.out.startswith("A10000,9999 (A9999): chain (-2, -2, ")
+        assert captured.err == ""
+        assert main(["resolve", str(MAX_GROUP_ORDER + 1), str(MAX_GROUP_ORDER)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"n must be at most {MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}\n"
 
     def test_resolve_bad_input(self, capsys):
         assert main(["resolve", "6", "2"]) == 2

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
     _chain_for,
+    _discrepancy,
     hj_continued_fraction,
 )
 
@@ -115,6 +117,25 @@ class TestDiscrepancies:
                           [(i * q) % 3 for i in range(k)]):
                 assert chain_solve(chain, [-x for x in mults]) == solve_linear(m, [-x for x in mults])
 
+    def test_closed_form_agrees_with_the_chain_solver(self):
+        # second route: the shooting solver on M a = 2 - b, and a^T M a on the dense matrix (or on the
+        # chain, where a dense matrix of the 9,999-component chain would be too large)
+        from exact_linalg import QMatrix, chain_bilinear, chain_solve, quadratic_form
+
+        rng = random.Random(17)
+        large = [(n, q) for n in (9973, 10000)
+                 for q in [2, n - 1, *rng.sample([q for q in range(3, n - 1) if math.gcd(n, q) == 1], 3)]]
+        for n, q in [*all_types(60), *large]:
+            b = hj_continued_fraction(n, q)
+            chain = ExceptionalChain.from_selfints(b)
+            assert chain.discrepancies == chain_solve(b, [2 - x for x in b]), (n, q)
+            if n <= 60:
+                k = len(b)
+                m = QMatrix([[(-b[i] if i == j else int(abs(i - j) == 1)) for j in range(k)] for i in range(k)])
+                assert chain.k2_correction() == quadratic_form(m, chain.discrepancies), (n, q)
+            else:
+                assert chain.k2_correction() == chain_bilinear(b, chain.discrepancies, chain.discrepancies), (n, q)
+
 
 class TestK2Correction:
     def test_du_val_is_zero(self):
@@ -137,7 +158,7 @@ class TestK2Correction:
             sing = CyclicSing(n, q)
             value = sing.chain().k2_correction()
             assert value <= 0
-            assert (value == 0) == sing.is_du_val
+            assert (value == 0) == sing.is_du_val == all(b == 2 for b in sing.chain().selfints)
 
     def test_agrees_with_generic_quadratic_form(self):
         # dual route: the collapsed sum against v^T M v on the dense matrix
@@ -208,3 +229,21 @@ class TestChainCache:
                 CyclicSing(n, q).chain()
                 assert _chain_for.cache_info().hits == hits + (not first), (n, q)
         assert _chain_for.cache_info().currsize <= 1024
+
+
+class TestDiscrepancyMemo:
+    def test_sweep_near_1000_shares_equal_values_and_stays_bounded(self):
+        _chain_for.cache_clear()
+        _discrepancy.cache_clear()
+        for n in (983, 991, 997):
+            shared = {}
+            for q in range(1, n):
+                for a in CyclicSing(n, q).chain().discrepancies:
+                    assert shared.setdefault(a, a) is a, (n, q, a)
+            assert _discrepancy.cache_info().currsize <= _discrepancy.cache_info().maxsize == 1024
+        assert len(shared) > 900  # most values n a_i in 0..996 occur, all of them shared
+
+    def test_du_val_zeros_are_one_object(self):
+        chain = ExceptionalChain.from_selfints((2,) * 9999)
+        assert chain.discrepancies == (0,) * 9999
+        assert len({id(a) for a in chain.discrepancies}) == 1
