@@ -11,9 +11,12 @@ the tridiagonal intersection matrix M, and the canonical self-intersection of
 the resolution picks up the correction a^T M a <= 0 per singularity.  That
 right-hand side has a closed form (Barth-Hulek-Peters-Van de Ven, Compact
 Complex Surfaces, III.5): n a_i = n - alpha_i - beta_i, with alpha the
-continued-fraction remainders and beta the numerators, so a chain is resolved
-in one integer pass and its values are turned into Fractions through one
-bounded memo, equal values sharing one immutable object.
+continued-fraction remainders and beta the numerators.  Once (n, q) is known
+both run forward, so one pass over the expansion of n/q gives b, the
+discrepancies and the K^2 correction.  Each value s/n is taken from a memo
+kept per n (for the few most recent n), so equal discrepancies are one
+shared immutable object.  A chain given by its b is folded back to (n, q)
+first and goes through the same pass.
 """
 
 from __future__ import annotations
@@ -21,17 +24,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 
 def hj_continued_fraction(n: int, q: int) -> tuple[int, ...]:
     """Expansion n/q = b_1 - 1/(b_2 - ...) with every b_i >= 2."""
-    out = []
-    while q > 0:
-        b = -(-n // q)
-        out.append(b)
-        n, q = q, b * q - n
-    return tuple(out)
+    return _resolve(n, q)[0]
 
 
 def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
@@ -44,7 +43,8 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
     n = V_{k+1}, the continued-fraction numerator, is the one common
     denominator; it is positive whenever every b_i >= 2.  The right-hand side
     2 - b needs no shooting: M 1 = (2 - b) - e_1 - e_k, M alpha = -n e_1 and
-    M beta = -n e_k give n a = n - alpha - beta (``ExceptionalChain.from_selfints``).
+    M beta = -n e_k give n a = n - alpha - beta, read off the expansion of n/q
+    in one forward pass (``_resolve``).
     """
     p_prev, p = 0, 0
     v_prev, v = 0, 1
@@ -57,9 +57,46 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
     return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
 
 
-@lru_cache(maxsize=1024)  # s runs over 0..n-1, so a sweep of one n <= 1024 never evicts its own values
-def _discrepancy(s: int, n: int) -> Fraction:
-    return Fraction(s, n)
+class _Discrepancies(dict):
+    """Fraction(s, n) by s for one n, each made once, so equal discrepancies are one shared object."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __missing__(self, s: int) -> Fraction:
+        if not 0 <= s < self.n:
+            raise ValueError(f"discrepancy {s}/{self.n} out of range [0, 1)")
+        value = self[s] = Fraction(s, self.n)
+        return value
+
+
+@lru_cache(maxsize=4)  # a sweep takes the chains of one n together, and a chain-cache hit needs no memo
+def _discrepancy_memo(n: int) -> _Discrepancies:
+    return _Discrepancies(n)
+
+
+def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fraction]:
+    """The chain of n/q, its discrepancies and its K^2 correction, in one pass over the expansion.
+
+    The remainders n = alpha_0, q = alpha_1, ..., alpha_k = 1, alpha_{k+1} = 0 of the
+    expansion and the numerators beta_0 = 0, beta_1 = 1, ..., beta_{k+1} = n both
+    follow x_{i+1} = b_i x_i - x_{i-1}, so n a_i = n - alpha_i - beta_i comes out
+    beside each b_i.
+    """
+    b, s = [], []
+    alpha_prev, alpha = n, q
+    beta_prev, beta = 0, 1
+    while alpha > 0:
+        x = -(-alpha_prev // alpha)
+        b.append(x)
+        s.append(n - alpha - beta)
+        alpha_prev, alpha = alpha, x * alpha - alpha_prev
+        beta_prev, beta = beta, x * beta - beta_prev
+    # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i)
+    k2 = 2 * sum(s) - sum(map(mul, s, b))
+    return tuple(b), tuple(map(_discrepancy_memo(n).__getitem__, s)), Fraction(k2, n)
 
 
 class ExceptionalChain:
@@ -68,8 +105,9 @@ class ExceptionalChain:
     __slots__ = ("selfints", "discrepancies", "_k2")
 
     def __init__(self, selfints: tuple[int, ...], discrepancies: tuple[Fraction, ...], _k2: Fraction):
-        for name, value in zip(self.__slots__, (selfints, discrepancies, _k2)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "selfints", selfints)
+        object.__setattr__(self, "discrepancies", discrepancies)
+        object.__setattr__(self, "_k2", _k2)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: chains are shared through the chain cache")
@@ -94,28 +132,13 @@ class ExceptionalChain:
         # all b_i >= 2 makes M diagonally dominant, hence negative definite
         if not b or min(b) < 2:
             raise ValueError(f"chain self-intersections must all be >= 2, got {b}")
-        # M 1 = (2 - b) - e_1 - e_k, while the numerators beta (beta_0 = 0, beta_1 = 1) give
-        # M beta = -n e_k and the remainders alpha (alpha_{k+1} = 0, alpha_k = 1) give
-        # M alpha = -n e_1, with n = beta_{k+1} = alpha_0; so n a = n - alpha - beta
-        betas = []
-        beta_prev, beta = 0, 1
-        for x in b:
-            betas.append(beta)
-            beta_prev, beta = beta, x * beta - beta_prev
-        n = beta
-        a, k2, in_range = [], 0, True
-        alpha_next, alpha = 0, 1
-        for x, beta in zip(reversed(b), reversed(betas)):
-            s = n - alpha - beta
-            in_range &= 0 <= s < n
-            a.append(_discrepancy(s, n))
-            if x != 2:
-                k2 += s * (2 - x)  # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i)
-            alpha_next, alpha = alpha, x * alpha - alpha_next
-        a = tuple(reversed(a))
-        if not in_range:
-            raise ValueError(f"discrepancies out of range for chain {b}: {a}")
-        return cls(b, a, Fraction(k2, n))
+        # fold from the right: alpha_{k+1} = 0, alpha_k = 1, alpha_{i-1} = b_i alpha_i - alpha_{i+1},
+        # ending at (alpha_1, alpha_0) = (q, n); an expansion with every b_i >= 2 is unique,
+        # so the pass on (n, q) gives b back
+        q, n = 0, 1
+        for x in reversed(b):
+            q, n = n, x * n - q
+        return cls(*_resolve(n, q))
 
     def __len__(self) -> int:
         return len(self.selfints)
@@ -161,5 +184,5 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
 
 @lru_cache(maxsize=1024)  # hits come from the q, q^-1 pairs of one n: at most about 500 chains for n <= 1005
 def _chain_for(n: int, q: int) -> ExceptionalChain:
-    return ExceptionalChain.from_selfints(hj_continued_fraction(n, q))
+    return ExceptionalChain(*_resolve(n, q))
 

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
     _chain_for,
-    _discrepancy,
+    _discrepancy_memo,
     hj_continued_fraction,
 )
 
@@ -21,6 +22,15 @@ def evaluate_chain(selfints):
     for b in reversed(selfints[:-1]):
         value = b - 1 / value
     return value
+
+
+def expand(n, q):
+    """n/q = b_1 - 1/(b_2 - ...) by the textbook loop, with no package code."""
+    b = []
+    while q:
+        b.append(-(-n // q))
+        n, q = q, b[-1] * q - n
+    return tuple(b)
 
 
 def all_types(max_n):
@@ -217,6 +227,24 @@ class TestCanonicalForm:
         assert CyclicSing(11, 3).display() == "A11,3"
 
 
+class TestOnePassRoutes:
+    def test_chain_is_its_fold_and_a_reversed_fold_lands_on_the_inverse(self):
+        # from_selfints folds b back to (n, q) and resolves that pair; _chain_for resolves (n, q) directly
+        _chain_for.cache_clear()
+        for n, q in all_types(200):
+            sing = CyclicSing(n, q)
+            assert sing.chain() == ExceptionalChain.from_selfints(expand(n, sing.q)), (n, q)
+            inverse = pow(q, -1, n)
+            reversed_chain = ExceptionalChain.from_selfints(expand(n, q)[::-1])
+            assert reversed_chain == _chain_for(n, inverse), (n, q)
+            assert reversed_chain.selfints == expand(n, inverse), (n, q)
+
+    @pytest.mark.parametrize("selfints", [(), (1,), (2, 1, 3)])
+    def test_from_selfints_rejects_a_component_below_two(self, selfints):
+        message = f"chain self-intersections must all be >= 2, got {selfints}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExceptionalChain.from_selfints(selfints)
+
 
 class TestChainCache:
     def test_sweep_near_1000_stays_bounded_and_hits_every_inverse(self):
@@ -234,13 +262,15 @@ class TestChainCache:
 class TestDiscrepancyMemo:
     def test_sweep_near_1000_shares_equal_values_and_stays_bounded(self):
         _chain_for.cache_clear()
-        _discrepancy.cache_clear()
+        _discrepancy_memo.cache_clear()
         for n in (983, 991, 997):
             shared = {}
             for q in range(1, n):
                 for a in CyclicSing(n, q).chain().discrepancies:
                     assert shared.setdefault(a, a) is a, (n, q, a)
-            assert _discrepancy.cache_info().currsize <= _discrepancy.cache_info().maxsize == 1024
+            # a few per-n memos, each holding at most the n values s/n, 0 <= s < n
+            assert _discrepancy_memo.cache_info().currsize <= _discrepancy_memo.cache_info().maxsize == 4
+            assert len(_discrepancy_memo(n)) <= n
         assert len(shared) > 900  # most values n a_i in 0..996 occur, all of them shared
 
     def test_du_val_zeros_are_one_object(self):
