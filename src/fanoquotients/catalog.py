@@ -274,10 +274,15 @@ def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
 
 
 def validate_scenario(data: dict) -> list[str]:
-    """Structural plus semantic validation; returns diagnostics (empty = ok)."""
+    """Structural and group validation, then the report's own checks; returns diagnostics (empty = ok)."""
     diags: list[str] = []
     scenario = scenario_from_dict(data, diagnostics=diags)
-    return diags if scenario is None else _group_diagnostics(scenario)
+    if scenario is None or (diags := _group_diagnostics(scenario)):
+        return diags
+    try:
+        return [f"report: {flag}" for flag in scenario.report.flags]
+    except ArithmeticError as exc:
+        return [f"report: {exc}"]
 
 
 def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]]:

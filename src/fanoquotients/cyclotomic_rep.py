@@ -1,22 +1,22 @@
-"""Exact arithmetic in cyclotomic fields and finite matrix groups.
+"""Exact arithmetic in cyclotomic integers and finite matrix groups.
 
-A ``CycNum`` is an element of Q(zeta_n): the nonzero terms of an integer
-polynomial in Z[x]/(x^n - 1), x standing for zeta_n, over one shared
-denominator.  Products are cyclic convolutions and a conductor m > n
-re-indexes x^k as x^(k m/n), so groups generated by +-zeta^k entries close in
-small integers.  Equality, hash keys and the rationality tests use the one
+A ``CycNum`` is an element of Z[zeta_n]: the nonzero terms of an integer
+polynomial in Z[x]/(x^n - 1), x standing for zeta_n.  A scenario gives all its
+generators at one conductor n, so every operation works at that one n, and
+operands of two conductors raise ``ValueError``.  Products are cyclic
+convolutions, so groups generated by +-zeta^k entries close in small
+integers.  Equality, hash keys and the rationality tests use the one
 canonical form, the remainder mod Phi_n, memoised per written form.  Every
 sum of products (a number product or sum, a matrix entry, a trace, a character
 sum) runs through one integer accumulator that skips zero factors.  A finite
 group is closed under products, and invariant dimensions are character
-averages over it.
+averages over it: integer character sums divided exactly by |G|.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
@@ -42,11 +42,11 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = cyclotomic_poly(d)  # monic, so the quotient stays integral
-            quot = [0] * (len(poly) - len(den) + 1)
+            phi_d = cyclotomic_poly(d)  # monic, so the quotient stays integral
+            quot = [0] * (len(poly) - len(phi_d) + 1)
             for shift in reversed(range(len(quot))):
-                lead = quot[shift] = poly[shift + len(den) - 1]
-                for i, c in enumerate(den):
+                lead = quot[shift] = poly[shift + len(phi_d) - 1]
+                for i, c in enumerate(phi_d):
                     poly[shift + i] -= lead * c
             assert not any(poly), f"Phi_{d} does not divide"
             poly = quot
@@ -72,95 +72,80 @@ def _powers_mod_phi(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
+def _one_conductor(items: Iterable) -> int:
+    """The conductor every number or matrix in ``items`` shares (1 for none); two would mis-index."""
+    conductors = sorted({x.n for x in items})
+    if len(conductors) > 1:
+        raise ValueError(f"conductors {conductors[0]} and {conductors[1]} differ: operands must share one conductor")
+    return conductors[0] if conductors else 1
+
+
 class CycNum:
-    """An element of Q(zeta_n): sum of c * zeta_n^k over ``terms``, divided by ``den``."""
+    """An element of Z[zeta_n]: the sum of c * zeta_n^k over ``terms``."""
 
-    __slots__ = ("n", "terms", "den")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, coeffs: Iterable):
-        """The number sum_k coeffs[k] zeta_n^k, for rational coefficients."""
-        values = [(k % n, Fraction(c)) for k, c in enumerate(coeffs) if c]
-        den = math.lcm(1, *(c.denominator for _, c in values))
+    def __init__(self, n: int, coeffs: Iterable[int]):
+        """The number sum_k coeffs[k] zeta_n^k, for integer coefficients."""
         acc: dict[int, int] = {}
-        for k, c in values:
-            acc[k] = acc.get(k, 0) + c.numerator * (den // c.denominator)
-        self._assign(n, acc, den)
-
-    def _assign(self, n: int, acc: dict[int, int], den: int) -> None:
-        terms = tuple([kc for kc in acc.items() if kc[1]])
-        if den != 1:
-            g = math.gcd(den, *(c for _, c in terms))
-            terms, den = tuple((k, c // g) for k, c in terms), den // g
-        self.n, self.terms, self.den = n, terms, den
+        for k, c in enumerate(coeffs):
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} of zeta_{n}^{k} is not an integer")
+            acc[k % n] = acc.get(k % n, 0) + c
+        self.n, self.terms = n, tuple([kc for kc in acc.items() if kc[1]])
 
     @classmethod
-    def _make(cls, n: int, acc: dict[int, int], den: int = 1) -> "CycNum":
-        """From exponent -> integer coefficient over den; zero terms are dropped."""
+    def _make(cls, n: int, acc: dict[int, int]) -> "CycNum":
+        """From exponent -> integer coefficient; zero terms are dropped."""
         x = object.__new__(cls)
-        x._assign(n, acc, den)
+        x.n, x.terms = n, tuple([kc for kc in acc.items() if kc[1]])
         return x
 
     @classmethod
-    def from_rational(cls, value, n: int = 1) -> "CycNum":
-        value = value if type(value) is int else Fraction(value)  # an int is its own numerator
-        return cls._make(n, {0: value.numerator}, value.denominator)
+    def from_rational(cls, value: int, n: int = 1) -> "CycNum":
+        """The rational integer ``value`` at conductor n."""
+        return cls(n, [value])
 
     @classmethod
-    def from_terms(cls, n: int, terms: Iterable[tuple]) -> "CycNum":
-        """Sum of coeff * zeta_n^exp terms."""
+    def from_terms(cls, n: int, terms: Iterable[tuple[int, int]]) -> "CycNum":
+        """Sum of coeff * zeta_n^exp terms, for integer coefficients."""
         coeffs: list = [0] * n
         for coeff, exp in terms:
-            coeffs[exp % n] += Fraction(coeff)
+            coeffs[exp % n] += coeff
         return cls(n, coeffs)
 
-    def _canonical(self) -> tuple[tuple[int, ...], int]:
-        """Coefficients mod Phi_n over a reduced denominator: equal iff the numbers are."""
-        return _reduce(self.n, self.terms, self.den)
-
-    def promote(self, m: int) -> "CycNum":
-        """Embed into Q(zeta_m) for n | m via zeta_n = zeta_m^(m/n)."""
-        if m == self.n:
-            return self
-        if m % self.n != 0:
-            raise ValueError(f"cannot embed conductor {self.n} into {m}")
-        step = m // self.n
-        return CycNum._make(m, {k * step: c for k, c in self.terms}, self.den)
-
-    def _galois(self, a: int) -> "CycNum":
-        """The image under zeta_n -> zeta_n^a, for a prime to n."""
-        return CycNum._make(self.n, {k * a % self.n: c for k, c in self.terms}, self.den)
+    def _canonical(self) -> tuple[int, ...]:
+        """Coefficients mod Phi_n: equal iff the numbers are."""
+        return _reduce(self.n, self.terms)
 
     def conjugate(self) -> "CycNum":
         """The complex conjugate, zeta_n -> zeta_n^-1."""
-        return self._galois(-1)
+        return CycNum._make(self.n, {-k % self.n: c for k, c in self.terms})
 
     def is_rational(self) -> bool:
-        return not any(self._canonical()[0][1:])
+        return not any(self._canonical()[1:])
 
-    def as_fraction(self) -> Fraction:
+    def as_int(self) -> int:
+        """The number as a rational integer, which a rational element of Z[zeta_n] is."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        coeffs, den = self._canonical()
-        return Fraction(coeffs[0], den)
+        return self._canonical()[0]
 
-    @staticmethod
-    def _common(a: "CycNum", b) -> tuple["CycNum", "CycNum"]:
-        if not isinstance(b, CycNum):
-            b = CycNum.from_rational(b, a.n)
-        if a.n == b.n:
-            return a, b
-        m = math.lcm(a.n, b.n)
-        return a.promote(m), b.promote(m)
+    def _common(self, other) -> "CycNum":
+        """``other`` at this conductor: an integer is taken there, another conductor is an error."""
+        if not isinstance(other, CycNum):
+            return CycNum(self.n, [other])
+        _one_conductor((self, other))
+        return other
 
     def __add__(self, other) -> "CycNum":
-        a, b = self._common(self, other)
-        one = _constant(a.n, 1)
-        return _sum_of_products(a.n, [(a, one), (b, one)])
+        one = _constant(self.n, 1)
+        return _sum_of_products(self.n, [(self, one), (self._common(other), one)])
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum._make(self.n, {k: -c for k, c in self.terms}, self.den)
+        return CycNum._make(self.n, {k: -c for k, c in self.terms})
 
     def __sub__(self, other) -> "CycNum":
         return self + (-other)
@@ -169,29 +154,27 @@ class CycNum:
         return -self + other
 
     def __mul__(self, other) -> "CycNum":
-        a, b = self._common(self, other)
-        return _sum_of_products(a.n, [(a, b)])
+        return _sum_of_products(self.n, [(self, self._common(other))])
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (int, Fraction, CycNum)):
+        if not isinstance(other, (int, CycNum)):
             return NotImplemented
-        a, b = self._common(self, other)
-        return a._canonical() == b._canonical()
+        return self._canonical() == self._common(other)._canonical()
 
-    __hash__ = None  # equality crosses conductors; deduplication uses CycMatrix.key()
+    __hash__ = None  # numbers compare by value mod Phi_n; deduplication uses CycMatrix.key()
 
     def __repr__(self) -> str:
-        coeffs, den = self._canonical()
+        coeffs = self._canonical()
         if not any(coeffs[1:]):
-            return f"CycNum({Fraction(coeffs[0], den)})"
-        terms = [f"{Fraction(c, den)}*z{self.n}^{k}" for k, c in enumerate(coeffs) if c]
+            return f"CycNum({coeffs[0]})"
+        terms = [f"{c}*z{self.n}^{k}" for k, c in enumerate(coeffs) if c]
         return "CycNum(" + " + ".join(terms) + ")"
 
 
 @lru_cache(maxsize=4096)  # group elements repeat a few entries, such as +-zeta^k, many times
-def _reduce(n: int, terms: tuple[tuple[int, int], ...], den: int) -> tuple[tuple[int, ...], int]:
+def _reduce(n: int, terms: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     width = euler_phi(n)
     out = [0] * width
     for k, c in terms:
@@ -200,8 +183,7 @@ def _reduce(n: int, terms: tuple[tuple[int, int], ...], den: int) -> tuple[tuple
             continue
         for i, p in _powers_mod_phi(n)[k]:
             out[i] += c * p
-    g = math.gcd(den, *out)
-    return (tuple(out), den) if g == 1 else (tuple([c // g for c in out]), den // g)
+    return tuple(out)
 
 
 @lru_cache(maxsize=256)
@@ -215,38 +197,28 @@ def _sum_of_products(n: int, pairs: Iterable[tuple[CycNum, CycNum]],
     """The kernel's one accumulator: sum a * b over pairs minus sum a * b over ``minus``.
 
     Every factor has conductor n and each product is a cyclic convolution into
-    one dict, over one denominator that grows to an lcm only when a product
-    needs it.  Zero factors are skipped.
+    one integer dict.  A zero factor has no terms, so it adds nothing.
     """
     acc: dict[int, int] = {}
-    den = 1
     for sign, group in ((1, pairs), (-1, minus)):
         for a, b in group:
-            if not (a.terms and b.terms):
-                continue
-            d = a.den * b.den
-            if den % d:
-                new = math.lcm(den, d)
-                acc = {k: c * (new // den) for k, c in acc.items()}
-                den = new
-            scale = sign * (den // d)
             for i, x in a.terms:
-                x *= scale
+                x *= sign
                 for j, y in b.terms:
                     k = (i + j) % n
                     acc[k] = acc.get(k, 0) + x * y
-    return CycNum._make(n, acc, den) if acc else _constant(n, 0)
+    return CycNum._make(n, acc) if acc else _constant(n, 0)
 
 
 def character_sum(values: Sequence[CycNum], weights: Sequence[CycNum] = ()) -> CycNum:
     """sum v * w over values and weights, w = 1 past the weights, in one accumulator."""
-    n = math.lcm(1, *(v.n for v in values), *(w.n for w in weights))
+    n = _one_conductor(itertools.chain(values, weights))
     pairs = itertools.zip_longest(values, weights, fillvalue=_constant(n, 1))
-    return _sum_of_products(n, [(v.promote(n), w.promote(n)) for v, w in pairs])
+    return _sum_of_products(n, pairs)
 
 
 class CycMatrix:
-    """A square matrix of cyclotomic numbers sharing one conductor."""
+    """A square matrix of cyclotomic integers sharing one conductor."""
 
     __slots__ = ("n", "dim", "rows")
 
@@ -254,8 +226,8 @@ class CycMatrix:
         dim = len(entries)
         if any(len(r) != dim for r in entries):
             raise ValueError("matrix must be square")
-        self.n, self.dim = math.lcm(1, *(e.n for row in entries for e in row)), dim
-        self.rows = tuple(tuple(e.promote(self.n) for e in row) for row in entries)
+        self.n, self.dim = _one_conductor(e for row in entries for e in row), dim
+        self.rows = tuple(tuple(row) for row in entries)
 
     @classmethod
     def _make(cls, n: int, rows: tuple[tuple[CycNum, ...], ...]) -> "CycMatrix":
@@ -270,25 +242,18 @@ class CycMatrix:
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "CycMatrix":
-        """Rows of entries that are CycNums, rationals or (coeff, exponent) term lists."""
-        def entry(e) -> CycNum:
-            if isinstance(e, CycNum):
-                return e.promote(n) if n % e.n == 0 else e
-            return CycNum.from_terms(n, e) if isinstance(e, (list, tuple)) else CycNum.from_rational(e, n)
-
-        return cls([[entry(e) for e in row] for row in rows])
-
-    def promote(self, m: int) -> "CycMatrix":
-        return self if m == self.n else CycMatrix([[e.promote(m) for e in row] for row in self.rows])
+        """Rows of entries that are integers or (coeff, exponent) term lists, at conductor n."""
+        return cls([[CycNum.from_terms(n, e) if isinstance(e, (list, tuple)) else CycNum.from_rational(e, n)
+                     for e in row] for row in rows])
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         """Row-sparse: each entry sums a_ik b_kj over the k with both factors nonzero."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.n if self.n == other.n else math.lcm(self.n, other.n)
-        cols, zero = list(zip(*other.promote(n).rows)), _constant(n, 0)
+        n = _one_conductor((self, other))
+        cols, zero = list(zip(*other.rows)), _constant(n, 0)
         rows = []
-        for row in self.promote(n).rows:
+        for row in self.rows:
             nonzero = [(k, a) for k, a in enumerate(row) if a.terms]
             entries = ([(a, col[k]) for k, a in nonzero if col[k].terms] for col in cols)
             rows.append(tuple([_sum_of_products(n, pairs) if pairs else zero for pairs in entries]))
@@ -300,15 +265,15 @@ class CycMatrix:
 
     def key(self) -> tuple:
         """Canonical hashable form (conductor plus the reduced entries)."""
-        return (self.n, tuple([_reduce(e.n, e.terms, e.den) for row in self.rows for e in row]))
+        return (self.n, tuple([_reduce(self.n, e.terms) for row in self.rows for e in row]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        m = math.lcm(self.n, other.n)
-        return self.promote(m).key() == other.promote(m).key()
+        _one_conductor((self, other))
+        return self.key() == other.key()
 
-    __hash__ = None  # same-conductor dedup uses key() explicitly
+    __hash__ = None  # deduplication uses key() explicitly
 
 
 def exterior_square_trace(m: CycMatrix) -> CycNum:
@@ -377,16 +342,15 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
     twice.  ``BoundExceeded`` also signals more than ``bound`` elements.
     """
     dim = generators[0].dim if generators else 5
-    conductor = math.lcm(1, *(g.n for g in generators))
+    conductor = _one_conductor(generators)
     if any(g.dim != dim for g in generators) or dim > 5:
         raise ValueError("generators must share one size, at most 5")
-    gens = [g.promote(conductor) for g in generators]
     identity = CycMatrix.identity(dim, conductor)
     multiple = 60 * math.lcm(2, conductor)
     one, cap, walk = identity.key(), min(multiple, bound), 2 * multiple.bit_length()
     seen = {one: identity}
     cycles = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate(generators):
         powers, x = {one: identity}, g
         while (key := x.key()) != one:
             if key in powers or len(powers) >= cap or (
@@ -398,7 +362,7 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
         cycles.append(powers.keys())
     queue = list(seen)  # read while it grows: breadth first
     for k in queue:
-        for g, powers in zip(gens, cycles):
+        for g, powers in zip(generators, cycles):
             if k in powers:
                 continue
             y = seen[k] @ g
@@ -415,13 +379,14 @@ def invariant_dimension(group: FiniteMatrixGroup, character: Callable[[CycMatrix
     """dim of the invariant subspace: the averaged character (1/|G|) sum chi(g),
     read from the values the group keeps.
 
-    The average must come out a nonnegative rational integer; anything else
-    means the input data is inconsistent and raises ``NonIntegralDimension``.
+    The character sum is a rational integer that |G| must divide into a
+    nonnegative quotient; anything else means the input data is inconsistent
+    and raises ``NonIntegralDimension``.
     """
     total = character_sum(group.character(character))
     if not total.is_rational():
-        raise NonIntegralDimension(f"character average is irrational: {total * Fraction(1, group.order)!r}")
-    value = total.as_fraction() / group.order
-    if value.denominator != 1 or value < 0:
-        raise NonIntegralDimension(f"character average {value} is not a nonnegative integer")
-    return int(value)
+        raise NonIntegralDimension(f"character average is irrational: {total!r} / {group.order}")
+    value, rest = divmod(total.as_int(), group.order)
+    if rest or value < 0:
+        raise NonIntegralDimension(f"character average {total.as_int()} / {group.order} is not a nonnegative integer")
+    return value

@@ -147,10 +147,11 @@ def lefschetz_euler_quotient(group: FiniteMatrixGroup) -> int:
     trace_sum, wedge_sum = character_sum(traces), character_sum(group.character(exterior_square_trace))
     norms = character_sum(traces, [t.conjugate() for t in traces])
     total = norms + wedge_sum + wedge_sum.conjugate() - 2 * (trace_sum + trace_sum.conjugate()) + 2 * group.order
-    value = total.as_fraction() / group.order if total.is_rational() else None
-    if value is None or value.denominator != 1:
-        raise NonIntegralEuler(f"the Lefschetz average {total!r} / {group.order} is not an integer")
-    return int(value)
+    if total.is_rational():
+        value, rest = divmod(total.as_int(), group.order)
+        if not rest:
+            return value
+    raise NonIntegralEuler(f"the Lefschetz average {total!r} / {group.order} is not an integer")
 
 
 def exceptional_component_count(singularities: Sequence[tuple[CyclicSing, int]]) -> int:

@@ -125,8 +125,8 @@ def test_criterion_2_trivial_values():
 
 
 def _conjugate(z: CycNum) -> CycNum:
-    """Complex conjugate in Q(zeta_n), the Galois map zeta -> zeta^-1."""
-    return CycNum.from_terms(z.n, [(F(c, z.den), -k) for k, c in z.terms])
+    """Complex conjugate in Z[zeta_n], the Galois map zeta -> zeta^-1."""
+    return CycNum.from_terms(z.n, [(c, -k) for k, c in z.terms])
 
 
 def lefschetz_fixed_euler(g: CycMatrix) -> int:
@@ -136,17 +136,18 @@ def lefschetz_fixed_euler(g: CycMatrix) -> int:
     t = tr g + tr g^-1 and t2 = tr g^2 + tr g^-2 the traces on H^0..H^4 are
     1, t, (t^2 - t2)/2, t, 1 (H^3 is dual to H^1 and t is real), giving
     e(S^g) = 2 - 2t + (t^2 - t2)/2.  For g of finite order tr g^-1 is the
-    complex conjugate of tr g.
+    complex conjugate of tr g.  2 e(S^g) = 4 - 4t + t^2 - t2 is computed in
+    Z[zeta_n] and halved exactly.
     """
     dim = g.dim
     tr1 = g.trace()
     tr2 = sum((g.rows[i][j] * g.rows[j][i] for i in range(dim) for j in range(dim)),
-              CycNum.from_rational(0))
+              CycNum.from_rational(0, g.n))
     t = tr1 + _conjugate(tr1)
     t2 = tr2 + _conjugate(tr2)
-    value = (2 - 2 * t + (t * t - t2) * F(1, 2)).as_fraction()
-    assert value.denominator == 1, f"Lefschetz number {value} is not an integer"
-    return int(value)
+    twice = (4 - 4 * t + t * t - t2).as_int()
+    assert twice % 2 == 0, f"Lefschetz number {twice}/2 is not an integer"
+    return twice // 2
 
 
 def lefschetz_euler_quotient(group) -> int:
@@ -362,7 +363,7 @@ def test_criterion_7_exterior_square_oracle_on_catalog():
             if any(g.rows[i][j] != 0 for i in range(5) for j in range(5) if i != j):
                 continue
             eigen = [g.rows[i][i] for i in range(5)]
-            brute = CycNum.from_rational(0)
+            brute = CycNum.from_rational(0, g.n)
             for a, b in itertools.combinations(eigen, 2):
                 brute = brute + a * b
             assert exterior_square_trace(g) == brute

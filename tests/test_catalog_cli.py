@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from fanoquotients import catalog
+from fanoquotients import catalog, quotient_engine
 from fanoquotients.cli import main
-from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER
+from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER, NonIntegralDimension
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NOT_INTEGERS = "entries, coefficients and exponents must be integers"
@@ -58,6 +58,14 @@ class TestValidation:
         data["group"]["generators"][0]["rows"][0] = [0, 0, 0, 0, 0]
         diags = catalog.validate_scenario(data)
         assert any("invertible" in d or "closure failed" in d for d in diags)
+
+    def test_arithmetic_error_of_the_report_is_diagnosed(self, monkeypatch):
+        def fail(scenario):
+            raise NonIntegralDimension("character average 1 / 2 is not a nonnegative integer")
+
+        monkeypatch.setattr(quotient_engine, "irregularity", fail)
+        data = json.loads((DATA / "v.json").read_text())
+        assert catalog.validate_scenario(data) == ["report: character average 1 / 2 is not a nonnegative integer"]
 
     def test_bad_fibration_is_diagnosed(self):
         data = json.loads((DATA / "i.json").read_text())
@@ -268,6 +276,15 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         assert "FAILED" in out
 
+    def test_validate_runs_the_report_checks(self, tmp_path, capsys):
+        # the same one A4 point too many: validate reports the failed Noether identity, exit 2
+        data = json.loads((DATA / "v.json").read_text())
+        data["singularities"][0]["count"] = 3
+        bad = tmp_path / "v.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == (f"{bad}: report: Noether violated: 12*2 != 9 + 19\n", "")
+
     def test_custom_catalog_directory(self, tmp_path, capsys):
         (tmp_path / "xi.json").write_text((DATA / "xi.json").read_text())
         assert main(["--catalog", str(tmp_path), "report", "XI"]) == 0
@@ -356,7 +373,10 @@ class TestRationalityCatalog:
             return subprocess.run([sys.executable, "-m", "fanoquotients.cli", *argv],
                                   capture_output=True, text=True, timeout=60, env=env)
 
-        assert fanoq("validate", str(tmp_path / "xi.json")).returncode == 0
+        proc = fanoq("validate", str(tmp_path / "xi.json"))
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert proc.stdout == "".join(f"{tmp_path / 'xi.json'}: report: {flag}\n" for flag in (
+            "c1^2 = -155/22 is not an integer", "Noether violated: 12*1 != -155/22 + 17"))
         line = "case XI: the klein proof divides by |G| = 11, but the scenario's group has order 22\n"
         for argv in (["rationality", "klein"], ["tables"]):
             proc = fanoq("--catalog", str(tmp_path), *argv)

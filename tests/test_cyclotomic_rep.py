@@ -75,23 +75,32 @@ class TestCyclotomicPoly:
 class TestCycNum:
     def test_primitive_relations(self):
         i = CycNum.from_terms(4, [(1, 1)])
-        assert i * i == CycNum.from_rational(-1)
+        assert i * i == CycNum.from_rational(-1, 4)
         alpha = CycNum.from_terms(3, [(1, 1)])
-        assert alpha * alpha + alpha + 1 == CycNum.from_rational(0)
+        assert alpha * alpha + alpha + 1 == CycNum.from_rational(0, 3)
 
-    def test_mixed_conductors(self):
-        minus_one = CycNum.from_rational(-1)
-        alpha = CycNum.from_terms(3, [(1, 1)])
-        product = minus_one * alpha
-        assert product == -alpha
-        # equality identifies an element with its image in a larger field
-        assert alpha == alpha.promote(6)
-        assert alpha.promote(6) == CycNum.from_terms(6, [(1, 2)])
+    @pytest.mark.parametrize("operation", [
+        lambda x, y: x + y, lambda x, y: x * y, lambda x, y: x == y,
+        lambda x, y: diag_matrix(3, [1, 0, 0, 0, 0]) @ diag_matrix(5, [1, 0, 0, 0, 0]),
+        lambda x, y: group_closure([diag_matrix(3, [1, 0, 0, 0, 0]), diag_matrix(5, [1, 0, 0, 0, 0])]),
+    ], ids=["add", "mul", "eq", "matmul", "group_closure"])
+    def test_two_conductors_are_rejected(self, operation):
+        # a number of conductor 3 is not re-indexed into conductor 15: both conductors are named
+        alpha, xi = CycNum.from_terms(3, [(1, 1)]), CycNum.from_terms(5, [(1, 1)])
+        with pytest.raises(ValueError, match="conductors 3 and 5 differ"):
+            operation(alpha, xi)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CycNum(3, [F(1, 2)]), lambda: CycNum(3, [1.0]), lambda: CycNum.from_terms(3, [(F(1, 2), 1)]),
+    ], ids=["half", "float", "from_terms-fraction"])
+    def test_non_integer_coefficients_are_rejected(self, make):
+        with pytest.raises(TypeError, match="is not an integer"):
+            make()
 
     def test_rationality_detection(self):
         xi = CycNum.from_terms(5, [(1, 1)])
-        total = sum((CycNum.from_terms(5, [(1, k)]) for k in range(1, 5)), CycNum.from_rational(0))
-        assert total.is_rational() and total.as_fraction() == -1
+        total = sum((CycNum.from_terms(5, [(1, k)]) for k in range(1, 5)), CycNum.from_rational(0, 5))
+        assert total.is_rational() and total.as_int() == -1
         assert not xi.is_rational()
 
 
@@ -99,14 +108,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 
-@st.composite
-def cyclotomic_numbers(draw):
-    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
-    width = euler_phi(n)
-    coeffs = draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=2),
-        min_size=width, max_size=width))
-    return CycNum(n, coeffs)
+def integer_vectors(conductors, width):
+    """CycNums of ``width(n)`` integer coefficients at a conductor n that every
+    number drawn for one example shares."""
+    return st.shared(st.sampled_from(conductors), key=tuple(conductors)).flatmap(
+        lambda n: st.lists(st.integers(-3, 3), min_size=width(n), max_size=width(n)).map(
+            lambda coeffs: CycNum(n, coeffs)))
+
+
+def cyclotomic_numbers():
+    return integer_vectors([1, 2, 3, 4, 5, 6, 8, 12], euler_phi)
 
 
 @given(cyclotomic_numbers(), cyclotomic_numbers(), cyclotomic_numbers())
@@ -118,19 +129,14 @@ def test_field_axioms(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
-@st.composite
-def unreduced_numbers(draw):
-    """A full coefficient vector of length n, half-integer entries, not reduced mod Phi_n."""
-    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15]))
-    coeffs = draw(st.lists(
-        st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=n, max_size=n))
-    return CycNum(n, coeffs)
+def unreduced_numbers():
+    """A full coefficient vector of length n, integer entries, not reduced mod Phi_n."""
+    return integer_vectors([1, 2, 3, 4, 5, 6, 8, 12, 15], lambda n: n)
 
 
-def embedded(x, m, k):
-    """x as a complex number under zeta_m -> exp(2 pi i k / m), for x.n dividing m."""
-    step = m // x.n
-    return sum(c * cmath.exp(2j * cmath.pi * e * step * k / m) for e, c in x.terms) / x.den
+def embedded(x, k):
+    """x as a complex number under zeta_n -> exp(2 pi i k / n), n = x.n."""
+    return sum(c * cmath.exp(2j * cmath.pi * e * k / x.n) for e, c in x.terms)
 
 
 def close(a, b):
@@ -139,47 +145,48 @@ def close(a, b):
 
 @given(unreduced_numbers(), unreduced_numbers(), st.integers(0, 14), st.booleans())
 @settings(max_examples=80, deadline=None)
-# a conductor-15 number with a half-integer coefficient
-@example(x=CycNum(15, [0, 3, 3, F(3, 2), 3, 1, 0, 1]), y=CycNum(15, []), shift=0, rewrite=False)
+# a conductor-15 vector with terms past phi(15) = 8, which reduction mod Phi_15 folds back
+@example(x=CycNum(15, [0, 3, 3, 2, 3, 1, 0, 1, 0, -2, 1, 0, 0, 3, -1]), y=CycNum(15, []), shift=0, rewrite=False)
 def test_complex_embeddings_oracle(x, y, shift, rewrite):
     if rewrite:  # the same number as x, written differently: x + zeta^shift Phi_n(zeta)
         y = x + CycNum(x.n, [0] * shift + list(cyclotomic_poly(x.n)))
-    m = math.lcm(x.n, y.n)
-    primitive = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    n = x.n
+    assert y.n == n
+    primitive = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
     for k in primitive:
-        ex, ey = embedded(x, m, k), embedded(y, m, k)
-        assert close(embedded(x + y, m, k), ex + ey)
-        assert close(embedded(x * y, m, k), ex * ey)
-    # 2(x - y) is an algebraic integer, so it is zero iff every embedding is tiny
-    assert (x == y) == all(close(embedded(x, m, k), embedded(y, m, k)) for k in primitive)
+        ex, ey = embedded(x, k), embedded(y, k)
+        assert close(embedded(x + y, k), ex + ey)
+        assert close(embedded(x * y, k), ex * ey)
+    # x - y is an algebraic integer, so it is zero iff every embedding is tiny
+    assert (x == y) == all(close(embedded(x, k), embedded(y, k)) for k in primitive)
     assert x == y or not rewrite
+
+
+# the conductor of both matrices of one example
+MATRIX_CONDUCTOR = st.shared(st.sampled_from([1, 3, 5, 15]), key="matrix conductor")
 
 
 @st.composite
 def dense_matrices(draw, zero_row=False):
-    """A 5x5 matrix whose entries have conductor 1, 3 or 5 (promoted together, to 15
-    once both 3 and 5 occur) and coefficients with denominators up to 3."""
-    conductors = draw(st.lists(st.sampled_from([1, 3, 5]), min_size=25, max_size=25))
-    dens = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=25, max_size=25))
-    nums = draw(st.lists(st.integers(-4, 4), min_size=125, max_size=125))
-    rows = [[CycNum(conductors[e], [F(c, dens[e]) for c in nums[5 * e:5 * e + conductors[e]]])
-             for e in range(5 * i, 5 * i + 5)] for i in range(5)]
+    """A 5x5 matrix at the example's conductor n, each entry up to n integer coefficients."""
+    n = draw(MATRIX_CONDUCTOR)
+    rows = [[CycNum(n, draw(st.lists(st.integers(-4, 4), max_size=n))) for _ in range(5)] for _ in range(5)]
     if zero_row:
-        rows[draw(st.integers(0, 4))] = [CycNum.from_rational(0)] * 5
+        rows[draw(st.integers(0, 4))] = [CycNum.from_rational(0, n)] * 5
     return CycMatrix(rows)
 
 
 @st.composite
 def monomial_matrices(draw):
-    """One entry +-zeta_15^k per row and column, as the catalog generators have."""
-    perm = draw(st.permutations(range(5)))
-    return CycMatrix.from_rows(15, [[[(draw(st.sampled_from([-1, 1])), draw(st.integers(0, 14)))]
-                                     if perm[i] == j else 0 for j in range(5)] for i in range(5)])
+    """One entry +-zeta_n^k per row and column, as the catalog generators have."""
+    n, perm = draw(MATRIX_CONDUCTOR), draw(st.permutations(range(5)))
+    return CycMatrix.from_rows(n, [[[(draw(st.sampled_from([-1, 1])), draw(st.integers(0, n - 1)))]
+                                    if perm[i] == j else 0 for j in range(5)] for i in range(5)])
 
 
 def entrywise_product(a, b):
     """sum_k a_ik b_kj by the number arithmetic of CycNum, one entry at a time."""
-    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(5)), CycNum.from_rational(0))
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(5)), CycNum.from_rational(0, a.n))
              for j in range(5)] for i in range(5)]
 
 
@@ -188,7 +195,7 @@ def entrywise_product(a, b):
 @settings(max_examples=60, deadline=None)
 def test_row_sparse_product_matches_the_entrywise_sum(a, b):
     product = a @ b
-    assert product.n == math.lcm(a.n, b.n)
+    assert product.n == a.n == b.n
     expected = entrywise_product(a, b)
     for i in range(5):
         for j in range(5):
@@ -196,9 +203,8 @@ def test_row_sparse_product_matches_the_entrywise_sum(a, b):
             assert product.rows[i][j] == expected[i][j]
             # and a route through C that shares no code with the kernel
             for k in (1, product.n - 1):
-                value = sum(embedded(a.rows[i][m], product.n, k) * embedded(b.rows[m][j], product.n, k)
-                            for m in range(5))
-                assert close(embedded(product.rows[i][j], product.n, k), value)
+                value = sum(embedded(a.rows[i][m], k) * embedded(b.rows[m][j], k) for m in range(5))
+                assert close(embedded(product.rows[i][j], k), value)
     assert product.key() == CycMatrix(expected).key()
 
 
@@ -215,7 +221,7 @@ def test_equal_numbers_written_differently_share_one_memoised_key():
 
 def ext_square_oracle(eigenvalues):
     """Sum of all pairwise eigenvalue products lambda_i lambda_j, i < j."""
-    total = CycNum.from_rational(0)
+    total = CycNum.from_rational(0, eigenvalues[0].n)
     for a, b in itertools.combinations(eigenvalues, 2):
         total = total + a * b
     return total
@@ -241,7 +247,7 @@ class TestExteriorSquare:
         m = diag_matrix(5, [1, 2, 3, 4, 0])
         eigen = [CycNum.from_terms(5, [(1, k)]) for k in (1, 2, 3, 4, 0)]
         assert exterior_square_trace(m) == ext_square_oracle(eigen)
-        assert exterior_square_trace(m) == CycNum.from_rational(0)
+        assert exterior_square_trace(m) == CycNum.from_rational(0, 5)
 
     def test_all_diagonal_catalog_elements(self):
         # brute-force pairwise-product oracle on every diagonal group element
@@ -416,9 +422,10 @@ class TestInvariantDimension:
                       [0, 0, 1, 0, -1],
                       [0, 0, 0, 1, 0],
                       [0, 0, 0, 0, 1]]
-        t = CycMatrix.from_rows(1, t_rows)
-        t_inv = CycMatrix.from_rows(1, t_inv_rows)
-        assert t @ t_inv == CycMatrix.identity(5)
+        n = base[0].n  # the change of basis is taken at the scenario's conductor
+        t = CycMatrix.from_rows(n, t_rows)
+        t_inv = CycMatrix.from_rows(n, t_inv_rows)
+        assert t @ t_inv == CycMatrix.identity(5, n)
         conjugated = [t @ g @ t_inv for g in scenario.generators]
         gc = group_closure(conjugated)
         assert gc.order == base.order

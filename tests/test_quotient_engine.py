@@ -66,18 +66,20 @@ class TestLefschetzEulerQuotient:
 
     @pytest.mark.parametrize("label", ["XI", "XV"])
     def test_dense_conjugates(self, label):
-        p, p_inv = CycMatrix.from_rows(1, P), CycMatrix.from_rows(1, P_INV)
-        assert p @ p_inv == CycMatrix.identity(5)
+        n = case(label).generators[0].n  # P is taken at the scenario's conductor
+        p, p_inv = CycMatrix.from_rows(n, P), CycMatrix.from_rows(n, P_INV)
+        assert p @ p_inv == CycMatrix.identity(5, n)
         group = group_closure([p @ g @ p_inv for g in case(label).generators])
         assert sum(e != 0 for g in group for row in g.rows for e in row) > 10 * len(group)
         assert lefschetz_euler_quotient(group) == per_element_oracle(group) == euler_quotient(case(label))
 
-    @pytest.mark.parametrize("shift", [CycNum.from_rational(1), CycNum.from_terms(5, [(1, 1)])],
-                             ids=["odd-total", "irrational"])
-    def test_non_integral_character_sum_rejected(self, monkeypatch, shift):
-        # I has order 2: moving one trace by 1 changes the total by an odd number,
-        # and by zeta_5 it leaves Q
-        group = group_closure(list(case("I").generators))
+    @pytest.mark.parametrize("label, shift", [
+        ("I", CycNum.from_rational(1)), ("III(1)", CycNum.from_terms(3, [(1, 1)])),
+    ], ids=["odd-total", "irrational"])
+    def test_non_integral_character_sum_rejected(self, monkeypatch, label, shift):
+        # I has order 2: moving one trace by 1 changes the total by an odd number;
+        # III(1) has conductor 3, and moving one trace by zeta_3 takes the total out of Q
+        group = group_closure(list(case(label).generators))
         original = FiniteMatrixGroup.character
 
         def shifted(self, chi):
