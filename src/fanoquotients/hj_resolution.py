@@ -13,23 +13,29 @@ right-hand side has a closed form (Barth-Hulek-Peters-Van de Ven, Compact
 Complex Surfaces, III.5): n a_i = n - alpha_i - beta_i, with alpha the
 continued-fraction remainders and beta the numerators.  Once (n, q) is known
 both run forward, so one pass over the expansion of n/q gives b, the
-discrepancies and the K^2 correction.  Each value s/n is taken from a memo
-kept per n (for the few most recent n), so equal discrepancies are one
-shared immutable object.  A chain given by its b is folded back to (n, q)
-first and goes through the same pass.
+discrepancies and the K^2 correction.  A run of m components with b_i = 2 is
+one partial quotient of the regular continued fraction of n/q (Riemenschneider,
+Math. Ann. 209, 1974); along it alpha, beta and n a_i are arithmetic
+progressions, so the pass takes the whole run in one step.  Each value s/n is
+read from a table of all n of them, kept per n (for the few most recent n), so
+a run's discrepancies are one slice and equal discrepancies are one shared
+immutable object.  A chain given by its b is folded back to (n, q) first and
+goes through the same pass.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
 from typing import NamedTuple
+
+from .cyclotomic_rep import MAX_GROUP_ORDER
 
 
 def hj_continued_fraction(n: int, q: int) -> tuple[int, ...]:
     """Expansion n/q = b_1 - 1/(b_2 - ...) with every b_i >= 2."""
+    CyclicSing(n, q)  # its input checks; the expansion is of q itself, not of the canonical q
     return _resolve(n, q)[0]
 
 
@@ -44,7 +50,8 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
     denominator; it is positive whenever every b_i >= 2.  The right-hand side
     2 - b needs no shooting: M 1 = (2 - b) - e_1 - e_k, M alpha = -n e_1 and
     M beta = -n e_k give n a = n - alpha - beta, read off the expansion of n/q
-    in one forward pass (``_resolve``).
+    in one forward pass (``_resolve``) that takes each run of b_i = 2 in one step,
+    with every s/n read from a table of the n values kept per n.
     """
     p_prev, p = 0, 0
     v_prev, v = 0, 1
@@ -57,24 +64,12 @@ def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
     return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
 
 
-class _Discrepancies(dict):
-    """Fraction(s, n) by s for one n, each made once, so equal discrepancies are one shared object."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __missing__(self, s: int) -> Fraction:
-        if not 0 <= s < self.n:
-            raise ValueError(f"discrepancy {s}/{self.n} out of range [0, 1)")
-        value = self[s] = Fraction(s, self.n)
-        return value
-
-
-@lru_cache(maxsize=4)  # a sweep takes the chains of one n together, and a chain-cache hit needs no memo
-def _discrepancy_memo(n: int) -> _Discrepancies:
-    return _Discrepancies(n)
+@lru_cache(maxsize=4)  # a sweep takes the chains of one n together, and a chain-cache hit needs no table
+def _discrepancy_memo(n: int) -> tuple[Fraction, ...]:
+    """Fraction(s, n) at index s for 0 <= s < n, each made once, so equal discrepancies are one shared object."""
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"n must be at most {MAX_GROUP_ORDER}, got {n}")
+    return tuple(map(Fraction, range(n), repeat(n)))
 
 
 def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fraction]:
@@ -83,20 +78,35 @@ def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fra
     The remainders n = alpha_0, q = alpha_1, ..., alpha_k = 1, alpha_{k+1} = 0 of the
     expansion and the numerators beta_0 = 0, beta_1 = 1, ..., beta_{k+1} = n both
     follow x_{i+1} = b_i x_i - x_{i-1}, so n a_i = n - alpha_i - beta_i comes out
-    beside each b_i.
+    beside each b_i.  Where b_i = 2, alpha falls by d = alpha_{i-1} - alpha_i and beta
+    rises by e = beta_i - beta_{i-1} at each step, and b stays 2 while d <= alpha: a run
+    of alpha // d components whose n a_i step by d - e, taken in one step.  It ends
+    at the next component's n a, or at n a_{k+1} = 0, so the slice's stop is never
+    negative.
     """
-    b, s = [], []
+    table = _discrepancy_memo(n)
+    b, a = [], []
+    k2 = 0  # n a^T M a = sum n a_i (2 - b_i), as M a = 2 - b; a run adds 0
     alpha_prev, alpha = n, q
     beta_prev, beta = 0, 1
     while alpha > 0:
-        x = -(-alpha_prev // alpha)
-        b.append(x)
-        s.append(n - alpha - beta)
-        alpha_prev, alpha = alpha, x * alpha - alpha_prev
-        beta_prev, beta = beta, x * beta - beta_prev
-    # M a = (2 - b_i), so a^T M a collapses to sum a_i (2 - b_i)
-    k2 = 2 * sum(s) - sum(map(mul, s, b))
-    return tuple(b), tuple(map(_discrepancy_memo(n).__getitem__, s)), Fraction(k2, n)
+        s = n - alpha - beta
+        d = alpha_prev - alpha
+        if d <= alpha:
+            e = beta - beta_prev
+            m = alpha // d
+            b += [2] * m
+            a += table[s:s + m * (d - e):d - e] if d != e else [table[s]] * m
+            alpha_prev, alpha = alpha - (m - 1) * d, alpha - m * d
+            beta_prev, beta = beta + (m - 1) * e, beta + m * e
+        else:
+            x = -(-alpha_prev // alpha)
+            b.append(x)
+            a.append(table[s])
+            k2 += s * (2 - x)
+            alpha_prev, alpha = alpha, x * alpha - alpha_prev
+            beta_prev, beta = beta, x * beta - beta_prev
+    return tuple(b), tuple(a), Fraction(k2, n)
 
 
 class ExceptionalChain:
@@ -164,9 +174,11 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
             raise ValueError("cyclic singularity needs n >= 2")
         if not 1 <= q < n:
             raise ValueError(f"q must satisfy 1 <= q < n, got q={q}, n={n}")
-        if math.gcd(n, q) != 1:
-            raise ValueError(f"gcd(n, q) must be 1, got ({n}, {q})")
-        return super().__new__(cls, n, min(q, pow(q, -1, n)))
+        try:
+            inverse = pow(q, -1, n)
+        except ValueError:  # q is not invertible mod n
+            raise ValueError(f"gcd(n, q) must be 1, got ({n}, {q})") from None
+        return tuple.__new__(cls, (n, min(q, inverse)))
 
     @property
     def is_du_val(self) -> bool:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER
 from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
@@ -38,6 +39,10 @@ def all_types(max_n):
         for q in range(1, n):
             if math.gcd(n, q) == 1:
                 yield n, q
+
+
+# n = 997 is prime: every q, with runs of (-2)-curves hundreds long (q = 2 and q = 996 among them)
+SWEEP_997 = [(997, q) for q in range(1, 997)]
 
 
 class TestExpansion:
@@ -94,7 +99,7 @@ class TestDiscrepancies:
         assert ExceptionalChain.from_selfints((3,)).discrepancies == (F(1, 3),)
 
     def test_defining_system_up_to_200(self):
-        for n, q in all_types(200):
+        for n, q in [*all_types(200), *SWEEP_997]:
             chain = ExceptionalChain.from_selfints(hj_continued_fraction(n, q))
             a = chain.discrepancies
             # M a = (2 - b_i) exactly, checked over the integers via n*a
@@ -133,8 +138,10 @@ class TestDiscrepancies:
         from exact_linalg import QMatrix, chain_bilinear, chain_solve, quadratic_form
 
         rng = random.Random(17)
+        # q = 2 for 9973 and q = 3 for 10000, where gcd(10000, 2) = 2 is refused
         large = [(n, q) for n in (9973, 10000)
-                 for q in [2, n - 1, *rng.sample([q for q in range(3, n - 1) if math.gcd(n, q) == 1], 3)]]
+                 for q in [*(q for q in (2, 3) if math.gcd(n, q) == 1), n - 1,
+                           *rng.sample([q for q in range(3, n - 1) if math.gcd(n, q) == 1], 3)]]
         for n, q in [*all_types(60), *large]:
             b = hj_continued_fraction(n, q)
             chain = ExceptionalChain.from_selfints(b)
@@ -184,7 +191,7 @@ class TestK2Correction:
 
     def test_closed_form_below_300(self):
         # second route, no linear solve: K^2 correction = 2 - (2 + q + q')/n - sum (b_i - 2), q' = q^-1 mod n
-        for n, q in all_types(299):
+        for n, q in [*all_types(299), *SWEEP_997]:
             chain = CyclicSing(n, q).chain()
             closed = 2 - F(2 + q + pow(q, -1, n), n) - sum(b - 2 for b in chain.selfints)
             assert chain.k2_correction() == closed, (n, q)
@@ -239,6 +246,17 @@ class TestOnePassRoutes:
             assert reversed_chain == _chain_for(n, inverse), (n, q)
             assert reversed_chain.selfints == expand(n, inverse), (n, q)
 
+    @pytest.mark.parametrize(("n", "q", "message"), [
+        (5, 7, "q must satisfy 1 <= q < n, got q=7, n=5"),
+        (5, 0, "q must satisfy 1 <= q < n, got q=0, n=5"),
+        (5, -2, "q must satisfy 1 <= q < n, got q=-2, n=5"),
+        (6, 2, "gcd(n, q) must be 1, got (6, 2)"),
+    ], ids=["above-n", "zero", "negative", "not-coprime"])
+    def test_continued_fraction_refuses_what_cyclic_sing_refuses(self, n, q, message):
+        for build in (hj_continued_fraction, CyclicSing):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(n, q)
+
     @pytest.mark.parametrize("selfints", [(), (1,), (2, 1, 3)])
     def test_from_selfints_rejects_a_component_below_two(self, selfints):
         message = f"chain self-intersections must all be >= 2, got {selfints}"
@@ -268,10 +286,20 @@ class TestDiscrepancyMemo:
             for q in range(1, n):
                 for a in CyclicSing(n, q).chain().discrepancies:
                     assert shared.setdefault(a, a) is a, (n, q, a)
-            # a few per-n memos, each holding at most the n values s/n, 0 <= s < n
+            # a few per-n tables, each the n values s/n, 0 <= s < n, at index s
             assert _discrepancy_memo.cache_info().currsize <= _discrepancy_memo.cache_info().maxsize == 4
-            assert len(_discrepancy_memo(n)) <= n
+            assert _discrepancy_memo(n) == tuple(F(s, n) for s in range(n))
         assert len(shared) > 900  # most values n a_i in 0..996 occur, all of them shared
+
+    def test_table_is_bounded_by_the_group_order(self):
+        # n divides |G| <= MAX_GROUP_ORDER, so a larger n is refused before any table is built
+        _discrepancy_memo.cache_clear()
+        message = f"n must be at most {MAX_GROUP_ORDER}, got {MAX_GROUP_ORDER + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _discrepancy_memo(MAX_GROUP_ORDER + 1)
+        with pytest.raises(ValueError, match=re.escape(f"n must be at most {MAX_GROUP_ORDER}, got {10**9 + 7}")):
+            CyclicSing(10**9 + 7, 2).chain()
+        assert _discrepancy_memo.cache_info().currsize == 0
 
     def test_du_val_zeros_are_one_object(self):
         chain = ExceptionalChain.from_selfints((2,) * 9999)
