@@ -9,13 +9,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 computation inconsistency (failed Noether or
 integrality check, missing certificate, irregular or unannotated rationality
-case), 2 input error.
+case), 2 input error, 141 (128 + SIGPIPE) when the reader closes stdout early, as `| head` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import catalog
 from .cyclotomic_rep import MAX_GROUP_ORDER
 from .hj_resolution import CyclicSing
 
-OK, INCONSISTENT, INPUT_ERROR = 0, 1, 2
+OK, INCONSISTENT, INPUT_ERROR, BROKEN_PIPE = 0, 1, 2, 141
 
 
 def _cmd_report(args) -> int:
@@ -138,7 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # the reader hung up: what is left, the last flush at exit too, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except catalog.UnknownCase as exc:
         print(exc.args[0], file=sys.stderr)
         return INPUT_ERROR

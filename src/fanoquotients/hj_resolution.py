@@ -19,15 +19,15 @@ Math. Ann. 209, 1974); along it alpha, beta and n a_i are arithmetic
 progressions, so the pass takes the whole run in one step.  Each value s/n is
 read from a table of all n of them, kept per n (for the few most recent n), so
 a run's discrepancies are one slice and equal discrepancies are one shared
-immutable object.  A chain given by its b is folded back to (n, q) first and
-goes through the same pass.
+immutable object.  A chain given by its b is folded back to (n, q) first and goes
+through the same pass, and ``ExceptionalChain.solve`` reads M^-1 off the same alpha and beta.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .cyclotomic_rep import MAX_GROUP_ORDER
@@ -39,29 +39,12 @@ def hj_continued_fraction(n: int, q: int) -> tuple[int, ...]:
     return _resolve(n, q)[0]
 
 
-def scaled_chain_solve(selfints: tuple[int, ...], rhs) -> tuple[list[int], int]:
-    """Solve M a = r on the tridiagonal chain matrix (-b_i diagonal, 1 off it) in integers.
-
-    Returns (s, n) with a_i = s_i / n.  Row i reads a_{i-1} - b_i a_i + a_{i+1} = r_i
-    with a_0 = a_{k+1} = 0, so shooting from a_0 = 0, a_1 = t gives a = P + t V,
-    where P is the integer trajectory for t = 0 and V the homogeneous one for
-    t = 1.  The boundary condition a_{k+1} = 0 fixes t = -P_{k+1} / V_{k+1}, so
-    n = V_{k+1}, the continued-fraction numerator, is the one common
-    denominator; it is positive whenever every b_i >= 2.  The right-hand side
-    2 - b needs no shooting: M 1 = (2 - b) - e_1 - e_k, M alpha = -n e_1 and
-    M beta = -n e_k give n a = n - alpha - beta, read off the expansion of n/q
-    in one forward pass (``_resolve``) that takes each run of b_i = 2 in one step,
-    with every s/n read from a table of the n values kept per n.
-    """
-    p_prev, p = 0, 0
-    v_prev, v = 0, 1
-    ps, vs = [], []
-    for b, r in zip(selfints, rhs):
-        ps.append(p)
-        vs.append(v)
-        p_prev, p = p, b * p - p_prev + r
-        v_prev, v = v, b * v - v_prev
-    return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
+def _fold(selfints) -> list[int]:
+    """The remainders (alpha_0, ..., alpha_k) = (n, q, ..., 1); on the reversed chain (beta_{k+1}, ..., beta_1)."""
+    alpha = [0, 1]
+    for x in reversed(selfints):
+        alpha.append(x * alpha[-1] - alpha[-2])
+    return alpha[:0:-1]
 
 
 @lru_cache(maxsize=4)  # a sweep takes the chains of one n together, and a chain-cache hit needs no table
@@ -142,13 +125,21 @@ class ExceptionalChain:
         # all b_i >= 2 makes M diagonally dominant, hence negative definite
         if not b or min(b) < 2:
             raise ValueError(f"chain self-intersections must all be >= 2, got {b}")
-        # fold from the right: alpha_{k+1} = 0, alpha_k = 1, alpha_{i-1} = b_i alpha_i - alpha_{i+1},
-        # ending at (alpha_1, alpha_0) = (q, n); an expansion with every b_i >= 2 is unique,
-        # so the pass on (n, q) gives b back
-        q, n = 0, 1
-        for x in reversed(b):
-            q, n = n, x * n - q
-        return cls(*_resolve(n, q))
+        # an expansion with every b_i >= 2 is unique, so the pass on its (n, q) gives b back
+        return cls(*_resolve(*_fold(b)[:2]))
+
+    def solve(self, rhs) -> tuple[list[int], int]:
+        """(s, n) with a = s / n solving M a = r on the chain matrix (-b_i diagonal, 1 off it).
+
+        M alpha = -n e_1 and M beta = -n e_k make (M^-1)_ij = -beta_min(i,j) alpha_max(i,j) / n (Meurant, SIAM J.
+        Matrix Anal. Appl. 13, 1992): n a_i = -(alpha_i sum_{j<=i} beta_j r_j + beta_i sum_{j>i} alpha_j r_j).
+        alpha and beta are folded on each call, not stored: only the short certificate chains are solved.
+        """
+        n, *alpha = _fold(self.selfints)
+        beta = _fold(self.selfints[::-1])[:0:-1]
+        alpha_sums = [*accumulate(x * r for x, r in zip(alpha, rhs))]  # sum_{j>i} is the total less sum_{j<=i}
+        beta_sums = accumulate(y * r for y, r in zip(beta, rhs))
+        return [-(x * u + y * (alpha_sums[-1] - v)) for x, y, u, v in zip(alpha, beta, beta_sums, alpha_sums)], n
 
     def __len__(self) -> int:
         return len(self.selfints)

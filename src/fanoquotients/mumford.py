@@ -5,9 +5,9 @@ chains of its minimal resolution g: Z -> Y plus, for each named curve C on Y,
 the pairing values C.C' downstairs, the degree K_Y.C, and the multiplicities
 with which the strict transform meets each exceptional component.  Writing
 Cbar = g*C - sum a_i C_i with the defining relations g*C . C_i = 0, the
-coefficients a_i solve M a = -m against the chain intersection matrix.  They
-share the chain's denominator n, so they are kept as the integers n a_i, and
-every pairing on Z is one integer sum per singular point divided by n once.
+coefficients a_i solve M a = -m against the chain intersection matrix M, whose
+inverse ``ExceptionalChain.solve`` reads in closed form.  They share its denominator
+n, kept as the integers n a_i: each pairing on Z is one integer sum per point over n.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .hj_resolution import ExceptionalChain, scaled_chain_solve
+from .hj_resolution import ExceptionalChain
 from .quotient_engine import NonIntegralGenus
 
 
@@ -81,7 +81,7 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
         out = {}
         for point, mults in self.incidence[curve].items():
             b = self.chains[point].selfints
-            s, n = scaled_chain_solve(b, [-m for m in mults])
+            s, n = self.chains[point].solve([-m for m in mults])
             # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0, times n
             padded = (0, *s, 0)
             assert all(n * m + padded[i] - bi * padded[i + 1] + padded[i + 2] == 0

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .blowdown import CurveConfig, RationalityCertificate, find_rationality_certificate
-from .hj_resolution import ExceptionalChain, scaled_chain_solve
+from .hj_resolution import ExceptionalChain
 from .mumford import ResolutionModel, adjunction_genus
 from .quotient_engine import QuotientScenario
 
@@ -53,9 +53,10 @@ class MatrixMismatch(NoCertificate):
 # and its intersections with A_ij, B_ij are kept as integer numerators over n.
 
 _KLEIN_CHAIN = (3, 4)
-_KLEIN_DET = scaled_chain_solve(_KLEIN_CHAIN, (0, 0))[1]  # n = det M
+_KLEIN = ExceptionalChain.from_selfints(_KLEIN_CHAIN)
+_KLEIN_DET = _KLEIN.solve((0, 0))[1]  # n = det M
 # rows of the linear map u -> n x, x solving M x = -u, from its values on the unit vectors
-_LATTICE_ROWS = tuple(zip(*(scaled_chain_solve(_KLEIN_CHAIN, e)[0] for e in ((-1, 0), (0, -1)))))
+_LATTICE_ROWS = tuple(zip(*(_KLEIN.solve(e)[0] for e in ((-1, 0), (0, -1)))))
 
 
 def _lattice_point(u1: int, u2: int) -> tuple[int, int]:

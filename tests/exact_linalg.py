@@ -5,10 +5,10 @@ lowest terms, positive denominator), so no operation ever rounds.  The
 matrices checked against it are tiny (intersection forms of curve
 configurations), hence the dense representation and plain Gaussian
 elimination, independent of the package's tridiagonal chain solver.  The
-last three functions are Fraction views of the package's integer routes:
-``chain_solve`` reads its chain solver for the tests that compare it with
-``solve_linear``, ``chain_bilinear`` expands u^T M v directly on a
-Hirzebruch-Jung chain, and ``strict_transform_coeffs`` reads a resolution
+last four functions work on Hirzebruch-Jung chains: ``chain_shoot`` shoots
+across the chain in integers, a route that shares no code with the package's
+closed form for M^-1, ``chain_solve`` is its Fraction view, ``chain_bilinear``
+expands u^T M v directly, and ``strict_transform_coeffs`` reads a resolution
 model's strict-transform numerators as coefficients.
 """
 
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from fanoquotients.hj_resolution import scaled_chain_solve
 
 
 Rat = Fraction
@@ -132,7 +130,10 @@ class QMatrix:
 
 
 def solve_linear(a: QMatrix, b: Sequence) -> tuple[Rat, ...]:
-    """Solve a*x = b exactly by Gaussian elimination with first-nonzero pivoting."""
+    """Solve a*x = b exactly by Gaussian elimination with first-nonzero pivoting, then back substitution.
+
+    Eliminating below the pivot only keeps a banded matrix banded, so a chain matrix costs O(k^2).
+    """
     if not a.is_square:
         raise DimensionMismatch("solve_linear needs a square matrix")
     rhs = rat_vector(b)
@@ -147,13 +148,16 @@ def solve_linear(a: QMatrix, b: Sequence) -> tuple[Rat, ...]:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
         inv = 1 / m[col][col]
-        for r in range(n):
-            if r == col or m[r][col] == 0:
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
                 continue
             factor = m[r][col] * inv
             for c in range(col, n + 1):
                 m[r][c] -= factor * m[col][c]
-    return tuple(m[i][n] / m[i][i] for i in range(n))
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n) if m[i][j])) / m[i][i]
+    return tuple(x)
 
 
 def is_negative_definite(a: QMatrix) -> bool:
@@ -177,9 +181,28 @@ def quadratic_form(a: QMatrix, v: Sequence) -> Rat:
     return sum(vec[i] * x for i, x in enumerate(a.matvec(vec)))
 
 
+def chain_shoot(selfints: Sequence[int], rhs: Sequence[int]) -> tuple[list[int], int]:
+    """(s, n) with a = s / n solving M a = r on the chain matrix (-b_i diagonal, 1 off it), by shooting.
+
+    Row i reads a_{i-1} - b_i a_i + a_{i+1} = r_i with a_0 = a_{k+1} = 0, so shooting
+    from a_0 = 0, a_1 = t gives a = P + t V, with P the integer trajectory for t = 0 and
+    V the homogeneous one for t = 1.  The boundary condition a_{k+1} = 0 fixes
+    t = -P_{k+1} / V_{k+1}, so n = V_{k+1} and s_i = n P_i - P_{k+1} V_i.
+    """
+    p_prev, p = 0, 0
+    v_prev, v = 0, 1
+    ps, vs = [], []
+    for b, r in zip(selfints, rhs):
+        ps.append(p)
+        vs.append(v)
+        p_prev, p = p, b * p - p_prev + r
+        v_prev, v = v, b * v - v_prev
+    return [v * pi - p * vi for pi, vi in zip(ps, vs)], v
+
+
 def chain_solve(selfints: Sequence[int], rhs: Sequence) -> tuple[Rat, ...]:
-    """The exact solution a of M a = r on the chain matrix (-b_i diagonal, 1 off it)."""
-    s, n = scaled_chain_solve(selfints, rhs)
+    """The exact solution a of M a = r on the chain matrix, from ``chain_shoot``."""
+    s, n = chain_shoot(selfints, rhs)
     # n is zero exactly when M is singular: Fraction then raises ZeroDivisionError
     return tuple(Fraction(x, n) for x in s)
 

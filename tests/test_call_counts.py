@@ -17,7 +17,8 @@ import sys
 import pytest
 
 import fanoquotients
-from fanoquotients import mumford, rationality_cases
+from fanoquotients import rationality_cases
+from fanoquotients.hj_resolution import ExceptionalChain
 
 SRC = pathlib.Path(fanoquotients.__file__).resolve().parents[1]
 
@@ -126,7 +127,7 @@ def test_start_up_leaves_out_dataclasses_inspect_and_ast():
 ], ids=["klein-option-1", "klein-option-2", "xv"])
 def test_strict_transforms_solved_once(monkeypatch, build, solves):
     calls = []
-    original = mumford.scaled_chain_solve
-    monkeypatch.setattr(mumford, "scaled_chain_solve", lambda *args: calls.append(args) or original(*args))
+    original = ExceptionalChain.solve
+    monkeypatch.setattr(ExceptionalChain, "solve", lambda chain, rhs: calls.append(rhs) or original(chain, rhs))
     build()
     assert len(calls) == solves

@@ -235,6 +235,17 @@ class TestCliExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"n must be at most {MAX_GROUP_ORDER}, got 1000000001\n"
 
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # about 140 kB of JSON, more than a pipe holds: the reader hangs up after 600 bytes, as `| head -c 600`
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        argv = [sys.executable, "-m", "fanoquotients.cli", "--format", "json", "resolve", "9973", "9971"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(600)) == 600
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in stderr and stderr == ""
+
     def test_rationality(self, capsys):
         assert main(["rationality", "xv"]) == 0
         assert "rational" in capsys.readouterr().out

@@ -154,6 +154,46 @@ class TestDiscrepancies:
                 assert chain.k2_correction() == chain_bilinear(b, chain.discrepancies, chain.discrepancies), (n, q)
 
 
+class TestChainSolve:
+    def test_closed_form_agrees_with_shooting_and_the_dense_solver(self):
+        # the Green's function of M against the oracle's integer shooting, and below 40 against Gaussian elimination
+        from exact_linalg import QMatrix, chain_shoot, solve_linear
+
+        rng = random.Random(23)
+        for n, q in [*all_types(119), *SWEEP_997]:
+            b = expand(n, q)
+            r = [rng.randint(-5, 5) for _ in b]
+            s, det = ExceptionalChain.from_selfints(b).solve(r)
+            assert det == n and (s, det) == chain_shoot(b, r), (n, q, r)
+            if n < 40:
+                k = len(b)
+                m = QMatrix([[(-b[i] if i == j else int(abs(i - j) == 1)) for j in range(k)] for i in range(k)])
+                assert tuple(F(x, n) for x in s) == solve_linear(m, r), (n, q, r)
+
+    def test_closed_form_solves_long_chains_in_integers(self):
+        # M s = n r row by row, for chains up to 9,999 components long
+        rng = random.Random(29)
+        for n in (9973, 10000):
+            for q in [n - 1, *(q for q in (2, 3) if math.gcd(n, q) == 1),
+                      *rng.sample([q for q in range(3, n - 1) if math.gcd(n, q) == 1], 3)]:
+                b = expand(n, q)
+                r = [rng.randint(-5, 5) for _ in b]
+                s, det = ExceptionalChain.from_selfints(b).solve(r)
+                assert det == n, (n, q)
+                padded = (0, *s, 0)
+                assert all(padded[i] - x * padded[i + 1] + padded[i + 2] == n * y
+                           for i, (x, y) in enumerate(zip(b, r))), (n, q)
+
+    @pytest.mark.parametrize(("selfints", "rhs", "expected"), [
+        ((5,), (1,), ([-1], 5)),  # k = 1: a single component, alpha = beta = (1,)
+        ((3, 4), (1, 0), ([-4, -1], 11)),  # the order-11 chain: its M^-1 is [[-4, -1], [-1, -3]] / 11
+        ((3, 4), (0, 1), ([-1, -3], 11)),
+        ((2, 2, 2), (0, 1, 0), ([-2, -4, -2], 4)),
+    ])
+    def test_short_chains(self, selfints, rhs, expected):
+        assert ExceptionalChain.from_selfints(selfints).solve(rhs) == expected
+
+
 class TestK2Correction:
     def test_du_val_is_zero(self):
         assert CyclicSing(2, 1).chain().k2_correction() == 0
