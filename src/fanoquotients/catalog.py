@@ -66,7 +66,8 @@ def read_scenario_file(path: Path, name: str):
     """The JSON value of one scenario file; if it cannot be read, raise InvalidScenario under ``name``."""
     try:
         return json.loads(path.read_text(), parse_int=parse_json_int)
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON, or too many digits
+    # unreadable, not UTF-8, not JSON, too many digits, or nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidScenario([f"{name}: {exc}"]) from exc
 
 
@@ -232,7 +233,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     fib = fields["fibration"]
     return QuotientScenario(
         fields["label"], tuple(generators),
-        tuple(Stratum(st["stabilizer_order"], st["euler"], st["note"]) for st in fields["strata"]),
+        tuple(Stratum(st["stabilizer_order"], st["euler"]) for st in fields["strata"]),
         tuple(ram), tuple(sings),
         fibration=None if fib is None else Fibration(fib["fiber_genus"], fib["deck_order"], fib["ramification"]),
         annotations=annotations, display=dict(fields["display"]), table=fields["table"], source=fields["source"])

@@ -13,6 +13,10 @@ engine computes
     chi    = 1 - q + p_g,  h^{1,1} = c2 - 2 + 4q - 2p_g,
 
 and cross-checks Noether's relation 12 chi = c1^2 + c2.
+
+Only catalog.scenario_from_dict builds the records.  The input defaults and
+checks (intersection pairs, stabilizer orders, indices) are the catalog's alone
+and run before any report; the engine does not repeat them.
 """
 
 from __future__ import annotations
@@ -43,33 +47,15 @@ class NonIntegralGenus(ArithmeticError):
     """A genus formula (adjunction, Riemann-Hurwitz) gave no nonnegative integer."""
 
 
-class MissingIntersection(KeyError):
-    """A needed R.R' value is absent from the ramification data."""
-
-
 # records take their fields in the functional form, whose types are objects: the class
 # form would compile each annotation, a string under the __future__ import, at import time
 
-class Stratum(NamedTuple("Stratum", [("order", int), ("euler", int), ("note", str)])):
-    """Points whose stabilizer has the given order, with their Euler number."""
+# points whose stabilizer has the given order, with their Euler number
+Stratum = NamedTuple("Stratum", [("order", int), ("euler", int)])
 
-    __slots__ = ()
-
-    def __new__(cls, order, euler, note=""):
-        return super().__new__(cls, order, euler, note)
-
-
-class RamificationCurve(NamedTuple("RamificationCurve", [
-        ("name", str), ("index", int), ("self_int", int), ("k_degree", int),
-        ("meets", dict[str, int])])):
-    """A curve on S fixed pointwise by a subgroup of the given order, with its integer intersection numbers."""
-
-    __slots__ = ()
-
-    def __new__(cls, name, index, self_int, k_degree, meets=None):
-        # a NamedTuple default would be one dict shared by every curve
-        return super().__new__(cls, name, index, self_int, k_degree, {} if meets is None else meets)
-
+# a curve on S fixed pointwise by a subgroup of the given order, with its integer intersection numbers
+RamificationCurve = NamedTuple("RamificationCurve", [
+    ("name", str), ("index", int), ("self_int", int), ("k_degree", int), ("meets", dict[str, int])])
 
 # genus data for the induced fibration over an elliptic Albanese image
 Fibration = NamedTuple("Fibration", [("fiber_genus", int), ("deck_order", int), ("ramification", int)])
@@ -81,14 +67,7 @@ class QuotientScenario(NamedTuple("QuotientScenario", [
         ("fibration", Optional[Fibration]), ("annotations", dict), ("display", dict), ("table", Optional[int]),
         ("source", str)])):
     # derived values are computed once per scenario; cached_property stores
-    # them in the instance __dict__, which this subclass keeps by declaring no __slots__;
-    # omitted annotations and display get a dict of their own, as meets does above
-
-    def __new__(cls, label, generators, strata, ramification, singularities, fibration=None,
-                annotations=None, display=None, table=None, source=""):
-        return super().__new__(cls, label, generators, strata, ramification, singularities, fibration,
-                               {} if annotations is None else annotations, {} if display is None else display,
-                               table, source)
+    # them in the instance __dict__, which this subclass keeps by declaring no __slots__
 
     def group(self) -> FiniteMatrixGroup:
         return self._group
@@ -102,13 +81,6 @@ class QuotientScenario(NamedTuple("QuotientScenario", [
         """The full report, shared by every caller; see ``full_report``."""
         return full_report(self)
 
-    def singularity_text(self) -> str:
-        parts = []
-        for sing, count in self.singularities:
-            prefix = "" if count == 1 else str(count)
-            parts.append(f"{prefix}{sing.display()}")
-        return "+".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # the individual invariants
@@ -119,9 +91,6 @@ def euler_quotient(scenario: QuotientScenario) -> int:
     order = scenario.group().order
     total = Fraction(BASE_EULER)
     for stratum in scenario.strata:
-        if stratum.order < 2 or order % stratum.order != 0:
-            raise NonIntegralEuler(
-                f"{scenario.label}: stratum order {stratum.order} does not divide |G| = {order}")
         total += (stratum.order - 1) * stratum.euler
     value = total / order
     if value.denominator != 1:
@@ -169,15 +138,8 @@ def k2_quotient(scenario: QuotientScenario) -> Fraction:
         total += weight * weight * r.self_int
     for i, r in enumerate(curves):
         for s in curves[i + 1:]:
-            if s.name in r.meets:
-                cross = r.meets[s.name]
-            elif r.name in s.meets:
-                cross = s.meets[r.name]
-            else:
-                raise MissingIntersection(
-                    f"{scenario.label}: no intersection value for {r.name}.{s.name}")
-            if r.name in s.meets and s.name in r.meets and s.meets[r.name] != r.meets[s.name]:
-                raise ValueError(f"{scenario.label}: asymmetric intersection {r.name}.{s.name}")
+            # the catalog ensures that one of the two curves holds the value, and that two agree
+            cross = r.meets[s.name] if s.name in r.meets else s.meets[r.name]
             total += 2 * (r.index - 1) * (s.index - 1) * cross
     return total / order
 
@@ -215,8 +177,8 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
     """Assemble every invariant and run the Noether cross-check.
 
     A failed Noether identity or a fractional c1^2 is reported as a flag so
-    that inconsistent user scenarios still produce diagnostics; hard data
-    errors (missing intersections, bad strata) raise instead.
+    that inconsistent user scenarios still produce diagnostics; a non-integral
+    e(S/G) or fiber genus raises.
     """
     flags: list[str] = []
     k2q = k2_quotient(scenario)
@@ -238,6 +200,10 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
     if scenario.fibration is not None:
         fib = scenario.fibration
         fiber = albanese_fiber_genus(fib.fiber_genus, fib.deck_order, fib.ramification)
+    parts = []
+    for sing, count in scenario.singularities:
+        prefix = "" if count == 1 else str(count)
+        parts.append(f"{prefix}{sing.display()}")
     return InvariantReport(
         c1_sq=int(c1_sq) if c1_sq.denominator == 1 else c1_sq,
         c2=c2,
@@ -246,7 +212,7 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
         chi=chi,
         h11=h11,
         fiber_genus=fiber,
-        singularities=scenario.singularity_text(),
+        singularities="+".join(parts),
         noether_ok=noether_ok,
         k2_quotient=k2q,
         k2_correction=correction,

@@ -170,7 +170,7 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
     if option not in stage2.survivors:
         raise ValueError(f"option {option} is not one of the surviving options {stage2.survivors}")
     a14, b14, a23, b23 = option
-    chains = {p: ExceptionalChain.from_selfints(_KLEIN_CHAIN) for p in _KLEIN_POINTS}
+    chains = dict.fromkeys(_KLEIN_POINTS, _KLEIN)  # chains are immutable: one for every point
     curve_names = tuple(f"D{s}" for s in _KLEIN_SUFFIX)
 
     # coefficient pattern under the order-5 index symmetry: the curve at P_k

@@ -639,6 +639,16 @@ class TestHardenedInput:
         assert main(["--catalog", str(tmp_path), "report", label]) == 2
         assert capsys.readouterr() == ("", f"{file}: {diagnostic}\n")
 
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not ValueError, once the nesting passes the recursion limit
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        diagnostic = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"{bad}: {diagnostic}\n")
+        assert main(["--catalog", str(tmp_path), "tables"]) == 2
+        assert capsys.readouterr() == ("", f"deep.json: {diagnostic}\n")
+
     def test_eighteen_digits_are_the_bound(self):
         assert catalog.parse_json_int("-" + "9" * 18) == 1 - 10 ** 18
         with pytest.raises(ValueError, match="has 19 digits"):
@@ -664,6 +674,37 @@ class TestHardenedInput:
         assert main(["--catalog", str(tmp_path), "report", "III(4)"]) == 2
         assert capsys.readouterr() == ("", f"iii4.json: {diagnostic}\n")
         assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("changes, diagnostics", [
+        ([{"meets": {}}] * 3, ["ramification: no intersection value for pair (R1, R2)",
+                               "ramification: no intersection value for pair (R1, R3)",
+                               "ramification: no intersection value for pair (R2, R3)"]),
+        ([{"index": 3}], ["ramification[0].index: 3 does not divide |G| = 4"]),
+    ], ids=["no-meets", "index"])
+    def test_pair_and_index_checks_exit_two(self, tmp_path, capsys, changes, diagnostics):
+        # the engine reads intersection pairs and indices unchecked: the catalog stops them first
+        data = json.loads((DATA / "d2.json").read_text())
+        for curve, change in zip(data["ramification"], changes):
+            curve.update(change)
+        bad = tmp_path / "d2.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == ("".join(f"{bad}: {d}\n" for d in diagnostics), "")
+        assert main(["--catalog", str(tmp_path), "tables"]) == 2
+        assert capsys.readouterr() == ("", "".join(f"d2.json: {d}\n" for d in diagnostics))
+
+    def test_meets_held_by_the_later_curve_only(self, tmp_path, capsys):
+        # k2_quotient looks a pair up on the earlier curve, then on the later one
+        data = json.loads((DATA / "d2.json").read_text())
+        curves = data["ramification"]
+        for i, curve in enumerate(curves):
+            curve["meets"] = {other["name"]: "1" for other in curves[:i]}
+        path = tmp_path / "d2.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr() == (f"{path}: ok\n", "")
+        assert main(["--catalog", str(tmp_path), "--format", "json", "report", "D2"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "reports" / "d2.json").read_text()
 
     def test_huge_conductor_is_rejected_quickly(self, tmp_path, capsys):
         identity = [[int(i == j) for j in range(5)] for i in range(5)]

@@ -8,9 +8,6 @@ from fanoquotients.hj_resolution import CyclicSing
 from fanoquotients.quotient_engine import (
     NonIntegralEuler,
     NonIntegralGenus,
-    MissingIntersection,
-    QuotientScenario,
-    RamificationCurve,
     Stratum,
     albanese_fiber_genus,
     euler_quotient,
@@ -40,10 +37,7 @@ class TestEulerQuotient:
         assert euler_quotient(case("trivial")) == 27
 
     def test_non_integral_rejected(self):
-        scenario = case("V")
-        bad = QuotientScenario(
-            label="V-bad", generators=scenario.generators,
-            strata=(Stratum(5, 3),), ramification=(), singularities=())
+        bad = case("V")._replace(label="V-bad", strata=(Stratum(5, 3),))
         with pytest.raises(NonIntegralEuler):
             euler_quotient(bad)
 
@@ -115,23 +109,6 @@ class TestK2Quotient:
     def test_etale_case(self):
         assert k2_quotient(case("III(1)")) == 15
 
-    def test_meets_defaults_to_a_fresh_dict(self):
-        first, second = RamificationCurve("R1", 2, F(-3), F(9)), RamificationCurve("R2", 2, F(-3), F(9))
-        assert first.meets == second.meets == {}
-        assert first.meets is not second.meets
-
-    def test_missing_intersection_raises(self):
-        scenario = QuotientScenario(
-            label="bad", generators=case("D2").generators,
-            strata=(),
-            ramification=(
-                RamificationCurve("R1", 2, F(-3), F(9)),
-                RamificationCurve("R2", 2, F(-3), F(9)),
-            ),
-            singularities=())
-        with pytest.raises(MissingIntersection):
-            k2_quotient(scenario)
-
 
 class TestInvariantDimensions:
     def test_irregularity(self):
@@ -191,11 +168,8 @@ class TestFullReport:
         assert r.c2 == F(27, 3) == 9
 
     def test_noether_failure_is_flagged_not_raised(self):
-        scenario = case("V")
-        bad = QuotientScenario(
-            label="V-bad", generators=scenario.generators,
-            strata=(Stratum(5, 7),),  # wrong Euler number, still integral
-            ramification=(), singularities=scenario.singularities)
+        # a wrong Euler number, still integral
+        bad = case("V")._replace(label="V-bad", strata=(Stratum(5, 7),))
         report = full_report(bad)
         assert not report.noether_ok
         assert any("Noether" in f for f in report.flags)

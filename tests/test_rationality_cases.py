@@ -7,7 +7,7 @@ from fanoquotients import catalog
 from fanoquotients import rationality_cases as rc
 from fanoquotients.blowdown import CurveConfig, find_rationality_certificate
 from fanoquotients.mumford import ResolutionModel
-from fanoquotients.quotient_engine import NonIntegralGenus, QuotientScenario
+from fanoquotients.quotient_engine import NonIntegralGenus
 
 
 STAGE1_EXPECTED = {
@@ -19,10 +19,7 @@ STAGE2_SURVIVORS = ((4, 1, 5, 4), (5, 4, 4, 1))
 
 def annotated(label, annotations):
     """The catalog case ``label``, rebuilt with other annotations."""
-    s = catalog.find_case(label)
-    return QuotientScenario(label=s.label, generators=s.generators, strata=s.strata, ramification=s.ramification,
-                            singularities=s.singularities, fibration=s.fibration, annotations=annotations,
-                            display=s.display, table=s.table, source=s.source)
+    return catalog.find_case(label)._replace(annotations=annotations)
 
 
 def full_box_stage1(budget, search_bound=50):
