@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .cyclotomic_rep import MAX_GROUP_ORDER
 from .hj_resolution import CyclicSing
 
 OK, INCONSISTENT, INPUT_ERROR, BROKEN_PIPE = 0, 1, 2, 141
@@ -53,15 +52,12 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
-    if args.n > MAX_GROUP_ORDER:
-        print(f"n must be at most {MAX_GROUP_ORDER}, got {args.n}", file=sys.stderr)
-        return INPUT_ERROR
     try:
         sing = CyclicSing(args.n, args.q)
+        resolution = sing.chain()  # refuses n above the closure bound
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return INPUT_ERROR
-    resolution = sing.chain()
     chain, disc, corr = resolution.selfints, resolution.discrepancies, resolution.k2_correction()
     if args.format == "json":
         print(json.dumps({
@@ -75,7 +71,7 @@ def _cmd_resolve(args) -> int:
             "du_val": sing.is_du_val,
         }, indent=2, sort_keys=True))
     else:
-        alias = f" ({sing.display()})" if sing.display() != f"A{sing.n},{sing.q}" else ""
+        alias = f" ({sing.display()})" if sing.is_du_val else ""
         print(f"A{sing.n},{sing.q}{alias}: chain {tuple(-b for b in chain)} (up to reversal)")
         print(f"  discrepancies: ({', '.join(str(a) for a in disc)})")
         print(f"  K^2 correction: {corr}")

@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 MAX_GROUP_ORDER = 10000  # the closure bound; it bounds every singularity order n too, as n divides |G|
+_PRIME = 2 ** 61 - 1  # a Mersenne prime, the modulus of the cheap identity test in _order_dividing
 
 
 class BoundExceeded(RuntimeError):
@@ -297,19 +298,26 @@ class FiniteMatrixGroup(tuple):
         return values[chi]
 
 
-def _power(g: CycMatrix, e: int) -> CycMatrix:
-    """g^e for e >= 1, by square and multiply from the top bit down."""
+def _mod_prime(m: CycMatrix) -> CycMatrix:
+    """m reduced mod Phi_n and mod _PRIME, a ring map: a power that misses I there misses it exactly."""
+    rows = (tuple(CycNum(m.n, [c % _PRIME for c in e._canonical()]) for e in row) for row in m.rows)
+    return CycMatrix._make(m.n, tuple(rows))
+
+
+def _power(g: CycMatrix, e: int, step: Callable[[CycMatrix], CycMatrix] = lambda m: m) -> CycMatrix:
+    """g^e for e >= 1, by square and multiply from the top bit down, each product passed through ``step``."""
     x = g
     for bit in bin(e)[3:]:
-        x = x @ x
-        x = x @ g if bit == "1" else x
+        x = step(x @ x)
+        x = step(x @ g) if bit == "1" else x
     return x
 
 
 def _order_dividing(g: CycMatrix, multiple: int, one: tuple) -> int:
     """The order of g if g^multiple = I, else 0, found one prime power p^e of ``multiple`` at a time:
-    h = g^(multiple / p^e) has order the p-part of g's, the least p^f with h^(p^f) = I."""
-    if _power(g, multiple).key() != one:
+    h = g^(multiple / p^e) has order the p-part of g's, the least p^f with h^(p^f) = I.  The exact
+    powers of a g that grows reach millions of bits, so g^multiple is first compared mod _PRIME."""
+    if _power(g, multiple, _mod_prime).key() != one or _power(g, multiple).key() != one:
         return 0
     order, rest, p = 1, multiple, 2
     while rest > 1:
@@ -334,12 +342,12 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
     not m, which is at least 6 once k >= 7.  So the order of g divides
     L(n) = lcm(m, 2m, ..., 6m) = 60 m.  Powers that miss the identity up to
     min(L(n), bound), or repeat without it (g singular), raise ``BoundExceeded``.
-    A walk past 2 bit_length(L) powers first finds g^L by squaring: g^L != I, or
-    an exact order above the bound, is rejected without walking further.  A
-    generator that passes has finite order, so it is invertible; finite
-    order makes closure under products suffice for a group.  The powers seed
-    the closure and x g is skipped for x a power of g, so no product is formed
-    twice.  ``BoundExceeded`` also signals more than ``bound`` elements.
+    A walk past 2 bit_length(L) powers first finds g^L by squaring, mod a prime and
+    then exactly: g^L != I, or an exact order above the bound, is rejected without
+    walking further.  A generator that passes has finite order, so it is
+    invertible; finite order makes closure under products suffice for a group.  The
+    powers seed the closure and x g is skipped for x a power of g, so no product is
+    formed twice.  ``BoundExceeded`` also signals more than ``bound`` elements.
     """
     dim = generators[0].dim if generators else 5
     conductor = _one_conductor(generators)

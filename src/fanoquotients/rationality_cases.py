@@ -218,24 +218,19 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
 # the order-15 configuration
 
 
-class EllipticLattice:
-    """The ten elliptic curves E_ij (1 <= i < j <= 5) and their pairing:
+def elliptic_pair(first: Iterable[tuple[int, int]], second: Iterable[tuple[int, int]]) -> int:
+    """The pairing of two sums of the ten elliptic curves E_ij (1 <= i < j <= 5):
     E_ij^2 = -3, E_ij.E_st = 1 when the index sets are disjoint, 0 when they
     share one index."""
-
-    @staticmethod
-    def pair(ij: tuple[int, int], st: tuple[int, int]) -> int:
-        overlap = len({*ij, *st})
-        if overlap == 2:
-            return -3
-        return 1 if overlap == 4 else 0
-
-    def divisor_pair(self, first: Iterable[tuple[int, int]], second: Iterable[tuple[int, int]]) -> int:
-        return sum(self.pair(x, y) for x in first for y in second)
+    # the union of the two index sets has 2 elements for one curve, 3 for one shared index, 4 for none
+    return sum({2: -3, 3: 0, 4: 1}[len({*ij, *st})] for ij in first for st in second)
 
 
 XV_CYCLE = ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
 XV_PENTAGRAM = ((1, 3), (2, 4), (3, 5), (1, 4), (2, 5))
+
+# (E1^2, E1.E2) for the orbit divisors E1 = sum of the cycle, E2 = sum of the pentagram
+_XV_ORBIT_PAIRS = elliptic_pair(XV_CYCLE, XV_CYCLE), elliptic_pair(XV_CYCLE, XV_PENTAGRAM)
 
 _XV_MATRIX = (
     (-1, 0, 1, 0, 0),
@@ -251,10 +246,8 @@ _XV_CHAINS = {"a": (4, 4), "b": (4, 4), "g": (3,), "f": (3,), "m": (3,), "n": (3
 def build_xv_config() -> CurveConfig:
     """Derive the 5x5 configuration (Abar, Bbar, T_m, Hbar, Lbar) of the
     order-15 quotient and check it against its expected intersection matrix."""
-    lattice = EllipticLattice()
-    e1_sq = lattice.divisor_pair(XV_CYCLE, XV_CYCLE)
-    e1_e2 = lattice.divisor_pair(XV_CYCLE, XV_PENTAGRAM)
-    if e1_sq != -5 or e1_e2 != 5:
+    e1_sq, e1_e2 = _XV_ORBIT_PAIRS
+    if (e1_sq, e1_e2) != (-5, 5):
         raise MatrixMismatch(f"elliptic orbit pairings: E1^2 = {e1_sq}, E1.E2 = {e1_e2}")
     order = _PROOFS["xv"][0]
     h_sq = Fraction(e1_sq, order)                  # -1/3
@@ -431,9 +424,7 @@ def _klein_text(certificates: dict[str, RationalityCertificate]) -> str:
 def _xv_text(certificates: dict[str, RationalityCertificate]) -> str:
     """Human-readable transcript of the order-15 proof."""
     cert = certificates["xv"]
-    lattice = EllipticLattice()
-    e1_sq = lattice.divisor_pair(XV_CYCLE, XV_CYCLE)
-    e1_e2 = lattice.divisor_pair(XV_CYCLE, XV_PENTAGRAM)
+    e1_sq, e1_e2 = _XV_ORBIT_PAIRS
     order = _PROOFS["xv"][0]
     lines = ["rationality search: order-15 quotient (case XV)"]
     lines.append("elliptic-curve orbit divisors: E1^2 = E2^2 = "

@@ -322,9 +322,8 @@ def test_criterion_5_klein_certificates(case):
 # -- criterion 6: intermediate values asserted in the builds ------------------
 
 def test_criterion_6_xv_intermediates():
-    lattice = rc.EllipticLattice()
-    assert lattice.divisor_pair(rc.XV_CYCLE, rc.XV_CYCLE) == -5
-    assert lattice.divisor_pair(rc.XV_CYCLE, rc.XV_PENTAGRAM) == 5
+    assert rc.elliptic_pair(rc.XV_CYCLE, rc.XV_CYCLE) == -5
+    assert rc.elliptic_pair(rc.XV_CYCLE, rc.XV_PENTAGRAM) == 5
     config = rc.build_xv_config()   # raises MatrixMismatch on any failure
     assert config.self_int("H") == -2 and config.self_int("L") == -2
     assert config.pair("H", "L") == 0

@@ -223,6 +223,12 @@ class TestCliExitCodes:
     def test_resolve_bad_input(self, capsys):
         assert main(["resolve", "6", "2"]) == 2
 
+    def test_resolve_above_the_bound_checks_gcd_first(self, capsys):
+        assert main(["resolve", "10002", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gcd(n, q) must be 1, got (10002, 2)\n"
+
     def test_resolve_is_bounded(self):
         # the chain of A_{n,n-1} has n - 1 components: a huge n must be refused, not resolved
         env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
@@ -516,6 +522,21 @@ class TestHardenedInput:
         start = time.monotonic()
         proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "validate", str(path)],
                               capture_output=True, text=True, timeout=60, env=env)
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == f"{path}: group: closure failed: generator 0 is singular or of order above 10000\n"
+
+    @pytest.mark.parametrize("diagonal", [10 ** 6, 10 ** 9, 10 ** 17], ids=["7-digit", "10-digit", "18-digit"])
+    def test_growing_generator_exits_two_within_a_second(self, tmp_path, diagonal):
+        # its exact power g^60,000 has coefficients of millions of bits; mod a prime it misses I at once
+        rows = [[(7 * i + 3 * j) % 11 + diagonal * (i == j) for j in range(5)] for i in range(5)]
+        path = tmp_path / "grow.json"
+        path.write_text(json.dumps({"schema": 1, "label": "grow",
+                                    "group": {"conductor": 1000, "generators": [{"rows": rows}]}}))
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=120, env=env)
         assert time.monotonic() - start < 1.0
         assert proc.returncode == 2
         assert proc.stdout == f"{path}: group: closure failed: generator 0 is singular or of order above 10000\n"

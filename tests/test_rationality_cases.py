@@ -123,11 +123,10 @@ class TestKleinConfig:
 
 class TestEllipticLattice:
     def test_pairing_rules_all_pairs(self):
-        lattice = rc.EllipticLattice()
         indices = list(itertools.combinations(range(1, 6), 2))
         assert len(indices) == 10
         for ij, st in itertools.combinations_with_replacement(indices, 2):
-            value = lattice.pair(ij, st)
+            value = rc.elliptic_pair([ij], [st])
             overlap = len({*ij, *st})
             if overlap == 2:
                 assert value == -3
@@ -137,10 +136,9 @@ class TestEllipticLattice:
                 assert value == 1
 
     def test_orbit_divisors(self):
-        lattice = rc.EllipticLattice()
-        assert lattice.divisor_pair(rc.XV_CYCLE, rc.XV_CYCLE) == -5
-        assert lattice.divisor_pair(rc.XV_PENTAGRAM, rc.XV_PENTAGRAM) == -5
-        assert lattice.divisor_pair(rc.XV_CYCLE, rc.XV_PENTAGRAM) == 5
+        assert rc.elliptic_pair(rc.XV_CYCLE, rc.XV_CYCLE) == -5
+        assert rc.elliptic_pair(rc.XV_PENTAGRAM, rc.XV_PENTAGRAM) == -5
+        assert rc.elliptic_pair(rc.XV_CYCLE, rc.XV_PENTAGRAM) == 5
 
 
 class TestXvConfig:
