@@ -17,10 +17,10 @@ discrepancies and the K^2 correction.  A run of m components with b_i = 2 is
 one partial quotient of the regular continued fraction of n/q (Riemenschneider,
 Math. Ann. 209, 1974); along it alpha, beta and n a_i are arithmetic
 progressions, so the pass takes the whole run in one step.  Each value s/n is
-read from a table of all n of them, kept per n (for the few most recent n), so
-a run's discrepancies are one slice and equal discrepancies are one shared
-immutable object.  A chain given by its b is folded back to (n, q) first and goes
-through the same pass, and ``ExceptionalChain.solve`` reads M^-1 off the same alpha and beta.
+read from a table of every one that can occur (each s < n, or each even s for
+even n), kept per n for the few most recent n, so a run's discrepancies are one
+slice and equal ones are one shared immutable object.  A chain given by its b is
+folded back to (n, q) for the same pass, and ``ExceptionalChain.solve`` reads M^-1 off the same alpha and beta.
 """
 
 from __future__ import annotations
@@ -49,10 +49,13 @@ def _fold(selfints) -> list[int]:
 
 @lru_cache(maxsize=4)  # a sweep takes the chains of one n together, and a chain-cache hit needs no table
 def _discrepancy_memo(n: int) -> tuple[Fraction, ...]:
-    """Fraction(s, n) at index s for 0 <= s < n, each made once, so equal discrepancies are one shared object."""
+    """Fraction(s, n) at index s (odd n) or s >> 1 (even n), each made once, so equal ones are one object.
+    For even n only even s occur: q is odd, so alpha_i + beta_i, which runs x_0 = n, x_1 = q + 1, x_{i+1} =
+    b_i x_i - x_{i-1}, is even, and so is each s = n - alpha_i - beta_i and each run step d - e."""
     if n > MAX_GROUP_ORDER:
         raise ValueError(f"n must be at most {MAX_GROUP_ORDER}, got {n}")
-    return tuple(map(Fraction, range(n), repeat(n)))
+    size = n if n % 2 else n // 2
+    return tuple(map(Fraction, range(size), repeat(size)))  # Fraction(2t, n) = Fraction(t, n / 2)
 
 
 def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fraction]:
@@ -63,11 +66,11 @@ def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fra
     follow x_{i+1} = b_i x_i - x_{i-1}, so n a_i = n - alpha_i - beta_i comes out
     beside each b_i.  Where b_i = 2, alpha falls by d = alpha_{i-1} - alpha_i and beta
     rises by e = beta_i - beta_{i-1} at each step, and b stays 2 while d <= alpha: a run
-    of alpha // d components whose n a_i step by d - e, taken in one step.  It ends
-    at the next component's n a, or at n a_{k+1} = 0, so the slice's stop is never
-    negative.
+    of alpha // d components whose n a_i step by d - e, taken in one step.  It ends at
+    the next component's n a, or at n a_{k+1} = 0, so the slice's stop is never negative.
     """
     table = _discrepancy_memo(n)
+    half = 1 - n % 2  # the table's index is s >> half
     b, a = [], []
     k2 = 0  # n a^T M a = sum n a_i (2 - b_i), as M a = 2 - b; a run adds 0
     alpha_prev, alpha = n, q
@@ -78,14 +81,15 @@ def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fra
         if d <= alpha:
             e = beta - beta_prev
             m = alpha // d
+            i, step = s >> half, (d - e) >> half
             b += [2] * m
-            a += table[s:s + m * (d - e):d - e] if d != e else [table[s]] * m
+            a += table[i:i + m * step:step] if step else [table[i]] * m
             alpha_prev, alpha = alpha - (m - 1) * d, alpha - m * d
             beta_prev, beta = beta + (m - 1) * e, beta + m * e
         else:
             x = -(-alpha_prev // alpha)
             b.append(x)
-            a.append(table[s])
+            a.append(table[s >> half])
             k2 += s * (2 - x)
             alpha_prev, alpha = alpha, x * alpha - alpha_prev
             beta_prev, beta = beta, x * beta - beta_prev

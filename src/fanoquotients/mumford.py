@@ -4,16 +4,16 @@ A normal surface Y with cyclic quotient singularities is presented by the
 chains of its minimal resolution g: Z -> Y plus, for each named curve C on Y,
 the pairing values C.C' downstairs, the degree K_Y.C, and the multiplicities
 with which the strict transform meets each exceptional component.  Writing
-Cbar = g*C - sum a_i C_i with the defining relations g*C . C_i = 0, the
-coefficients a_i solve M a = -m against the chain intersection matrix M, whose
-inverse ``ExceptionalChain.solve`` reads in closed form.  They share its denominator
+Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the coefficients a_i solve M a = -m on
+the chain intersection matrix M, once per curve and point when the model is built,
+by the closed-form inverse of ``ExceptionalChain.solve``.  They share its denominator
 n, kept as the integers n a_i: each pairing on Z is one integer sum per point over n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .hj_resolution import ExceptionalChain
 from .quotient_engine import NonIntegralGenus
@@ -30,67 +30,47 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 class ResolutionModel(NamedTuple("ResolutionModel", [
         ("chains", dict[str, ExceptionalChain]), ("curves", tuple[str, ...]),
         ("pairing", dict[tuple[str, str], Fraction]), ("k_degree", dict[str, Fraction]),
-        ("incidence", dict[str, dict[str, tuple[int, ...]]])])):
+        ("incidence", dict[str, dict[str, tuple[int, ...]]]),
+        ("strict", dict[str, dict[str, tuple[tuple[int, ...], int]]])])):
     """Named curves on a normal surface together with its resolution data.
 
     chains: singular point name -> exceptional chain of its resolution
     pairing: downstairs values C.C' (symmetric; key order-insensitive)
     k_degree: K_Y.C per named curve
     incidence: curve -> point -> per-component multiplicities of Cbar.C_i
+    strict: curve -> point -> (s, n) with a = s / n solving M a = -m (all s_i >= 0)
     """
 
-    # no __slots__: the instance __dict__ keeps the strict-transform
-    # numerators, solved and checked once per curve
+    __slots__ = ()
 
     @classmethod
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
               pairing: Mapping[tuple[str, str], Fraction], k_degree: Mapping[str, Fraction],
-              incidence: Mapping[str, Mapping[str, Iterable[int]]]) -> "ResolutionModel":
-        curve_list = tuple(curves)
-        pairs = {}
-        for (a, b), v in pairing.items():
-            key = _pair_key(a, b)
-            value = Fraction(v)
-            if pairs.get(key, value) != value:
-                raise ValueError(f"conflicting pairing values for {key}")
-            pairs[key] = value
-        inc = {}
-        for name in curve_list:
-            per_point = {}
-            for point, mults in incidence.get(name, {}).items():
-                if point not in chains:
-                    raise UnknownCurve(f"incidence references unknown singular point {point!r}")
-                vec = tuple(int(m) for m in mults)
-                if len(vec) != len(chains[point]):
+              incidence: Mapping[str, Mapping[str, Sequence[int]]]) -> "ResolutionModel":
+        """Solve each strict transform once per point it meets; ``_config_from_model`` checks the results."""
+        curves = tuple(curves)
+        inc = {name: dict(incidence.get(name, {})) for name in curves}
+        strict = {name: {} for name in curves}
+        for name in curves:
+            for point, mults in inc[name].items():
+                if len(mults) != len(chains[point]):  # solve would zip a short vector without a word
                     raise ValueError(f"incidence for {name} at {point} has wrong length")
-                if any(m < 0 for m in vec):
-                    raise ValueError(f"negative incidence multiplicity for {name} at {point}")
-                per_point[point] = vec
-            inc[name] = per_point
-        return cls(dict(chains), curve_list, pairs, {c: Fraction(k_degree[c]) for c in curve_list}, inc)
-
-    # -- strict transforms ---------------------------------------------------
+                s, n = chains[point].solve([-m for m in mults])
+                # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0, times n
+                padded = (0, *s, 0)
+                assert all(n * m + padded[i] - b * padded[i + 1] + padded[i + 2] == 0 for i, (m, b)
+                           in enumerate(zip(mults, chains[point].selfints))), f"pullback relation violated at {point}"
+                if any(x < 0 for x in s):
+                    raise ValueError(f"negative strict-transform coefficient for {name} at {point}")
+                strict[name][point] = (tuple(s), n)
+        return cls(dict(chains), curves, {_pair_key(a, b): v for (a, b), v in pairing.items()},
+                   {name: k_degree[name] for name in curves}, inc, strict)
 
     def strict_transform_numerators(self, curve: str) -> dict[str, tuple[tuple[int, ...], int]]:
         """Per singular point, (s, n) with a = s / n solving M a = -m (all s_i >= 0)."""
-        strict = vars(self).setdefault("strict", {})
-        if curve in strict:
-            return strict[curve]
-        if curve not in self.incidence:
+        if curve not in self.strict:
             raise UnknownCurve(curve)
-        out = {}
-        for point, mults in self.incidence[curve].items():
-            b = self.chains[point].selfints
-            s, n = self.chains[point].solve([-m for m in mults])
-            # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0, times n
-            padded = (0, *s, 0)
-            assert all(n * m + padded[i] - bi * padded[i + 1] + padded[i + 2] == 0
-                       for i, (m, bi) in enumerate(zip(mults, b))), f"pullback relation violated at {point}"
-            if any(x < 0 for x in s):
-                raise ValueError(f"negative strict-transform coefficient for {curve} at {point}")
-            out[point] = (tuple(s), n)
-        strict[curve] = out
-        return out
+        return self.strict[curve]
 
     def pair_on_resolution(self, c1: str, c2: str) -> Fraction:
         """Strict-transform intersection Cbar1 . Cbar2 = C1.C2 + a1^T M a2 = C1.C2 - a1.m2."""

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -426,6 +427,35 @@ class TestGoldenTranscripts:
     def test_json(self, capsys, case):
         assert main(["--format", "json", "rationality", case]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"rationality_{case}.json").read_text()
+
+
+class TestArgvContract:
+    """argparse's own paths, in a fresh process: the help text and the usage errors."""
+
+    @staticmethod
+    def fanoq(*argv):
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        return subprocess.run([sys.executable, "-m", "fanoquotients.cli", *argv],
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    def test_help_names_the_five_subcommands(self):
+        proc = self.fanoq("--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: fanoq ")
+        listed = re.findall(r"^    (\w+)  ", proc.stdout, re.M)
+        assert listed == ["report", "tables", "resolve", "rationality", "validate"]
+
+    @pytest.mark.parametrize("argv", [
+        ["resolve", "11"], ["resolve", "11", "x"], ["--format", "xml", "tables"], ["rationality", "foo"],
+    ], ids=["resolve-without-q", "resolve-non-integer-q", "unknown-format", "unknown-case"])
+    def test_usage_error_exits_two(self, argv):
+        # 2 is the documented input-error code, the one argparse exits with
+        proc = self.fanoq(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: fanoq")
+        assert lines[-1].startswith("fanoq") and ": error: " in lines[-1]
 
 
 class TestHardenedInput:

@@ -341,6 +341,12 @@ class TestDiscrepancyMemo:
             CyclicSing(10**9 + 7, 2).chain()
         assert _discrepancy_memo.cache_info().currsize == 0
 
+    def test_even_n_table_holds_only_the_even_numerators(self):
+        # for even n every n a_i is even, so s / n sits at index s >> 1 and the table is half as long
+        assert len(_discrepancy_memo(512)) == 256
+        assert len(_discrepancy_memo(511)) == 511
+        assert _discrepancy_memo(512) == tuple(F(s, 512) for s in range(0, 512, 2))
+
     def test_du_val_zeros_are_one_object(self):
         chain = ExceptionalChain.from_selfints((2,) * 9999)
         assert chain.discrepancies == (0,) * 9999

@@ -34,6 +34,14 @@ def test_build_is_a_classmethod_of_the_class_body():
     assert isinstance(ResolutionModel.__dict__["build"], classmethod)
 
 
+def test_build_solves_every_strict_transform_into_a_slotted_record():
+    model = xv_style_model()
+    assert model.strict == {"H": {"m": ((1,), 3), "n": ((2,), 3)}, "L": {"m": ((1,), 3), "p": ((2,), 3)}, "Z": {}}
+    assert not hasattr(model, "__dict__")
+    for curve in model.curves:
+        assert model.strict_transform_numerators(curve) is model.strict[curve]
+
+
 class TestStrictTransformCoeffs:
     def test_curve_missing_all_points(self):
         model = xv_style_model()
