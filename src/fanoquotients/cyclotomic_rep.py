@@ -342,12 +342,14 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
     not m, which is at least 6 once k >= 7.  So the order of g divides
     L(n) = lcm(m, 2m, ..., 6m) = 60 m.  Powers that miss the identity up to
     min(L(n), bound), or repeat without it (g singular), raise ``BoundExceeded``.
-    A walk past 2 bit_length(L) powers first finds g^L by squaring, mod a prime and
-    then exactly: g^L != I, or an exact order above the bound, is rejected without
-    walking further.  A generator that passes has finite order, so it is
-    invertible; finite order makes closure under products suffice for a group.  The
-    powers seed the closure and x g is skipped for x a power of g, so no product is
-    formed twice.  ``BoundExceeded`` also signals more than ``bound`` elements.
+    A walk past 2 bit_length(L) powers stops there.  Each power of finite order has
+    roots of unity as eigenvalues, so a rational trace above dim in size rejects g
+    without a product.  Else g^L is found by squaring, mod a prime and then exactly:
+    g^L != I, or an exact order above the bound, is rejected without walking
+    further.  A generator that passes has finite order, so it is invertible; finite
+    order makes closure under products suffice for a group.  The powers seed the
+    closure and x g is skipped for x a power of g, so no product is formed twice.
+    ``BoundExceeded`` also signals more than ``bound`` elements.
     """
     dim = generators[0].dim if generators else 5
     conductor = _one_conductor(generators)
@@ -361,8 +363,9 @@ def group_closure(generators: Sequence[CycMatrix], bound: int = MAX_GROUP_ORDER)
     for i, g in enumerate(generators):
         powers, x = {one: identity}, g
         while (key := x.key()) != one:
-            if key in powers or len(powers) >= cap or (
-                    len(powers) == walk and not 0 < _order_dividing(g, multiple, one) <= cap):
+            if key in powers or len(powers) >= cap or len(powers) == walk and (
+                    any(t.is_rational() and abs(t.as_int()) > dim for t in map(CycMatrix.trace, powers.values()))
+                    or not 0 < _order_dividing(g, multiple, one) <= cap):
                 raise BoundExceeded(f"generator {i} is singular or of order above {cap}")
             powers[key] = x
             x = x @ g

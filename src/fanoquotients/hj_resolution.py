@@ -96,32 +96,12 @@ def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fra
     return tuple(b), tuple(a), Fraction(k2, n)
 
 
-class ExceptionalChain:
-    """A Hirzebruch-Jung chain with its discrepancy coefficients; its length is the component count."""
+class ExceptionalChain(NamedTuple("ExceptionalChain", [("selfints", tuple[int, ...]),
+                                                        ("discrepancies", tuple[Fraction, ...]), ("k2", Fraction)])):
+    """A Hirzebruch-Jung chain: its b_i, discrepancies a_i and K^2 correction a^T M a, and its length is the
+    component count.  A tuple, so immutable: one chain is shared through the chain cache."""
 
-    __slots__ = ("selfints", "discrepancies", "_k2")
-
-    def __init__(self, selfints: tuple[int, ...], discrepancies: tuple[Fraction, ...], _k2: Fraction):
-        object.__setattr__(self, "selfints", selfints)
-        object.__setattr__(self, "discrepancies", discrepancies)
-        object.__setattr__(self, "_k2", _k2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: chains are shared through the chain cache")
-
-    def __reduce__(self):  # copy and pickle call the constructor, not __setattr__
-        return ExceptionalChain, (self.selfints, self.discrepancies, self._k2)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ExceptionalChain:
-            return NotImplemented
-        return (self.selfints, self.discrepancies) == (other.selfints, other.discrepancies)
-
-    def __hash__(self) -> int:
-        return hash((self.selfints, self.discrepancies))
-
-    def __repr__(self) -> str:
-        return f"ExceptionalChain(selfints={self.selfints!r}, discrepancies={self.discrepancies!r})"
+    __slots__ = ()
 
     @classmethod
     def from_selfints(cls, selfints) -> "ExceptionalChain":
@@ -145,7 +125,7 @@ class ExceptionalChain:
         beta_sums = accumulate(y * r for y, r in zip(beta, rhs))
         return [-(x * u + y * (alpha_sums[-1] - v)) for x, y, u, v in zip(alpha, beta, beta_sums, alpha_sums)], n
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # not the field count, so the record's _make and _replace would fail
         return len(self.selfints)
 
     def pair(self, i: int, j: int) -> int:
@@ -156,7 +136,7 @@ class ExceptionalChain:
 
     def k2_correction(self) -> Fraction:
         """(sum a_i C_i)^2 = a^T M a; zero exactly on du Val chains."""
-        return self._k2
+        return self.k2
 
 
 class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):

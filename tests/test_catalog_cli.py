@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import pytest
 from fanoquotients import catalog, quotient_engine
 from fanoquotients.cli import main
 from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER, NonIntegralDimension
+
+from exact_linalg import QMatrix, solve_linear
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NOT_INTEGERS = "entries, coefficients and exponents must be integers"
@@ -562,6 +565,34 @@ class TestHardenedInput:
         rows = [[(7 * i + 3 * j) % 11 + diagonal * (i == j) for j in range(5)] for i in range(5)]
         path = tmp_path / "grow.json"
         path.write_text(json.dumps({"schema": 1, "label": "grow",
+                                    "group": {"conductor": 1000, "generators": [{"rows": rows}]}}))
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", "validate", str(path)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == f"{path}: group: closure failed: generator 0 is singular or of order above 10000\n"
+
+    def test_generator_of_order_three_mod_a_prime_exits_two_within_a_second(self, tmp_path):
+        # g = S diag(w, w^2, 1, 1, 1) S^-1 mod P, w a cube root of unity mod P: g^3 = I mod P only, so the
+        # mod-P test passes and the exact g^60,000 would reach millions of bits; tr g^2 is far above 5
+        prime = 2 ** 61 - 1
+        w = pow(5, (prime - 1) // 3, prime)
+        rng = random.Random(0)
+        while True:  # with seed 0, the 26th S brings every entry under 10^18
+            s = QMatrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)])
+            if s.det() == 0:
+                continue
+            inverse = [solve_linear(s, [int(i == j) for i in range(5)]) for j in range(5)]  # its columns
+            exact = [[sum(s[i, k] * d * inverse[j][k] for k, d in enumerate((w, w * w, 1, 1, 1))) for j in range(5)]
+                     for i in range(5)]
+            rows = [[(x.numerator * pow(x.denominator, -1, prime) + prime // 2) % prime - prime // 2 for x in row]
+                    for row in exact]
+            if all(abs(x) < 10 ** 18 for row in rows for x in row):
+                break
+        path = tmp_path / "modp.json"
+        path.write_text(json.dumps({"schema": 1, "label": "modp",
                                     "group": {"conductor": 1000, "generators": [{"rows": rows}]}}))
         env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
         start = time.monotonic()

@@ -83,6 +83,7 @@ class TestExpansion:
             chain.selfints = (2,)
         for clone in (copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
             assert clone == chain and clone.k2_correction() == chain.k2_correction()
+            assert hash(clone) == hash(chain)
 
 
 class TestDiscrepancies:

@@ -85,6 +85,21 @@ class TestLefschetzEulerQuotient:
             lefschetz_euler_quotient(group)
 
 
+class TestRationalTraceBound:
+    """A walk that reaches its threshold rejects a power with a rational trace above the dimension:
+    an element of finite order has roots of unity as eigenvalues, so no group element has one."""
+
+    @pytest.mark.parametrize("label, dense", [*((label, False) for label in LABELS), ("XI", True), ("XV", True)])
+    def test_no_element_has_a_rational_trace_above_the_dimension(self, label, dense):
+        generators = list(case(label).generators)
+        if dense:  # the conjugates of TestLefschetzEulerQuotient.test_dense_conjugates
+            n = generators[0].n
+            p, p_inv = CycMatrix.from_rows(n, P), CycMatrix.from_rows(n, P_INV)
+            generators = [p @ g @ p_inv for g in generators]
+        traces = [g.trace() for g in group_closure(generators)]
+        assert all(abs(t.as_int()) <= 5 for t in traces if t.is_rational())
+
+
 class TestExceptionalComponents:
     def test_nodes(self):
         assert exceptional_component_count(((CyclicSing(2, 1), 27),)) == 27
