@@ -39,14 +39,14 @@ TABLE1_COLUMNS = ("O", "Type", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularit
 TABLE2_COLUMNS = ("G", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
 
 
-class UnknownCase(KeyError):
-    pass
-
-
 class InvalidScenario(ValueError):
     def __init__(self, diagnostics: list[str]):
         super().__init__("; ".join(diagnostics))
         self.diagnostics = diagnostics
+
+
+class UnknownCase(InvalidScenario):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
     """The checks of a parsed scenario that need its group; empty = ok."""
     diags: list[str] = []
     try:
-        order = scenario.group().order
+        order = scenario.group.order
     except Exception as exc:
         return [f"group: closure failed: {exc}"]
     for i, st in enumerate(scenario.strata):
@@ -258,7 +258,7 @@ def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
             diags.append(f"singularities[{i}].n: {sing.n} does not divide |G| = {order}")
     if not diags:
         try:
-            from_strata, from_group = euler_quotient(scenario), lefschetz_euler_quotient(scenario.group())
+            from_strata, from_group = euler_quotient(scenario), lefschetz_euler_quotient(scenario.group)
         except ArithmeticError as exc:
             diags.append(f"strata: {exc}")
         else:
@@ -342,12 +342,13 @@ def load_catalog(catalog_dir: Optional[Path] = None) -> Catalog:
 
 
 def find_case(label: str, catalog_dir: Optional[Path] = None) -> QuotientScenario:
-    """The checked scenario of one case; its label matches case-insensitively."""
+    """The checked scenario of one case: the exact label, else the one label equal to it up to case."""
     catalog = load_catalog(catalog_dir)
-    key = label if label in catalog else next((k for k in catalog if k.lower() == label.lower()), None)
-    if key is None:
-        raise UnknownCase(f"unknown case {label!r}; known: {', '.join(sorted(catalog))}")
-    return catalog.checked(key)
+    keys = [label] if label in catalog else [k for k in catalog if k.lower() == label.lower()]
+    if len(keys) != 1:
+        raise UnknownCase([f"case {label!r} is ambiguous: {', '.join(sorted(keys))}" if keys
+                           else f"unknown case {label!r}; known: {', '.join(sorted(catalog))}"])
+    return catalog.checked(keys[0])
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ def _cmd_rationality(args) -> int:
 
     scenario = catalog.find_case("XI" if args.case == "klein" else "XV", args.catalog)
     text, certs = rationality_cases.transcript(scenario)  # NoCertificate is an ArithmeticError: exit 1
+    if (case := scenario.annotations["rationality_case"]) != args.case:  # a relabelled file picks the other proof
+        raise rationality_cases.NoCertificate(
+            f"case {scenario.label}: certified by the {case} proof, not by {args.case}")
     if args.format == "json":
         print(json.dumps({name: c.to_json_dict() for name, c in certs.items()}, indent=2, sort_keys=True))
     else:
@@ -141,9 +144,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader hung up: what is left, the last flush at exit too, goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
-    except catalog.UnknownCase as exc:
-        print(exc.args[0], file=sys.stderr)
-        return INPUT_ERROR
     except catalog.InvalidScenario as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .cyclotomic_rep import (
     CycMatrix,
@@ -69,11 +69,8 @@ class QuotientScenario(NamedTuple("QuotientScenario", [
     # derived values are computed once per scenario; cached_property stores
     # them in the instance __dict__, which this subclass keeps by declaring no __slots__
 
-    def group(self) -> FiniteMatrixGroup:
-        return self._group
-
     @cached_property
-    def _group(self) -> FiniteMatrixGroup:
+    def group(self) -> FiniteMatrixGroup:
         return group_closure(list(self.generators) or [CycMatrix.identity(5)])
 
     @cached_property
@@ -88,7 +85,7 @@ class QuotientScenario(NamedTuple("QuotientScenario", [
 
 def euler_quotient(scenario: QuotientScenario) -> int:
     """e(S/G) = (1/|G|) (e(S) + sum_{n>=2} (n-1) e(S_n)), asserted integral."""
-    order = scenario.group().order
+    order = scenario.group.order
     total = Fraction(BASE_EULER)
     for stratum in scenario.strata:
         total += (stratum.order - 1) * stratum.euler
@@ -123,13 +120,9 @@ def lefschetz_euler_quotient(group: FiniteMatrixGroup) -> int:
     raise NonIntegralEuler(f"the Lefschetz average {total!r} / {group.order} is not an integer")
 
 
-def exceptional_component_count(singularities: Sequence[tuple[CyclicSing, int]]) -> int:
-    return sum(count * len(sing.chain()) for sing, count in singularities)
-
-
 def k2_quotient(scenario: QuotientScenario) -> Fraction:
     """K_{S/G}^2 = (1/|G|) (K_S - sum_R (|H_R| - 1) R)^2, expanded exactly."""
-    order = scenario.group().order
+    order = scenario.group.order
     curves = scenario.ramification
     total = BASE_K2
     for r in curves:
@@ -142,16 +135,6 @@ def k2_quotient(scenario: QuotientScenario) -> Fraction:
             cross = r.meets[s.name] if s.name in r.meets else s.meets[r.name]
             total += 2 * (r.index - 1) * (s.index - 1) * cross
     return total / order
-
-
-def irregularity(scenario: QuotientScenario) -> int:
-    """q of the resolution: dimension of the group-invariant 1-forms."""
-    return invariant_dimension(scenario.group(), CycMatrix.trace)
-
-
-def geometric_genus(scenario: QuotientScenario) -> int:
-    """p_g of the resolution: invariant 2-forms, via the exterior-square character."""
-    return invariant_dimension(scenario.group(), exterior_square_trace)
 
 
 def albanese_fiber_genus(fiber_genus: int, deck_order: int, ramification: int) -> int:
@@ -187,10 +170,10 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
     if c1_sq.denominator != 1:
         flags.append(f"c1^2 = {c1_sq} is not an integer")
     e_quot = euler_quotient(scenario)
-    components = exceptional_component_count(scenario.singularities)
+    components = sum(count * len(sing.chain()) for sing, count in scenario.singularities)
     c2 = e_quot + components
-    q = irregularity(scenario)
-    p_g = geometric_genus(scenario)
+    q = invariant_dimension(scenario.group, CycMatrix.trace)  # invariant 1-forms
+    p_g = invariant_dimension(scenario.group, exterior_square_trace)  # invariant 2-forms
     chi = 1 - q + p_g
     h11 = c2 - 2 + 4 * q - 2 * p_g
     noether_ok = 12 * chi == c1_sq + c2

@@ -354,9 +354,9 @@ def certify_rationality(scenario: QuotientScenario) -> dict[str, RationalityCert
     if found != chains:
         raise NoCertificate(f"case {scenario.label}: the {case} proof resolves the chains "
                             f"{dict(chains)}, but the scenario's singularities give {dict(found)}")
-    if scenario.group().order != order:
+    if scenario.group.order != order:
         raise NoCertificate(f"case {scenario.label}: the {case} proof divides by |G| = {order}, "
-                            f"but the scenario's group has order {scenario.group().order}")
+                            f"but the scenario's group has order {scenario.group.order}")
     if case == "klein":
         survivors = _klein_stages()[1].survivors
         configs = {f"klein-option-{i}": build_klein_config(option) for i, option in enumerate(survivors, start=1)}

@@ -194,7 +194,7 @@ def test_iii4_published_row_unreachable():
     cases = catalog.load_catalog()
     assert len(cases) == 19
     for case in cases.values():
-        assert lefschetz_euler_quotient(case.group()) == euler_quotient(case), case.label
+        assert lefschetz_euler_quotient(case.group) == euler_quotient(case), case.label
 
     # from the generator alone: e(S/G) = 9, so c2 >= 9 > 3 and c1^2 <= -9
     e_quotient = lefschetz_euler_quotient(group_closure(list(scenario.generators)))
@@ -358,7 +358,7 @@ def test_criterion_7_solve_and_definiteness_oracles():
 def test_criterion_7_exterior_square_oracle_on_catalog():
     checked = 0
     for scenario in catalog.load_catalog().values():
-        for g in scenario.group():
+        for g in scenario.group:
             if any(g.rows[i][j] != 0 for i in range(5) for j in range(5) if i != j):
                 continue
             eigen = [g.rows[i][i] for i in range(5)]

@@ -64,10 +64,10 @@ class TestValidation:
         assert any("invertible" in d or "closure failed" in d for d in diags)
 
     def test_arithmetic_error_of_the_report_is_diagnosed(self, monkeypatch):
-        def fail(scenario):
+        def fail(group, character):
             raise NonIntegralDimension("character average 1 / 2 is not a nonnegative integer")
 
-        monkeypatch.setattr(quotient_engine, "irregularity", fail)
+        monkeypatch.setattr(quotient_engine, "invariant_dimension", fail)
         data = json.loads((DATA / "v.json").read_text())
         assert catalog.validate_scenario(data) == ["report: character average 1 / 2 is not a nonnegative integer"]
 
@@ -101,6 +101,16 @@ class TestRunCase:
     def test_unknown_case(self):
         with pytest.raises(catalog.UnknownCase):
             catalog.find_case("XVII")
+
+    def test_label_equal_to_two_up_to_case_is_ambiguous(self, tmp_path, capsys):
+        text = (DATA / "xi.json").read_text()
+        (tmp_path / "xi.json").write_text(text)
+        (tmp_path / "xi_lower.json").write_text(json.dumps({**json.loads(text), "label": "xi"}))
+        assert main(["--catalog", str(tmp_path), "report", "Xi"]) == 2
+        assert capsys.readouterr() == ("", "case 'Xi' is ambiguous: XI, xi\n")
+        for label in ("XI", "xi"):  # an exact label still wins
+            assert main(["--catalog", str(tmp_path), "--format", "json", "report", label]) == 0
+            assert json.loads(capsys.readouterr().out)["label"] == label
 
 
 class TestReportJson:
@@ -381,6 +391,21 @@ class TestRationalityCatalog:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == line
+
+    def test_swapped_labels_certify_the_other_proof(self, tmp_path, capsys):
+        # the case picks the label, and the label's file holds the other case's data and annotation
+        for path in DATA.glob("*.json"):
+            (tmp_path / path.name).write_text(path.read_text())
+        xi, xv = (json.loads((DATA / name).read_text()) for name in ("xi.json", "xv.json"))
+        xi["label"], xv["label"] = xv["label"], xi["label"]
+        (tmp_path / "xi.json").write_text(json.dumps(xi))
+        (tmp_path / "xv.json").write_text(json.dumps(xv))
+        for case, label, proof in (("klein", "XI", "xv"), ("xv", "XV", "klein")):
+            assert main(["--catalog", str(tmp_path), "rationality", case]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"case {label}: certified by the {proof} proof, not by {case}\n"
+        assert main(["--catalog", str(tmp_path), "tables"]) == 0  # each proof certifies its own data
 
     def test_group_of_another_order_has_no_certificate(self, tmp_path):
         # XI with -I adjoined: same five A11,3 points, but |G| = 22 and the klein proof divides by 11

@@ -253,7 +253,7 @@ class TestExteriorSquare:
         # brute-force pairwise-product oracle on every diagonal group element
         checked = 0
         for scenario in catalog.load_catalog().values():
-            for g in scenario.group():
+            for g in scenario.group:
                 if any(g.rows[i][j] != 0 for i in range(5) for j in range(5) if i != j):
                     continue
                 eigen = [g.rows[i][i] for i in range(5)]
@@ -318,7 +318,7 @@ class TestGroupClosure:
             "Z2xZ2": 4, "S3": 6, "Z3xZ3": 9, "D2": 4, "D3": 6, "D5": 10, "S3xZ3": 18,
         }
         for label, scenario in catalog.load_catalog().items():
-            assert scenario.group().order == expected[label], label
+            assert scenario.group.order == expected[label], label
 
     @pytest.mark.parametrize("n, columns, order", [
         # Phi_12 = x^4 - x^2 + 1 and x + 1 over Q: eigenvalue orders 12 = 2 * 6 and 2
@@ -408,7 +408,7 @@ class TestInvariantDimension:
     @pytest.mark.parametrize("label", CATALOG_LABELS)
     def test_conjugation_invariance(self, label):
         scenario = catalog.find_case(label)
-        base = scenario.group()
+        base = scenario.group
         q = invariant_dimension(base, lambda m: m.trace())
         pg = invariant_dimension(base, exterior_square_trace)
         # conjugate the generators by an invertible rational change of basis
@@ -437,7 +437,7 @@ class TestInvariantDimension:
         # checked on two catalog cases by feeding inverse-transpose generators
         for label in ("IV(2)", "XI"):
             scenario = catalog.find_case(label)
-            group = scenario.group()
+            group = scenario.group
             dual_elements = [CycMatrix([list(col) for col in zip(*g.rows)]) for g in group]
             dual = group_closure(dual_elements)
             assert dual.order == group.order

@@ -11,10 +11,7 @@ from fanoquotients.quotient_engine import (
     Stratum,
     albanese_fiber_genus,
     euler_quotient,
-    exceptional_component_count,
     full_report,
-    geometric_genus,
-    irregularity,
     k2_quotient,
     lefschetz_euler_quotient,
 )
@@ -55,7 +52,7 @@ class TestLefschetzEulerQuotient:
 
     @pytest.mark.parametrize("label", LABELS)
     def test_matches_the_per_element_oracle(self, label):
-        group = case(label).group()
+        group = case(label).group
         assert lefschetz_euler_quotient(group) == per_element_oracle(group) == euler_quotient(case(label))
 
     @pytest.mark.parametrize("label", ["XI", "XV"])
@@ -100,15 +97,19 @@ class TestRationalTraceBound:
         assert all(abs(t.as_int()) <= 5 for t in traces if t.is_rational())
 
 
+def exceptional_components(singularities):
+    return full_report(case("trivial")._replace(singularities=singularities)).exceptional_components
+
+
 class TestExceptionalComponents:
     def test_nodes(self):
-        assert exceptional_component_count(((CyclicSing(2, 1), 27),)) == 27
+        assert exceptional_components(((CyclicSing(2, 1), 27),)) == 27
 
     def test_klein_points(self):
-        assert exceptional_component_count(((CyclicSing(11, 3), 5),)) == 10
+        assert exceptional_components(((CyclicSing(11, 3), 5),)) == 10
 
     def test_empty(self):
-        assert exceptional_component_count(()) == 0
+        assert exceptional_components(()) == 0
 
 
 class TestK2Quotient:
@@ -127,14 +128,14 @@ class TestK2Quotient:
 
 class TestInvariantDimensions:
     def test_irregularity(self):
-        assert irregularity(case("III(4)")) == 2
-        assert irregularity(case("trivial")) == 5
-        assert irregularity(case("D3")) == 1
+        assert full_report(case("III(4)")).q == 2
+        assert full_report(case("trivial")).q == 5
+        assert full_report(case("D3")).q == 1
 
     def test_geometric_genus(self):
-        assert geometric_genus(case("I")) == 6
-        assert geometric_genus(case("D5")) == 0
-        assert geometric_genus(case("trivial")) == 10
+        assert full_report(case("I")).p_g == 6
+        assert full_report(case("D5")).p_g == 0
+        assert full_report(case("trivial")).p_g == 10
 
 
 class TestAlbaneseFiberGenus:

@@ -120,6 +120,18 @@ class TestKleinConfig:
         with pytest.raises(ValueError):
             rc.build_klein_config((1, 3, 9, 5))
 
+    def test_rejects_a_stage_one_solution_that_stage_two_eliminates(self):
+        message = r"^option \(1, 3, 2, 1\) is not one of the surviving options \(\(4, 1, 5, 4\), \(5, 4, 4, 1\)\)$"
+        with pytest.raises(ValueError, match=message):
+            rc.build_klein_config((1, 3, 2, 1))
+
+    def test_first_pair_off_the_integrality_lattice(self, monkeypatch):
+        stage1, stage2 = rc._klein_stages()
+        monkeypatch.setattr(rc, "_klein_stages", lambda: (stage1, stage2._replace(first_pair=(1, 1))))
+        message = r"^D13 at s13: intersections \(2/11, 3/11\) must be nonnegative integers$"
+        with pytest.raises(rc.IntegralityViolation, match=message):
+            rc.build_klein_config(STAGE2_SURVIVORS[0])
+
 
 class TestEllipticLattice:
     def test_pairing_rules_all_pairs(self):
