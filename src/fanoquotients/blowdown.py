@@ -1,7 +1,7 @@
 """Blow-downs of curve configurations and rationality certificates.
 
 A ``CurveConfig`` records finitely many curves on a smooth surface: their
-intersection matrix, canonical degrees, and genera, all integers.
+intersection matrix and canonical degrees, all integers.
 Contracting a (-1)-curve E transforms the rest by the classical rules
 
     C.C'  ->  C.C' + (C.E)(C'.E),      K.C  ->  K.C - C.E,
@@ -24,7 +24,6 @@ class CurveConfig(NamedTuple):
     names: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
     k_degrees: tuple[int, ...]
-    genera: tuple[int, ...]
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -39,61 +38,46 @@ class CurveConfig(NamedTuple):
     def k_degree(self, name: str) -> int:
         return self.k_degrees[self.index(name)]
 
-    def genus(self, name: str) -> int:
-        return self.genera[self.index(name)]
-
     def arithmetic_genus(self, name: str) -> int:
-        """1 + (C^2 + K.C)/2; C^2 + K.C is even for every curve on a smooth surface."""
+        """1 + (C^2 + K.C)/2, an integer for every curve on a smooth surface: the geometric
+        genus plus the delta invariants of the singular points, so 0 means smooth and rational."""
         i = self.index(name)
         half, odd = divmod(self.matrix[i][i] + self.k_degrees[i], 2)
         if odd:
             raise ValueError(f"{name}: C^2 + K.C = {2 * half + odd} is odd")
         return 1 + half
 
-    def is_smooth(self, name: str) -> bool:
-        """Adjunction genus equals the carried geometric genus."""
-        return self.arithmetic_genus(name) == self.genus(name)
-
     def minus_one_curves(self) -> list[str]:
         return [n for i, n in enumerate(self.names)
-                if self.genera[i] == 0 and self.matrix[i][i] == -1 and self.k_degrees[i] == -1]
+                if self.matrix[i][i] == -1 and self.k_degrees[i] == -1]
 
     def certificate_curves(self) -> list[str]:
-        """Smooth genus-0 members with self-intersection >= 0."""
+        """Smooth rational members with self-intersection >= 0."""
         return [n for i, n in enumerate(self.names)
-                if self.genera[i] == 0 and self.matrix[i][i] >= 0 and self.is_smooth(n)]
+                if self.matrix[i][i] >= 0 and self.arithmetic_genus(n) == 0]
 
 
 def contract(config: CurveConfig, curve: str) -> CurveConfig:
     """Contract a (-1)-curve and transform the remaining configuration."""
     e = config.index(curve)
-    if config.genera[e] != 0 or config.matrix[e][e] != -1 or config.k_degrees[e] != -1:
-        raise NotMinusOneCurve(
-            f"{curve}: genus {config.genera[e]}, self-intersection {config.matrix[e][e]}, "
-            f"K-degree {config.k_degrees[e]}")
+    if config.matrix[e][e] != -1 or config.k_degrees[e] != -1:
+        raise NotMinusOneCurve(f"{curve}: self-intersection {config.matrix[e][e]}, K-degree {config.k_degrees[e]}")
     keep = [i for i in range(len(config.names)) if i != e]
     col = [config.matrix[i][e] for i in range(len(config.names))]
     new_matrix = tuple(
         tuple(config.matrix[i][j] + col[i] * col[j] for j in keep) for i in keep)
     new_k = tuple(config.k_degrees[i] - col[i] for i in keep)
-    new_config = CurveConfig(
-        tuple(config.names[i] for i in keep),
-        new_matrix,
-        new_k,
-        tuple(config.genera[i] for i in keep),
-    )
+    new_config = CurveConfig(tuple(config.names[i] for i in keep), new_matrix, new_k)
     _assert_adjunction(new_config)
     return new_config
 
 
 def _assert_adjunction(config: CurveConfig):
     # images of curves meeting the contracted one in m points gain m(m-1)/2
-    # nodes, so the adjunction genus may exceed the carried geometric genus
-    # but can never drop below it
+    # nodes, so an arithmetic genus may rise but never turn negative or fractional
     for name in config.names:
         g = config.arithmetic_genus(name)
-        assert g >= config.genus(name), \
-            f"adjunction broken for {name}: genus formula gives {g} < {config.genus(name)}"
+        assert g >= 0, f"adjunction broken for {name}: genus formula gives {g} < 0"
 
 
 class RationalityCertificate(NamedTuple):

@@ -80,6 +80,8 @@ class Map(NamedTuple):
 # every intersection number of curves on S: a JSON integer or an integer string
 _INTERSECTION = (None, lambda v: type(v) is int or isinstance(v, str) and re.fullmatch(_INTEGER_TEXT, v) is not None,
                  "must be an integer or a string of one, got {!r}")
+# the one diagnostic of a fibration, for a value that is no object and for genus data out of range
+_FIBRATION = "needs integers fiber_genus >= 0, deck_order >= 1, ramification >= 0"
 
 # The format of docs/scenario_schema.md.  A table maps each key of an object to its row (default,
 # shape, diagnostic), and an absent key reads as its default.  A shape is a type (so int refuses
@@ -113,10 +115,10 @@ SCHEMA = {
                               "need integer n, q and a positive count"),
     }], "must be an array"),
     "fibration": (None, {  # optional
-        ("fiber_genus", "deck_order", "ramification"): ((None,) * 3, lambda v: all(type(x) is int for x in v),
-                                                        "needs integer fiber_genus, deck_order, ramification"),
+        ("fiber_genus", "deck_order", "ramification"): (
+            (None,) * 3, lambda v: all(type(x) is int and x >= least for x, least in zip(v, (0, 1, 0))), _FIBRATION),
         "note": ("", str, "must be a string"),
-    }, "needs integer fiber_genus, deck_order, ramification"),
+    }, _FIBRATION),
     "annotations": ({}, Map(lambda v: type(v) in (str, int), "every value must be a string or an integer"),
                     "must be an object"),  # printed as they are
     "display": ({}, Map(lambda v: type(v) is str, "every value must be a string"), "must be an object"),

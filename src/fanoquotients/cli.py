@@ -33,16 +33,13 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    tables = catalog.run_tables(args.catalog)
-    chunks = []
-    for number, (columns, rows) in enumerate(tables, start=1):
-        title = f"Table {number}: quotients by {'cyclic groups' if number == 1 else 'non-cyclic groups'}"
-        body = catalog.render_table(columns, rows, args.format)
-        if args.format == "json":
-            chunks.append(json.dumps({"table": number, "rows": json.loads(body)}, indent=2, sort_keys=True))
-        else:
-            chunks.append(f"{title}\n{body}")
-    print("\n\n".join(chunks))
+    bodies = [catalog.render_table(columns, rows, args.format) for columns, rows in catalog.run_tables(args.catalog)]
+    if args.format == "json":  # one document: an array of the two tables
+        print(json.dumps([{"table": number, "rows": json.loads(body)} for number, body in enumerate(bodies, start=1)],
+                         indent=2, sort_keys=True))
+    else:
+        titles = ("Table 1: quotients by cyclic groups", "Table 2: quotients by non-cyclic groups")
+        print("\n\n".join(f"{title}\n{body}" for title, body in zip(titles, bodies)))
     bad = [label for label, scenario in catalog.load_catalog(args.catalog).items()
            if not scenario.report.noether_ok]
     if bad:

@@ -6,13 +6,13 @@ from fanoquotients.blowdown import (
     contract,
     find_rationality_certificate,
 )
-from fanoquotients.rationality_cases import build_klein_config, build_xv_config
+from fanoquotients import catalog
+from fanoquotients.rationality_cases import build_klein_config, build_xv_config, certify_rationality
 
 
-def simple_config(matrix, k, genera=None, names=None):
+def simple_config(matrix, k, names=None):
     n = len(matrix)
-    return CurveConfig(tuple(names or (f"C{i}" for i in range(n))), tuple(map(tuple, matrix)), tuple(k),
-                       tuple(genera or [0] * n))
+    return CurveConfig(tuple(names or (f"C{i}" for i in range(n))), tuple(map(tuple, matrix)), tuple(k))
 
 
 class TestBuild:
@@ -21,7 +21,7 @@ class TestBuild:
         with pytest.raises(ValueError, match="C0: C\\^2 \\+ K.C = -1 is odd"):
             simple_config([[0]], [-1]).arithmetic_genus("C0")
         with pytest.raises(ValueError, match="C0: C\\^2 \\+ K.C = -1 is odd"):
-            CurveConfig(("C0",), ((-1,),), (0,), (0,)).arithmetic_genus("C0")
+            CurveConfig(("C0",), ((-1,),), (0,)).arithmetic_genus("C0")
 
 
 class TestContract:
@@ -35,22 +35,19 @@ class TestContract:
 
     def test_transform_rules(self):
         config = simple_config(
-            [[-1, 1, 2], [1, -2, 0], [2, 0, -2]], [-1, 0, 0],
-            genera=[0, 0, 1])
+            [[-1, 1, 2], [1, -2, 0], [2, 0, -2]], [-1, 0, 0])
         after = contract(config, "C0")
         assert after.self_int("C1") == -1
         assert after.self_int("C2") == 2
         assert after.pair("C1", "C2") == 0 + 1 * 2
         assert after.k_degree("C1") == -1
         assert after.k_degree("C2") == -2
-        assert after.genus("C2") == 1
+        # C2 meets C0 twice, so its image gains a node
+        assert after.arithmetic_genus("C2") == 1
 
     def test_rejects_non_minus_one(self):
         config = simple_config([[-2]], [0])
-        with pytest.raises(NotMinusOneCurve):
-            contract(config, "C0")
-        config = simple_config([[-1]], [-1], genera=[1])
-        with pytest.raises(NotMinusOneCurve):
+        with pytest.raises(NotMinusOneCurve, match="^C0: self-intersection -2, K-degree 0$"):
             contract(config, "C0")
 
     def test_klein_sequence_state(self):
@@ -64,7 +61,7 @@ class TestContract:
         assert state.pair("A13", "A45") == 1
         after = contract(state, "A13")
         assert after.self_int("A45") == 0
-        assert after.is_smooth("A45")
+        assert after.arithmetic_genus("A45") == 0
 
     def test_xv_sequence_state(self):
         state = build_xv_config()
@@ -78,15 +75,22 @@ class TestContract:
 class TestInvariants:
     def test_adjunction_preserved_along_xv_path(self):
         state = build_xv_config()
+        assert all(state.arithmetic_genus(curve) == 0 for curve in state.names)
         for name in ("A", "B", "Tm", "H"):
-            for curve in state.names:
-                if state.genus(curve) == 0:
-                    assert state.arithmetic_genus(curve) >= 0
             state = contract(state, name)
             for curve in state.names:
-                # every multiplicity on this path is <= 1, so adjunction is
-                # preserved exactly
-                assert state.arithmetic_genus(curve) == state.genus(curve)
+                # every multiplicity on this path is <= 1, so no curve gains a node
+                assert state.arithmetic_genus(curve) == 0
+
+    @pytest.mark.parametrize("case, label", [("klein-option-1", "XI"), ("klein-option-2", "XI"), ("xv", "XV")])
+    def test_every_certificate_state_keeps_adjunction(self, case, label):
+        cert = certify_rationality(catalog.find_case(label))[case]
+        assert len(cert.states) == len(cert.contractions) + 1
+        for state in cert.states:
+            assert all(state.arithmetic_genus(curve) >= 0 for curve in state.names)
+        for state, curve in zip(cert.states, cert.contractions):
+            assert state.arithmetic_genus(curve) == 0
+        assert cert.final_config.arithmetic_genus(cert.final_curve) == 0
 
     def test_disjoint_contractions_commute(self):
         config = build_klein_config((4, 1, 5, 4))
@@ -118,8 +122,7 @@ class TestFindCertificate:
         assert len(cert.contractions) == 4
         assert cert.final_self_intersection >= 0
         final = cert.final_config
-        assert final.genus(cert.final_curve) == 0
-        assert final.is_smooth(cert.final_curve)
+        assert final.arithmetic_genus(cert.final_curve) == 0
 
     def test_json_round_trip(self):
         import json

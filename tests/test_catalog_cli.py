@@ -164,6 +164,13 @@ class TestTables:
         assert len(lines) == 2 + 7
         assert all(line.startswith("|") and line.endswith("|") for line in lines)
 
+    def test_json_tables_are_one_document(self, capsys):
+        assert main(["--format", "json", "tables"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [(table["table"], len(table["rows"])) for table in payload] == [(1, 11), (2, 7)]
+        for table, (columns, rows) in zip(payload, catalog.run_tables()):
+            assert table["rows"] == json.loads(catalog.render_table(columns, rows, "json"))
+
     def test_empty_catalog_gives_empty_tables(self, tmp_path):
         tables = catalog.run_tables(tmp_path)
         assert tables[0][1] == [] and tables[1][1] == []
@@ -438,6 +445,22 @@ class TestRationalityCatalog:
         assert "no rationality case" in captured.err
 
 
+class TestMarkdown:
+    def test_report_is_the_text_report_as_a_list(self, capsys):
+        assert main(["report", "XI"]) == 0
+        first, *rest = capsys.readouterr().out.splitlines()
+        assert first == "case XI" and all(line.startswith("  ") for line in rest)
+        assert main(["--format", "markdown", "report", "XI"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["### case XI"] + ["- " + line[2:] for line in rest]
+
+    @pytest.mark.parametrize("argv", [["resolve", "11", "3"], ["rationality", "klein"], ["rationality", "xv"]])
+    def test_resolve_and_rationality_print_their_text(self, capsys, argv):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert main(["--format", "markdown", *argv]) == 0
+        assert capsys.readouterr().out == text
+
+
 class TestGoldenTranscripts:
     def test_klein(self):
         from fanoquotients.rationality_cases import transcript
@@ -661,6 +684,26 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{file}: {field}: ")
+
+    @pytest.mark.parametrize("fibration", [
+        {"fiber_genus": 7, "deck_order": -4, "ramification": 4},  # validated; report I gave fiber genus 0
+        {"fiber_genus": 0, "deck_order": 1, "ramification": -2},
+        {"fiber_genus": -1, "deck_order": 1, "ramification": -4},
+        {"fiber_genus": 7, "deck_order": 0, "ramification": 4},  # validation printed Fraction(8, 0)
+        7,
+    ], ids=["negative-deck-order", "negative-ramification", "negative-genus", "zero-deck-order", "no-object"])
+    def test_fibration_out_of_range_is_diagnosed(self, tmp_path, capsys, fibration):
+        diagnostic = "fibration: needs integers fiber_genus >= 0, deck_order >= 1, ramification >= 0"
+        data = json.loads((DATA / "i.json").read_text())
+        data["fibration"] = fibration
+        bad = tmp_path / "i.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out == f"{bad}: {diagnostic}\n"
+        assert main(["--catalog", str(tmp_path), "report", "I"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i.json: {diagnostic}\n"
 
     @pytest.mark.parametrize("file, path, diagnostic", [
         ("v.json", ("schema",), "schema: "),

@@ -94,7 +94,7 @@ class TestKleinConfig:
         for name in d_names:
             assert config.self_int(name) == -1
             assert config.k_degree(name) == -1
-            assert config.genus(name) == 0
+            assert config.arithmetic_genus(name) == 0
         for a, b in itertools.combinations(d_names, 2):
             assert config.pair(a, b) == 0
 
@@ -171,7 +171,8 @@ class TestXvConfig:
         assert [int(k) for k in config.k_degrees] == [-1, -1, 1, 0, 0]
 
     def test_all_genus_zero(self):
-        assert set(rc.build_xv_config().genera) == {0}
+        config = rc.build_xv_config()
+        assert {config.arithmetic_genus(name) for name in config.names} == {0}
 
 
 class TestCertifyRationality:
@@ -179,7 +180,7 @@ class TestCertifyRationality:
         cert = rc.certify_rationality(catalog.find_case("XV"))["xv"]
         assert len(cert.contractions) == 4
         assert cert.final_self_intersection == 0
-        assert cert.final_config.genus(cert.final_curve) == 0
+        assert cert.final_config.arithmetic_genus(cert.final_curve) == 0
 
     @pytest.mark.parametrize("case", ["klein-option-1", "klein-option-2"])
     def test_klein_certificates(self, case):
@@ -204,7 +205,7 @@ class TestCertifyRationality:
             rc.certify_rationality(xi)
 
     def test_no_certificate_for_rigid_config(self):
-        config = CurveConfig(("C",), ((-2,),), (0,), (0,))
+        config = CurveConfig(("C",), ((-2,),), (0,))
         assert find_rationality_certificate(config) is None
 
     def test_contraction_count_must_match_the_proof(self, monkeypatch):
@@ -236,7 +237,7 @@ def with_minus_one_curves_first(config, count):
     matrix = [tuple(-(i == j) for j in range(width)) for i in range(count)]
     matrix += [(0,) * count + row for row in config.matrix]
     return CurveConfig(tuple(f"E{i}" for i in range(count)) + config.names, tuple(matrix),
-                       (-1,) * count + config.k_degrees, (0,) * count + config.genera)
+                       (-1,) * count + config.k_degrees)
 
 
 class TestIntegralityOnTheResolution:
