@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cyclotomic_rep import CycMatrix
 from .hj_resolution import CyclicSing
@@ -182,18 +182,17 @@ def _parse_generator(rows, conductor: int, path: str, diags: list[str]) -> Optio
     return CycMatrix.from_rows(conductor, rows)
 
 
-def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -> Optional[QuotientScenario]:
-    """Parse and validate one scenario file; return None and fill diagnostics on failure.
+def scenario_from_dict(data: dict) -> tuple[Optional[QuotientScenario], list[str]]:
+    """Parse and validate one scenario file: (scenario, []), or (None, its diagnostics) on failure.
 
     SCHEMA checks each field on its own; the rules here relate fields, once every field has passed.
     """
-    diags: list[str] = [] if diagnostics is None else diagnostics
     if not isinstance(data, dict):
-        diags.append("scenario: must be a JSON object")
-        return None
+        return None, ["scenario: must be a JSON object"]
+    diags: list[str] = []
     fields = _read(data, (None, SCHEMA, ""), "", diags)
     if diags:
-        return None
+        return None, diags
     group = fields["group"]
     generators = [_parse_generator(gen["rows"], group["conductor"], f"group.generators[{i}]", diags)
                   for i, gen in enumerate(group["generators"])]
@@ -229,7 +228,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
     if "table_position" in annotations:  # the tables sort by the top-level table_position, copied here
         diags.append("annotations.table_position: reserved for the top-level table_position")
     if diags:
-        return None
+        return None, diags
     if fields["table_position"] is not None:
         annotations["table_position"] = fields["table_position"]
     fib = fields["fibration"]
@@ -238,7 +237,7 @@ def scenario_from_dict(data: dict, *, diagnostics: Optional[list[str]] = None) -
         tuple(Stratum(st["stabilizer_order"], st["euler"]) for st in fields["strata"]),
         tuple(ram), tuple(sings),
         fibration=None if fib is None else Fibration(fib["fiber_genus"], fib["deck_order"], fib["ramification"]),
-        annotations=annotations, display=dict(fields["display"]), table=fields["table"], source=fields["source"])
+        annotations=annotations, display=dict(fields["display"]), table=fields["table"], source=fields["source"]), []
 
 
 def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
@@ -258,6 +257,9 @@ def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
     for i, (sing, _) in enumerate(scenario.singularities):
         if order % sing.n != 0:
             diags.append(f"singularities[{i}].n: {sing.n} does not divide |G| = {order}")
+    # the deck group of the fibration acts along the fibers: a subgroup of G
+    if scenario.fibration is not None and order % scenario.fibration.deck_order != 0:
+        diags.append(f"fibration.deck_order: {scenario.fibration.deck_order} does not divide |G| = {order}")
     if not diags:
         try:
             from_strata, from_group = euler_quotient(scenario), lefschetz_euler_quotient(scenario.group)
@@ -278,22 +280,13 @@ def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
 
 def validate_scenario(data: dict) -> list[str]:
     """Structural and group validation, then the report's own checks; returns diagnostics (empty = ok)."""
-    diags: list[str] = []
-    scenario = scenario_from_dict(data, diagnostics=diags)
-    if scenario is None or (diags := _group_diagnostics(scenario)):
+    scenario, diags = scenario_from_dict(data)
+    if diags or (diags := _group_diagnostics(scenario)):
         return diags
     try:
         return [f"report: {flag}" for flag in scenario.report.flags]
     except ArithmeticError as exc:
         return [f"report: {exc}"]
-
-
-def _data_files(catalog_dir: Optional[Path] = None) -> Iterable[tuple[str, dict]]:
-    root = Path(__file__).with_name("data") if catalog_dir is None else Path(catalog_dir)
-    if not root.is_dir():  # a missing directory would otherwise read as an empty catalog
-        raise InvalidScenario([f"{root}: catalog is not a directory"])
-    for entry in sorted(root.glob("*.json")):
-        yield entry.name, read_scenario_file(entry, entry.name)
 
 
 class Catalog(dict):
@@ -321,18 +314,20 @@ _CATALOG_CACHE: dict[Optional[str], Catalog] = {}
 
 
 def load_catalog(catalog_dir: Optional[Path] = None) -> Catalog:
-    """Read and parse every scenario file, keyed by label.
+    """Read and parse every ``*.json`` file of the directory (the packaged data by default), keyed by label.
 
-    Malformed files and duplicate labels fail here, for every command; the
-    group checks wait for ``Catalog.checked``.
+    A missing directory, malformed files and duplicate labels fail here, for
+    every command; the group checks wait for ``Catalog.checked``.
     """
     cache_key = str(catalog_dir) if catalog_dir is not None else None
     if cache_key in _CATALOG_CACHE:
         return _CATALOG_CACHE[cache_key]
+    root = Path(__file__).with_name("data") if catalog_dir is None else Path(catalog_dir)
+    if not root.is_dir():  # a missing directory would otherwise read as an empty catalog
+        raise InvalidScenario([f"{root}: catalog is not a directory"])
     catalog = Catalog()
-    for name, data in _data_files(catalog_dir):
-        diags: list[str] = []
-        scenario = scenario_from_dict(data, diagnostics=diags)
+    for name in sorted(entry.name for entry in root.glob("*.json")):
+        scenario, diags = scenario_from_dict(read_scenario_file(root / name, name))
         if diags:
             raise InvalidScenario([f"{name}: {d}" for d in diags])
         if scenario.label in catalog:
@@ -357,14 +352,6 @@ def find_case(label: str, catalog_dir: Optional[Path] = None) -> QuotientScenari
 # rendering
 
 
-def _kappa_text(scenario: QuotientScenario, certified: bool) -> str:
-    kappa = str(scenario.annotations.get("kodaira", "?"))
-    text = f"{kappa}*"
-    if certified:
-        text += " certified"
-    return text
-
-
 def table_rows(scenario: QuotientScenario, certified: bool) -> dict[str, str]:
     report = scenario.report
     row = {
@@ -376,7 +363,7 @@ def table_rows(scenario: QuotientScenario, certified: bool) -> dict[str, str]:
         "g": "" if report.fiber_genus is None else str(report.fiber_genus),
         "Singularities": report.singularities,
         "Min": f"{scenario.annotations.get('minimal', '?')}*",
-        "kappa": _kappa_text(scenario, certified),
+        "kappa": f"{scenario.annotations.get('kodaira', '?')}*" + (" certified" if certified else ""),
     }
     if scenario.table == 1:
         row["O"] = scenario.display.get("order", "")
@@ -386,21 +373,19 @@ def table_rows(scenario: QuotientScenario, certified: bool) -> dict[str, str]:
     return row
 
 
-def _certified_cases(catalog: dict[str, QuotientScenario]) -> set[str]:
-    """Labels whose annotated rationality certificate actually exists; a
-    missing one raises ``rationality_cases.NoCertificate``."""
-    from . import rationality_cases
-
-    return {label for label, scenario in catalog.items()
-            if "rationality_case" in scenario.annotations and rationality_cases.certify_rationality(scenario)}
-
-
 def run_tables(catalog_dir: Optional[Path] = None):
-    """Both classification tables, in catalog order, as (columns, rows) pairs."""
+    """Both classification tables, in catalog order, as (columns, rows) pairs.
+
+    A case's kappa cell says "certified" once its annotated rationality certificate
+    exists; a missing one raises ``rationality_cases.NoCertificate``.
+    """
     catalog = load_catalog(catalog_dir)
     for label in catalog:
         catalog.checked(label)
-    certified = _certified_cases(catalog)
+    from . import rationality_cases
+
+    certified = {label for label, scenario in catalog.items()
+                 if "rationality_case" in scenario.annotations and rationality_cases.certify_rationality(scenario)}
     tables = []
     for table_number, columns in ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS)):
         members = sorted(

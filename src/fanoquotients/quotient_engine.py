@@ -71,7 +71,7 @@ class QuotientScenario(NamedTuple("QuotientScenario", [
 
     @cached_property
     def group(self) -> FiniteMatrixGroup:
-        return group_closure(list(self.generators) or [CycMatrix.identity(5)])
+        return group_closure(self.generators)
 
     @cached_property
     def report(self) -> InvariantReport:

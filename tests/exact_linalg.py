@@ -181,6 +181,41 @@ def quadratic_form(a: QMatrix, v: Sequence) -> Rat:
     return sum(vec[i] * x for i, x in enumerate(a.matvec(vec)))
 
 
+def inertia(a: QMatrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix, by a symmetric congruence.
+
+    Each step pivots on a nonzero diagonal entry and replaces the rest by its Schur complement.
+    When every remaining diagonal entry is 0 but some m[i][j] is not, row and column j are added to
+    row and column i first, which makes the new diagonal entry 2 m[i][j] != 0.  A congruence keeps
+    the counts (Sylvester's law of inertia).
+    """
+    if not a.is_symmetric():
+        raise NotSymmetric("inertia requires a symmetric matrix")
+    m = [list(row) for row in a.entries()]
+    live = list(range(a.rows))
+    positive = negative = 0
+    while live:
+        p = next((i for i in live if m[i][i] != 0), None)
+        if p is None:
+            pair = next(((i, j) for i in live for j in live if m[i][j] != 0), None)
+            if pair is None:
+                break
+            p, j = pair
+            for k in live:
+                m[p][k] += m[j][k]
+            for k in live:
+                m[k][p] += m[k][j]
+        pivot = m[p][p]
+        positive, negative = positive + (pivot > 0), negative + (pivot < 0)
+        live.remove(p)
+        for r in live:
+            if m[r][p]:
+                factor = m[r][p] / pivot
+                for c in live:
+                    m[r][c] -= factor * m[p][c]
+    return positive, negative, len(live)
+
+
 def chain_shoot(selfints: Sequence[int], rhs: Sequence[int]) -> tuple[list[int], int]:
     """(s, n) with a = s / n solving M a = r on the chain matrix (-b_i diagonal, 1 off it), by shooting.
 

@@ -9,6 +9,8 @@ from fanoquotients.blowdown import (
 from fanoquotients import catalog
 from fanoquotients.rationality_cases import build_klein_config, build_xv_config, certify_rationality
 
+from exact_linalg import QMatrix, inertia
+
 
 def simple_config(matrix, k, names=None):
     n = len(matrix)
@@ -91,6 +93,30 @@ class TestInvariants:
         for state, curve in zip(cert.states, cert.contractions):
             assert state.arithmetic_genus(curve) == 0
         assert cert.final_config.arithmetic_genus(cert.final_curve) == 0
+
+    @pytest.mark.parametrize("case, label", [("klein-option-1", "XI"), ("klein-option-2", "XI"), ("xv", "XV")])
+    def test_every_certificate_state_obeys_the_hodge_index(self, case, label):
+        # the curves span a sublattice of H^2 of the resolution, whose form has one positive
+        # eigenvalue; each contraction lowers b2 = h^{1,1} + 2 p_g by one
+        scenario = catalog.find_case(label)
+        b2 = scenario.report.h11 + 2 * scenario.report.p_g
+        assert b2 == {"XI": 15, "XV": 14}[label]
+        inertias = [inertia(QMatrix(state.matrix)) for state in certify_rationality(scenario)[case].states]
+        for k, (positive, negative, _) in enumerate(inertias):
+            assert positive <= 1
+            assert positive + negative <= b2 - k
+        if label == "XI":
+            assert inertias == [(1, negative, 4) for negative in range(10, 3, -1)]
+        else:
+            assert inertias == [(0, negative, 1) for negative in range(4, -1, -1)]
+
+    def test_hodge_index_fails_on_a_flipped_entry(self):
+        state = certify_rationality(catalog.find_case("XI"))["klein-option-1"].states[0]
+        matrix = [list(row) for row in state.matrix]
+        i, j = state.index("D13"), state.index("D25")
+        assert matrix[i][j] == 0
+        matrix[i][j] = matrix[j][i] = 1
+        assert inertia(QMatrix(matrix)) == (2, 11, 2)
 
     def test_disjoint_contractions_commute(self):
         config = build_klein_config((4, 1, 5, 4))

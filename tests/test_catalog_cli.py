@@ -705,6 +705,20 @@ class TestHardenedInput:
         assert captured.out == ""
         assert captured.err == f"i.json: {diagnostic}\n"
 
+    def test_fibration_deck_order_must_divide_the_group_order(self, tmp_path, capsys):
+        # validated, and report I printed albanese fiber genus = 3: the deck group is a subgroup of G
+        diagnostic = "fibration.deck_order: 3 does not divide |G| = 2"
+        data = json.loads((DATA / "i.json").read_text())
+        data["fibration"].update(deck_order=3, ramification=0)
+        bad = tmp_path / "i.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().out == f"{bad}: {diagnostic}\n"
+        assert main(["--catalog", str(tmp_path), "report", "I"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"i.json: {diagnostic}\n"
+
     @pytest.mark.parametrize("file, path, diagnostic", [
         ("v.json", ("schema",), "schema: "),
         ("xi.json", ("group", "conductor"), "group.conductor: "),

@@ -9,6 +9,7 @@ from exact_linalg import (
     NotSymmetric,
     QMatrix,
     SingularMatrix,
+    inertia,
     is_negative_definite,
     quadratic_form,
     solve_linear,
@@ -108,6 +109,19 @@ class TestQuadraticForm:
             quadratic_form(M_15_4, [1, 2, 3])
 
 
+class TestInertia:
+    def test_hyperbolic_plane(self):
+        # both diagonal entries are 0: the pivot comes from adding row and column 1 to 0
+        assert inertia(QMatrix([[0, 1], [1, 0]])) == (1, 1, 0)
+
+    def test_diagonal(self):
+        assert inertia(QMatrix([[2, 0, 0], [0, -3, 0], [0, 0, 0]])) == (1, 1, 1)
+
+    def test_requires_symmetry(self):
+        with pytest.raises(NotSymmetric):
+            inertia(QMatrix([[0, 1], [0, 0]]))
+
+
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3)
 
@@ -135,3 +149,13 @@ def test_solve_then_multiply_back(m, data):
         return
     x = solve_linear(m, b)
     assert m.matvec(x) == tuple(F(v) for v in b)
+
+
+@given(st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_inertia_is_the_signs_of_a_congruent_diagonal(diagonal, data):
+    # P^T D P with P unit upper triangular is congruent to D, so it keeps the signs of D
+    n = len(diagonal)
+    p = [[1 if i == j else data.draw(st.integers(-2, 2)) if i < j else 0 for j in range(n)] for i in range(n)]
+    form = [[sum(p[k][i] * diagonal[k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert inertia(QMatrix(form)) == (sum(d > 0 for d in diagonal), sum(d < 0 for d in diagonal), diagonal.count(0))

@@ -33,6 +33,11 @@ class TestEulerQuotient:
     def test_trivial_group(self):
         assert euler_quotient(case("trivial")) == 27
 
+    def test_no_generators_close_to_the_identity(self):
+        group = group_closure([])
+        assert group.order == 1 and group[0] == CycMatrix.identity(5)
+        assert case("trivial").group == group
+
     def test_non_integral_rejected(self):
         bad = case("V")._replace(label="V-bad", strata=(Stratum(5, 3),))
         with pytest.raises(NonIntegralEuler):

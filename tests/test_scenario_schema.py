@@ -74,7 +74,7 @@ class TestUnknownKeys:
         data = copy.deepcopy(FILES["v.json"])
         data[block]["extra"] = "x"
         assert catalog.validate_scenario(data) == []
-        assert getattr(catalog.scenario_from_dict(data), block)["extra"] == "x"
+        assert getattr(catalog.scenario_from_dict(data)[0], block)["extra"] == "x"
 
     def test_fibration_note_is_read(self, tmp_path, capsys):
         with_note = [name for name, data in FILES.items() if "note" in (data.get("fibration") or {})]
@@ -148,8 +148,7 @@ def mutated_files(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_a_mutated_file_parses_or_is_diagnosed_under_a_path(case):
     data, expected = case
-    diags: list[str] = []
-    scenario = catalog.scenario_from_dict(data, diagnostics=diags)
+    scenario, diags = catalog.scenario_from_dict(data)
     assert (scenario is None) == bool(diags)
     assert all(JSON_PATH.match(d) for d in diags), diags
     if expected is not None:
