@@ -1,8 +1,9 @@
 """Blow-downs of curve configurations and rationality certificates.
 
 A ``CurveConfig`` records finitely many curves on a smooth surface: their
-intersection matrix and canonical degrees, all integers.
-Contracting a (-1)-curve E transforms the rest by the classical rules
+intersection matrix and canonical degrees, all integers, checked against
+adjunction when it is made.  Contracting a (-1)-curve E transforms the rest
+by the classical rules
 
     C.C'  ->  C.C' + (C.E)(C'.E),      K.C  ->  K.C - C.E,
 
@@ -13,17 +14,28 @@ on a regular (q = 0) surface; the caller checks q.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple, Optional
+
+from .quotient_engine import NonIntegralGenus
 
 
 class NotMinusOneCurve(ValueError):
     """Attempted to contract a curve that is not a smooth rational (-1)-curve."""
 
 
-class CurveConfig(NamedTuple):
-    names: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
-    k_degrees: tuple[int, ...]
+class CurveConfig(NamedTuple("CurveConfig", [
+        ("names", tuple[str, ...]), ("matrix", tuple[tuple[int, ...], ...]), ("k_degrees", tuple[int, ...])])):
+    """Curves on a smooth surface, checked when made: each genus 1 + (C^2 + K.C)/2 is a nonnegative integer."""
+
+    __slots__ = ()
+
+    def __new__(cls, names: tuple[str, ...], matrix: tuple[tuple[int, ...], ...], k_degrees: tuple[int, ...]):
+        for i, name in enumerate(names):
+            twice = 2 + matrix[i][i] + k_degrees[i]  # twice the genus
+            if twice % 2 or twice < 0:
+                raise NonIntegralGenus(f"{name}: genus {Fraction(twice, 2)} is not a nonnegative integer")
+        return tuple.__new__(cls, (names, matrix, k_degrees))
 
     def index(self, name: str) -> int:
         return self.names.index(name)
@@ -42,10 +54,7 @@ class CurveConfig(NamedTuple):
         """1 + (C^2 + K.C)/2, an integer for every curve on a smooth surface: the geometric
         genus plus the delta invariants of the singular points, so 0 means smooth and rational."""
         i = self.index(name)
-        half, odd = divmod(self.matrix[i][i] + self.k_degrees[i], 2)
-        if odd:
-            raise ValueError(f"{name}: C^2 + K.C = {2 * half + odd} is odd")
-        return 1 + half
+        return 1 + (self.matrix[i][i] + self.k_degrees[i]) // 2
 
     def minus_one_curves(self) -> list[str]:
         return [n for i, n in enumerate(self.names)
@@ -67,17 +76,9 @@ def contract(config: CurveConfig, curve: str) -> CurveConfig:
     new_matrix = tuple(
         tuple(config.matrix[i][j] + col[i] * col[j] for j in keep) for i in keep)
     new_k = tuple(config.k_degrees[i] - col[i] for i in keep)
-    new_config = CurveConfig(tuple(config.names[i] for i in keep), new_matrix, new_k)
-    _assert_adjunction(new_config)
-    return new_config
-
-
-def _assert_adjunction(config: CurveConfig):
-    # images of curves meeting the contracted one in m points gain m(m-1)/2
-    # nodes, so an arithmetic genus may rise but never turn negative or fractional
-    for name in config.names:
-        g = config.arithmetic_genus(name)
-        assert g >= 0, f"adjunction broken for {name}: genus formula gives {g} < 0"
+    # images of curves meeting the contracted one in m points gain m(m-1)/2 nodes, so an
+    # arithmetic genus may rise but never turn negative; the new configuration checks it
+    return CurveConfig(tuple(config.names[i] for i in keep), new_matrix, new_k)
 
 
 class RationalityCertificate(NamedTuple):

@@ -331,7 +331,8 @@ def load_catalog(catalog_dir: Optional[Path] = None) -> Catalog:
         if diags:
             raise InvalidScenario([f"{name}: {d}" for d in diags])
         if scenario.label in catalog:
-            raise InvalidScenario([f"{name}: duplicate label {scenario.label}"])
+            raise InvalidScenario(
+                [f"{name}: duplicate label {scenario.label}, also in {catalog.unchecked[scenario.label]}"])
         catalog[scenario.label] = scenario
         catalog.unchecked[scenario.label] = name
     _CATALOG_CACHE[cache_key] = catalog
@@ -344,7 +345,8 @@ def find_case(label: str, catalog_dir: Optional[Path] = None) -> QuotientScenari
     keys = [label] if label in catalog else [k for k in catalog if k.lower() == label.lower()]
     if len(keys) != 1:
         raise UnknownCase([f"case {label!r} is ambiguous: {', '.join(sorted(keys))}" if keys
-                           else f"unknown case {label!r}; known: {', '.join(sorted(catalog))}"])
+                           else f"unknown case {label!r}; known: {', '.join(sorted(catalog))}" if catalog
+                           else f"unknown case {label!r}; the catalog is empty"])
     return catalog.checked(keys[0])
 
 

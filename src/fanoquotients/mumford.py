@@ -1,13 +1,14 @@
 """Q-valued intersection theory on a normal surface via its resolution.
 
-A normal surface Y with cyclic quotient singularities is presented by the
-chains of its minimal resolution g: Z -> Y plus, for each named curve C on Y,
-the pairing values C.C' downstairs, the degree K_Y.C, and the multiplicities
-with which the strict transform meets each exceptional component.  Writing
-Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the coefficients a_i solve M a = -m on
-the chain intersection matrix M, once per curve and point when the model is built,
-by the closed-form inverse of ``ExceptionalChain.solve``.  They share its denominator
-n, kept as the integers n a_i: each pairing on Z is one integer sum per point over n.
+A normal surface Y with cyclic quotient singularities is presented by the chains of its
+minimal resolution g: Z -> Y plus, for each named curve C on Y, the pairing values C.C'
+downstairs, the degree K_Y.C, and the multiplicities with which the strict transform meets
+each exceptional component.  Writing Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the
+coefficients a_i solve M a = -m on the chain intersection matrix M, once per curve and point
+when the model is built, by the closed-form inverse of ``ExceptionalChain.solve``, and each
+solution is checked against that relation.  They share its denominator n, kept as the
+integers n a_i: each pairing on Z is one integer sum per point over n.  Genera are not read
+here: a ``blowdown.CurveConfig`` checks adjunction when it is made.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .hj_resolution import ExceptionalChain
-from .quotient_engine import NonIntegralGenus
 
 
 class UnknownCurve(KeyError):
@@ -58,8 +58,9 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
                 s, n = chains[point].solve([-m for m in mults])
                 # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0, times n
                 padded = (0, *s, 0)
-                assert all(n * m + padded[i] - b * padded[i + 1] + padded[i + 2] == 0 for i, (m, b)
-                           in enumerate(zip(mults, chains[point].selfints))), f"pullback relation violated at {point}"
+                if any(n * m + padded[i] - b * padded[i + 1] + padded[i + 2] for i, (m, b)
+                       in enumerate(zip(mults, chains[point].selfints))):
+                    raise ValueError(f"pullback relation violated at {point}")
                 if any(x < 0 for x in s):
                     raise ValueError(f"negative strict-transform coefficient for {name} at {point}")
                 strict[name][point] = (tuple(s), n)
@@ -100,11 +101,3 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
         if key not in self.pairing:
             raise UnknownCurve(f"no downstairs pairing recorded for {key}")
         return self.pairing[key]
-
-
-def adjunction_genus(self_int: Fraction, k_degree: Fraction) -> int:
-    """Arithmetic genus 1 + (C^2 + K.C)/2 of a curve on a smooth surface."""
-    g = 1 + (Fraction(self_int) + Fraction(k_degree)) / 2
-    if g.denominator != 1 or g < 0:
-        raise NonIntegralGenus(f"genus {g} is not a nonnegative integer")
-    return g.numerator

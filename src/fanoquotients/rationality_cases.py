@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .blowdown import CurveConfig, RationalityCertificate, find_rationality_certificate
 from .hj_resolution import ExceptionalChain
-from .mumford import ResolutionModel, adjunction_genus
+from .mumford import ResolutionModel
 from .quotient_engine import QuotientScenario
 
 
@@ -290,8 +290,8 @@ def _config_from_model(model: ResolutionModel, entries: Sequence[str | tuple[str
     resolution, so a fractional self-intersection, K-degree or pairing, or a negative
     pairing of distinct curves, raises ``IntegralityViolation``; the rest are stored
     as ints.  The proof's ``expected`` (matrix, K-degrees) block must then equal the
-    leading entries; the first that differs raises ``MatrixMismatch``.  Last, every
-    curve's adjunction genus must be a nonnegative integer (``NonIntegralGenus``)."""
+    leading entries; the first that differs raises ``MatrixMismatch``.  Last, the
+    ``CurveConfig`` checks adjunction on every curve as it is made (``NonIntegralGenus``)."""
     names = [e if isinstance(e, str) else e[2] for e in entries]
 
     def pair(x, y) -> Fraction | int:
@@ -324,8 +324,6 @@ def _config_from_model(model: ResolutionModel, entries: Sequence[str | tuple[str
                 raise MatrixMismatch(f"{names[i]}.{names[j]} = {matrix[i][j]}, expected {e}")
         if k_degrees[i] != k:
             raise MatrixMismatch(f"K.{names[i]} = {k_degrees[i]}, expected {k}")
-    for i, k in enumerate(k_degrees):
-        adjunction_genus(matrix[i][i], k)
     return CurveConfig(tuple(names), tuple(map(tuple, matrix)), tuple(k_degrees))
 
 

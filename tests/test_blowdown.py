@@ -1,7 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from fanoquotients.blowdown import (
     CurveConfig,
+    NonIntegralGenus,
     NotMinusOneCurve,
     contract,
     find_rationality_certificate,
@@ -10,6 +16,8 @@ from fanoquotients import catalog
 from fanoquotients.rationality_cases import build_klein_config, build_xv_config, certify_rationality
 
 from exact_linalg import QMatrix, inertia
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 
 def simple_config(matrix, k, names=None):
@@ -20,10 +28,31 @@ def simple_config(matrix, k, names=None):
 class TestBuild:
     def test_odd_adjunction_parity_has_no_genus(self):
         # C^2 + K.C is even for every curve on a smooth surface
-        with pytest.raises(ValueError, match="C0: C\\^2 \\+ K.C = -1 is odd"):
-            simple_config([[0]], [-1]).arithmetic_genus("C0")
-        with pytest.raises(ValueError, match="C0: C\\^2 \\+ K.C = -1 is odd"):
-            CurveConfig(("C0",), ((-1,),), (0,)).arithmetic_genus("C0")
+        with pytest.raises(NonIntegralGenus, match="^C0: genus 1/2 is not a nonnegative integer$"):
+            simple_config([[0]], [-1])
+        with pytest.raises(NonIntegralGenus, match="^C0: genus 1/2 is not a nonnegative integer$"):
+            CurveConfig(("C0",), ((-1,),), (0,))
+
+    @pytest.mark.parametrize("self_int, k_degree, genus", [
+        (-1, -1, 0),  # an exceptional curve
+        (-3, 1, 0),  # a (-3)-curve of a chain
+        (5, 15, 11),  # an incidence divisor
+    ], ids=["exceptional-curve", "minus-three-chain-curve", "incidence-divisor"])
+    def test_adjunction_genus_on_construction(self, self_int, k_degree, genus):
+        assert simple_config([[self_int]], [k_degree]).arithmetic_genus("C0") == genus
+
+    def test_negative_genus_rejected(self):
+        with pytest.raises(NonIntegralGenus, match="^C0: genus -1 is not a nonnegative integer$"):
+            simple_config([[-4]], [0])
+
+    def test_check_survives_python_optimize(self):
+        # python -O strips assert statements; the adjunction check is a raise
+        code = ("from fanoquotients.blowdown import CurveConfig, NonIntegralGenus\n"
+                "try:\n    CurveConfig(('C',), ((-4,),), (0,))\n"
+                "except NonIntegralGenus as error:\n    print(error)\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "C: genus -1 is not a nonnegative integer\n", "")
 
 
 class TestContract:

@@ -719,6 +719,18 @@ class TestHardenedInput:
         assert captured.out == ""
         assert captured.err == f"i.json: {diagnostic}\n"
 
+    def test_duplicate_label_names_both_files(self, tmp_path, capsys):
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text((DATA / "i.json").read_text())
+        assert main(["--catalog", str(tmp_path), "tables"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "b.json: duplicate label I, also in a.json\n")
+
+    def test_unknown_case_in_an_empty_catalog(self, tmp_path, capsys):
+        assert main(["--catalog", str(tmp_path), "report", "XI"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "unknown case 'XI'; the catalog is empty\n")
+
     @pytest.mark.parametrize("file, path, diagnostic", [
         ("v.json", ("schema",), "schema: "),
         ("xi.json", ("group", "conductor"), "group.conductor: "),

@@ -5,12 +5,7 @@ import pytest
 from exact_linalg import chain_bilinear, strict_transform_coeffs
 from fanoquotients import rationality_cases
 from fanoquotients.hj_resolution import CyclicSing, ExceptionalChain
-from fanoquotients.mumford import (
-    NonIntegralGenus,
-    ResolutionModel,
-    UnknownCurve,
-    adjunction_genus,
-)
+from fanoquotients.mumford import ResolutionModel, UnknownCurve
 
 
 def xv_style_model(chain_order=("m", "n", "p")):
@@ -40,6 +35,20 @@ def test_build_solves_every_strict_transform_into_a_slotted_record():
     assert not hasattr(model, "__dict__")
     for curve in model.curves:
         assert model.strict_transform_numerators(curve) is model.strict[curve]
+
+
+def test_a_broken_pullback_relation_is_refused(monkeypatch):
+    # a solve off by one breaks g*C . C_i = 0; the check is a raise, so python -O keeps it
+    original = ExceptionalChain.solve
+
+    def solve_off_by_one(chain, rhs):
+        s, n = original(chain, rhs)
+        return [x + 1 for x in s], n
+
+    monkeypatch.setattr(ExceptionalChain, "solve", solve_off_by_one)
+    chains = {"m": ExceptionalChain.from_selfints((3,))}
+    with pytest.raises(ValueError, match="^pullback relation violated at m$"):
+        ResolutionModel.build(chains, ("C",), {("C", "C"): F(-1)}, {"C": F(-1)}, {"C": {"m": (1,)}})
 
 
 class TestStrictTransformCoeffs:
@@ -148,20 +157,3 @@ class TestKzSquared:
 
     def test_du_val_only_is_identity(self):
         assert F(18) + sum(s.chain().k2_correction() for s in [CyclicSing(2, 1)] * 27) == 18
-
-
-class TestAdjunctionGenus:
-    def test_exceptional_curve(self):
-        assert adjunction_genus(-1, -1) == 0
-
-    def test_minus_three_chain_curve(self):
-        assert adjunction_genus(-3, 1) == 0
-
-    def test_incidence_divisor(self):
-        assert adjunction_genus(5, 15) == 11
-
-    def test_non_integral_rejected(self):
-        with pytest.raises(NonIntegralGenus):
-            adjunction_genus(F(-1, 3), 0)
-        with pytest.raises(NonIntegralGenus):
-            adjunction_genus(-4, 0)

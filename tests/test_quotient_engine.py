@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fanoquotients import catalog, mumford
+from fanoquotients import blowdown, catalog
 from fanoquotients.cyclotomic_rep import CycMatrix, CycNum, FiniteMatrixGroup, group_closure
 from fanoquotients.hj_resolution import CyclicSing
 from fanoquotients.quotient_engine import (
@@ -154,7 +154,7 @@ class TestAlbaneseFiberGenus:
         assert albanese_fiber_genus(*data) == expected
 
     def test_non_integral(self):
-        assert NonIntegralGenus is mumford.NonIntegralGenus
+        assert NonIntegralGenus is blowdown.NonIntegralGenus
         with pytest.raises(NonIntegralGenus):
             albanese_fiber_genus(7, 2, 3)
         with pytest.raises(NonIntegralGenus):

@@ -265,8 +265,8 @@ class TestIntegralityOnTheResolution:
             rc._config_from_model(model, ["C", "D"], (((-1, 0), (0, -1)), (-1, -1)))
 
     @pytest.mark.parametrize("self_int, message", [
-        (-1, r"^genus 1/2 is not a nonnegative integer$"),  # C^2 + K.C odd
-        (-4, r"^genus -1 is not a nonnegative integer$"),
+        (-1, r"^C: genus 1/2 is not a nonnegative integer$"),  # C^2 + K.C odd
+        (-4, r"^C: genus -1 is not a nonnegative integer$"),
     ])
     def test_adjunction_rejects_the_curve(self, self_int, message):
         # integral, and with no expected block to compare: adjunction is the one genus check left
