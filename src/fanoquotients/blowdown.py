@@ -37,6 +37,8 @@ class CurveConfig(NamedTuple("CurveConfig", [
                 raise NonIntegralGenus(f"{name}: genus {Fraction(twice, 2)} is not a nonnegative integer")
         return tuple.__new__(cls, (names, matrix, k_degrees))
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _make and _replace, which calls it, check too
+
     def index(self, name: str) -> int:
         return self.names.index(name)
 

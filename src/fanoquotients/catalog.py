@@ -65,7 +65,7 @@ def parse_json_int(text: str) -> int:
 def read_scenario_file(path: Path, name: str):
     """The JSON value of one scenario file; if it cannot be read, raise InvalidScenario under ``name``."""
     try:
-        return json.loads(path.read_text(), parse_int=parse_json_int)
+        return json.loads(path.read_text(encoding="utf-8"), parse_int=parse_json_int)
     # unreadable, not UTF-8, not JSON, too many digits, or nested past the recursion limit
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidScenario([f"{name}: {exc}"]) from exc

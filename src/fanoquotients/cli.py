@@ -141,6 +141,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader hung up: what is left, the last flush at exit too, goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
+    except UnicodeEncodeError:  # a scenario's text on a stdout whose encoding cannot hold it
+        print(f"stdout encoding {sys.stdout.encoding} cannot print this output; try PYTHONIOENCODING=utf-8",
+              file=sys.stderr)
+        return INPUT_ERROR
     except catalog.InvalidScenario as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)

@@ -128,12 +128,6 @@ class ExceptionalChain(NamedTuple("ExceptionalChain", [("selfints", tuple[int, .
     def __len__(self) -> int:  # not the field count, so the record's _make and _replace would fail
         return len(self.selfints)
 
-    def pair(self, i: int, j: int) -> int:
-        """Entry (i, j) of the chain intersection matrix."""
-        if i == j:
-            return -self.selfints[i]
-        return int(abs(i - j) == 1)
-
     def k2_correction(self) -> Fraction:
         """(sum a_i C_i)^2 = a^T M a; zero exactly on du Val chains."""
         return self.k2
@@ -154,6 +148,8 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
         except ValueError:  # q is not invertible mod n
             raise ValueError(f"gcd(n, q) must be 1, got ({n}, {q})") from None
         return tuple.__new__(cls, (n, min(q, inverse)))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _make and _replace, which calls it, check too
 
     @property
     def is_du_val(self) -> bool:

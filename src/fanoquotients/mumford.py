@@ -1,14 +1,13 @@
-"""Q-valued intersection theory on a normal surface via its resolution.
+"""Q-valued intersection theory on a normal surface via its resolution (Mumford, Publ. IHES 9, 1961).
 
-A normal surface Y with cyclic quotient singularities is presented by the chains of its
-minimal resolution g: Z -> Y plus, for each named curve C on Y, the pairing values C.C'
-downstairs, the degree K_Y.C, and the multiplicities with which the strict transform meets
-each exceptional component.  Writing Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the
-coefficients a_i solve M a = -m on the chain intersection matrix M, once per curve and point
-when the model is built, by the closed-form inverse of ``ExceptionalChain.solve``, and each
-solution is checked against that relation.  They share its denominator n, kept as the
-integers n a_i: each pairing on Z is one integer sum per point over n.  Genera are not read
-here: a ``blowdown.CurveConfig`` checks adjunction when it is made.
+A normal surface Y with cyclic quotient singularities is presented by the chains of its minimal
+resolution g: Z -> Y plus, for each named curve C on Y, the pairings C.C' downstairs, the degree
+K_Y.C and the multiplicities m_i of its strict transform Cbar with each exceptional component C_i.
+Writing Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the a_i solve M a = -m on the chain matrix M,
+once per curve and point, by ``ExceptionalChain.solve``, and each solution is checked against that
+relation.  ``ResolutionModel.build`` then fills one table of every nonzero pairing on Z and one of
+K_Z-degrees, so the model is data.  Genera are not read here: a ``blowdown.CurveConfig`` checks
+adjunction when it is made.
 """
 
 from __future__ import annotations
@@ -23,22 +22,17 @@ class UnknownCurve(KeyError):
     pass
 
 
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 class ResolutionModel(NamedTuple("ResolutionModel", [
         ("chains", dict[str, ExceptionalChain]), ("curves", tuple[str, ...]),
-        ("pairing", dict[tuple[str, str], Fraction]), ("k_degree", dict[str, Fraction]),
-        ("incidence", dict[str, dict[str, tuple[int, ...]]]),
-        ("strict", dict[str, dict[str, tuple[tuple[int, ...], int]]])])):
-    """Named curves on a normal surface together with its resolution data.
+        ("strict", dict[str, dict[str, tuple[tuple[int, ...], int]]]),
+        ("pairing", dict[tuple, Fraction]), ("k_degree", dict[str | tuple[str, int], Fraction])])):
+    """Named curves on a normal surface and their pairings on its minimal resolution Z.  A key is
+    a curve name, for its strict transform, or a (point, index) pair, for an exceptional component.
 
     chains: singular point name -> exceptional chain of its resolution
-    pairing: downstairs values C.C' (symmetric; key order-insensitive)
-    k_degree: K_Y.C per named curve
-    incidence: curve -> point -> per-component multiplicities of Cbar.C_i
     strict: curve -> point -> (s, n) with a = s / n solving M a = -m (all s_i >= 0)
+    pairing: x.y on Z for every two keys that meet, in both orders; a missing pair is 0
+    k_degree: K_Z.x for every key
     """
 
     __slots__ = ()
@@ -47,57 +41,46 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
               pairing: Mapping[tuple[str, str], Fraction], k_degree: Mapping[str, Fraction],
               incidence: Mapping[str, Mapping[str, Sequence[int]]]) -> "ResolutionModel":
-        """Solve each strict transform once per point it meets; ``_config_from_model`` checks the results."""
+        """Solve each strict transform once per point it meets, then fill both tables; a pair of
+        curves with no downstairs value C.C', in either order, raises ``UnknownCurve``."""
         curves = tuple(curves)
-        inc = {name: dict(incidence.get(name, {})) for name in curves}
+        inc = {name: incidence.get(name, {}) for name in curves}
         strict = {name: {} for name in curves}
+        table, k_z = {}, {}
+        for point, chain in chains.items():  # C_i.C_j is the chain matrix entry, K_Z.C_i = b_i - 2
+            for i, b in enumerate(chain.selfints):
+                table[(point, i), (point, i)] = -b
+                k_z[point, i] = b - 2
+                if i:
+                    table[(point, i - 1), (point, i)] = table[(point, i), (point, i - 1)] = 1
         for name in curves:
+            k_z[name] = k_degree[name]
             for point, mults in inc[name].items():
-                if len(mults) != len(chains[point]):  # solve would zip a short vector without a word
+                selfints = chains[point].selfints
+                if len(mults) != len(selfints):  # solve would zip a short vector without a word
                     raise ValueError(f"incidence for {name} at {point} has wrong length")
                 s, n = chains[point].solve([-m for m in mults])
                 # definitional check g*C . C_i = (Cbar + sum a C) . C_i = m + M a = 0, times n
                 padded = (0, *s, 0)
                 if any(n * m + padded[i] - b * padded[i + 1] + padded[i + 2] for i, (m, b)
-                       in enumerate(zip(mults, chains[point].selfints))):
+                       in enumerate(zip(mults, selfints))):
                     raise ValueError(f"pullback relation violated at {point}")
                 if any(x < 0 for x in s):
                     raise ValueError(f"negative strict-transform coefficient for {name} at {point}")
                 strict[name][point] = (tuple(s), n)
-        return cls(dict(chains), curves, {_pair_key(a, b): v for (a, b), v in pairing.items()},
-                   {name: k_degree[name] for name in curves}, inc, strict)
-
-    def strict_transform_numerators(self, curve: str) -> dict[str, tuple[tuple[int, ...], int]]:
-        """Per singular point, (s, n) with a = s / n solving M a = -m (all s_i >= 0)."""
-        if curve not in self.strict:
-            raise UnknownCurve(curve)
-        return self.strict[curve]
-
-    def pair_on_resolution(self, c1: str, c2: str) -> Fraction:
-        """Strict-transform intersection Cbar1 . Cbar2 = C1.C2 + a1^T M a2 = C1.C2 - a1.m2."""
-        total = self.downstairs(c1, c2)
-        if c2 not in self.incidence:
-            raise UnknownCurve(c2)
-        mults2 = self.incidence[c2]
-        for point, (s, n) in self.strict_transform_numerators(c1).items():
-            if point in mults2:
-                total -= Fraction(sum(x * m for x, m in zip(s, mults2[point])), n)
-        return total
-
-    def pair_with_component(self, curve: str, point: str, index: int) -> int:
-        """Cbar . C_i for an exceptional component (the incidence multiplicity)."""
-        mults = self.incidence[curve].get(point)
-        return 0 if mults is None else mults[index]
-
-    def kz_degree(self, curve: str) -> Fraction:
-        """K_Z . Cbar = K_Y . C + sum (2 - b_i) a_i, from K_Z = g*K_Y - sum d_i C_i with M d = (2 - b)."""
-        total = self.k_degree[curve]
-        for point, (s, n) in self.strict_transform_numerators(curve).items():
-            total += Fraction(sum((2 - b) * x for b, x in zip(self.chains[point].selfints, s)), n)
-        return total
-
-    def downstairs(self, c1: str, c2: str) -> Fraction:
-        key = _pair_key(c1, c2)
-        if key not in self.pairing:
-            raise UnknownCurve(f"no downstairs pairing recorded for {key}")
-        return self.pairing[key]
+                # K_Z.Cbar = K_Y.C + sum (2 - b_i) a_i, from K_Z = g*K_Y - sum d_i C_i with M d = 2 - b
+                k_z[name] += Fraction(sum((2 - b) * x for b, x in zip(selfints, s)), n)
+                for i, m in enumerate(mults):  # Cbar.C_i = m_i
+                    if m:
+                        table[name, (point, i)] = table[(point, i), name] = m
+        for i, c1 in enumerate(curves):  # Cbar1.Cbar2 = C1.C2 + a1^T M a2 = C1.C2 - a1.m2
+            for c2 in curves[i:]:
+                v = pairing.get((c1, c2), pairing.get((c2, c1)))
+                if v is None:
+                    raise UnknownCurve(f"no downstairs pairing recorded for {(c1, c2)}")
+                for point, (s, n) in strict[c1].items():
+                    if point in inc[c2]:
+                        v -= Fraction(sum(x * m for x, m in zip(s, inc[c2][point])), n)
+                if v:
+                    table[c1, c2] = table[c2, c1] = v
+        return cls(dict(chains), curves, strict, table, k_z)

@@ -259,4 +259,4 @@ def chain_bilinear(selfints: Sequence[int], u: Sequence, v: Sequence) -> Rat:
 def strict_transform_coeffs(model, curve: str) -> dict[str, tuple[Rat, ...]]:
     """Per singular point, the coefficients a with M a = -m of ``curve`` in a ``ResolutionModel``."""
     return {point: tuple(Fraction(x, n) for x in s)
-            for point, (s, n) in model.strict_transform_numerators(curve).items()}
+            for point, (s, n) in model.strict[curve].items()}

@@ -45,6 +45,14 @@ class TestBuild:
         with pytest.raises(NonIntegralGenus, match="^C0: genus -1 is not a nonnegative integer$"):
             simple_config([[-4]], [0])
 
+    def test_make_and_replace_pass_the_check(self):
+        # the NamedTuple machinery would build both with tuple.__new__, past the check
+        with pytest.raises(NonIntegralGenus, match="^C: genus -1 is not a nonnegative integer$"):
+            CurveConfig(("C",), ((-2,),), (0,))._replace(matrix=((-4,),))
+        with pytest.raises(NonIntegralGenus, match="^C: genus 1/2 is not a nonnegative integer$"):
+            CurveConfig._make([("C",), ((-1,),), (0,)])
+        assert CurveConfig._make([("C",), ((-1,),), (-1,)]) == CurveConfig(("C",), ((-1,),), (-1,))
+
     def test_check_survives_python_optimize(self):
         # python -O strips assert statements; the adjunction check is a raise
         code = ("from fanoquotients.blowdown import CurveConfig, NonIntegralGenus\n"

@@ -731,6 +731,30 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "unknown case 'XI'; the catalog is empty\n")
 
+    def test_scenario_files_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259); under the C locale the files were read as ASCII and every command exited 2
+        for path in DATA.glob("*.json"):
+            (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        source = "order-11 action on the Klein cubic \u2014 \u03b6\u2081\u2081 acts"
+        data = json.loads((DATA / "xi.json").read_text())
+        data["source"] = source
+        (tmp_path / "xi.json").write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(DATA.parents[1]))
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "fanoquotients.cli", "--catalog", str(tmp_path), *argv],
+                                  capture_output=True, encoding="utf-8", timeout=60, env=env)
+
+        proc = run("--format", "json", "report", "XI")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["source"] == source
+        proc = run("report", "XI")  # the text report cannot be encoded in ASCII: one line, no traceback
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "stdout encoding ascii cannot print this output; try PYTHONIOENCODING=utf-8\n"
+        proc = run("validate", str(tmp_path / "xi.json"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{tmp_path / 'xi.json'}: ok\n", "")
+
     @pytest.mark.parametrize("file, path, diagnostic", [
         ("v.json", ("schema",), "schema: "),
         ("xi.json", ("group", "conductor"), "group.conductor: "),

@@ -263,6 +263,15 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             CyclicSing(5, 5)
 
+    def test_make_and_replace_pass_the_checks(self):
+        # the NamedTuple machinery would build both with tuple.__new__, past the checks
+        with pytest.raises(ValueError, match=r"^gcd\(n, q\) must be 1, got \(6, 4\)$"):
+            CyclicSing._make((6, 4))
+        replaced = CyclicSing(11, 3)._replace(q=4)
+        assert replaced == CyclicSing(11, 4) and replaced.q == 3
+        with pytest.raises(ValueError):
+            CyclicSing(11, 3)._replace(q=11)
+
     def test_equal_types_hash_equal_and_sort_by_n_then_q(self):
         assert hash(CyclicSing(11, 4)) == hash(CyclicSing(11, 3))
         assert len({CyclicSing(11, 4), CyclicSing(11, 3), CyclicSing(11, 2)}) == 2

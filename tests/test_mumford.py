@@ -2,14 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from exact_linalg import chain_bilinear, strict_transform_coeffs
+from exact_linalg import chain_bilinear, chain_solve, strict_transform_coeffs
 from fanoquotients import rationality_cases
 from fanoquotients.hj_resolution import CyclicSing, ExceptionalChain
 from fanoquotients.mumford import ResolutionModel, UnknownCurve
 
 
-def xv_style_model(chain_order=("m", "n", "p")):
-    """Two nodal curve images on a surface with three A_{3,1} points."""
+def xv_style_inputs(chain_order=("m", "n", "p")):
+    """The arguments of ``build`` for two nodal curve images on a surface with three A_{3,1} points."""
     chains = {name: ExceptionalChain.from_selfints((3,)) for name in chain_order}
     pairing = {
         ("H", "H"): F(-1, 3), ("L", "L"): F(-1, 3), ("H", "L"): F(1, 3),
@@ -21,7 +21,16 @@ def xv_style_model(chain_order=("m", "n", "p")):
         "L": {"m": (1,), "p": (2,)},
         "Z": {},
     }
-    return ResolutionModel.build(chains, ("H", "L", "Z"), pairing, k_degree, incidence)
+    return chains, ("H", "L", "Z"), pairing, k_degree, incidence
+
+
+def xv_style_model(chain_order=("m", "n", "p")):
+    return ResolutionModel.build(*xv_style_inputs(chain_order))
+
+
+def on_z(model, x, y):
+    """x.y on the resolution: the table holds the pairs that meet."""
+    return model.pairing.get((x, y), 0)
 
 
 def test_build_is_a_classmethod_of_the_class_body():
@@ -33,8 +42,9 @@ def test_build_solves_every_strict_transform_into_a_slotted_record():
     model = xv_style_model()
     assert model.strict == {"H": {"m": ((1,), 3), "n": ((2,), 3)}, "L": {"m": ((1,), 3), "p": ((2,), 3)}, "Z": {}}
     assert not hasattr(model, "__dict__")
-    for curve in model.curves:
-        assert model.strict_transform_numerators(curve) is model.strict[curve]
+    # the model is data: its fields, and no query method beside the constructor
+    assert ResolutionModel._fields == ("chains", "curves", "strict", "pairing", "k_degree")
+    assert {name for name in vars(ResolutionModel) if not name.startswith("_")} == {"build"}
 
 
 def test_a_broken_pullback_relation_is_refused(monkeypatch):
@@ -61,7 +71,7 @@ class TestStrictTransformCoeffs:
         model = ResolutionModel.build(
             chains, ("C",), {("C", "C"): F(-1)}, {"C": F(-1)}, {"C": {"m": (0,)}})
         assert strict_transform_coeffs(model, "C") == {"m": (F(0),)}
-        assert model.pair_on_resolution("C", "C") == -1
+        assert model.pairing[("C", "C")] == -1
 
     def test_nodal_curve_coefficients(self):
         model = xv_style_model()
@@ -80,66 +90,110 @@ class TestStrictTransformCoeffs:
         assert coeffs["f"] == (F(1, 3),)
 
     def test_unknown_curve(self):
-        with pytest.raises(UnknownCurve):
-            strict_transform_coeffs(xv_style_model(), "W")
+        # a pair of curves with no downstairs value fails when the model is built
+        chains, curves, pairing, k_degree, incidence = xv_style_inputs()
+        del pairing[("H", "Z")]
+        with pytest.raises(UnknownCurve, match="no downstairs pairing recorded for"):
+            ResolutionModel.build(chains, curves, pairing, k_degree, incidence)
 
 
 class TestPairOnResolution:
     def test_nodal_images_become_minus_two_curves(self):
         model = xv_style_model()
-        assert model.pair_on_resolution("H", "H") == -2
-        assert model.pair_on_resolution("L", "L") == -2
-        assert model.pair_on_resolution("H", "L") == 0
+        assert on_z(model, "H", "H") == -2
+        assert on_z(model, "L", "L") == -2
+        assert on_z(model, "H", "L") == 0
 
     def test_disjoint_from_singularities_unchanged(self):
         model = xv_style_model()
-        assert model.pair_on_resolution("Z", "Z") == -2
-        assert model.pair_on_resolution("H", "Z") == 0
+        assert on_z(model, "Z", "Z") == -2
+        assert on_z(model, "H", "Z") == 0
 
     def test_symmetry_and_chain_order_independence(self):
         a = xv_style_model(("m", "n", "p"))
         b = xv_style_model(("p", "n", "m"))
         for c1 in ("H", "L", "Z"):
             for c2 in ("H", "L", "Z"):
-                assert a.pair_on_resolution(c1, c2) == a.pair_on_resolution(c2, c1)
-                assert a.pair_on_resolution(c1, c2) == b.pair_on_resolution(c1, c2)
+                assert on_z(a, c1, c2) == on_z(a, c2, c1)
+                assert on_z(a, c1, c2) == on_z(b, c1, c2)
 
     def test_kz_degree(self):
         model = xv_style_model()
-        assert model.kz_degree("H") == 0
-        assert model.kz_degree("Z") == 0
+        assert model.k_degree["H"] == 0
+        assert model.k_degree["Z"] == 0
 
 
-def models_built_by(monkeypatch, build):
-    """Every ResolutionModel that ``build()`` constructs."""
-    models = []
+def builds_made_by(monkeypatch, build):
+    """(arguments, model) of every ResolutionModel that ``build()`` constructs."""
+    built = []
     original = ResolutionModel.__dict__["build"].__func__
     monkeypatch.setattr(ResolutionModel, "build",
-                        classmethod(lambda cls, *args: models.append(original(cls, *args)) or models[-1]))
+                        classmethod(lambda cls, *args: built.append((args, original(cls, *args))) or built[-1][1]))
     build()
-    return models
+    return built
 
 
-@pytest.mark.parametrize("build", [
+CERTIFICATE_BUILDS = pytest.mark.parametrize("build", [
     *[lambda option=option: rationality_cases.build_klein_config(option) for option in [(4, 1, 5, 4), (5, 4, 4, 1)]],
     rationality_cases.build_xv_config,
 ], ids=["klein-option-1", "klein-option-2", "xv"])
+
+
+@CERTIFICATE_BUILDS
 def test_pairings_match_the_full_bilinear_expansion(monkeypatch, build):
     # second route: expand (g*C1 - A1).(g*C2 - A2) = C1.C2 + a1^T M a2 and
     # K_Z.Cbar = K_Y.C + d^T M a on each chain matrix, against C1.C2 - a1.m2
     # and K_Y.C + sum (2 - b) a in the package
-    models = models_built_by(monkeypatch, build) + [xv_style_model()]
-    for model in models:
-        for c1 in model.curves:
+    for (chains, curves, pairing, k_y, _), model in builds_made_by(monkeypatch, build) + [
+            (xv_style_inputs(), xv_style_model())]:
+        for c1 in curves:
             a1 = strict_transform_coeffs(model, c1)
-            k_expected = model.k_degree[c1] + sum(
-                chain_bilinear(model.chains[p].selfints, model.chains[p].discrepancies, a) for p, a in a1.items())
-            assert model.kz_degree(c1) == k_expected
-            for c2 in model.curves:
+            k_expected = k_y[c1] + sum(
+                chain_bilinear(chains[p].selfints, chains[p].discrepancies, a) for p, a in a1.items())
+            assert model.k_degree[c1] == k_expected
+            for c2 in curves:
                 a2 = strict_transform_coeffs(model, c2)
-                expected = model.downstairs(c1, c2) + sum(
-                    chain_bilinear(model.chains[p].selfints, a1[p], a2[p]) for p in set(a1) & set(a2))
-                assert model.pair_on_resolution(c1, c2) == expected
+                expected = pairing.get((c1, c2), pairing.get((c2, c1))) + sum(
+                    chain_bilinear(chains[p].selfints, a1[p], a2[p]) for p in set(a1) & set(a2))
+                assert on_z(model, c1, c2) == expected
+
+
+@CERTIFICATE_BUILDS
+def test_every_table_entry_matches_the_chain_algebra(monkeypatch, build):
+    # every key pair, components included, against exact_linalg: with a = chain_solve(b, -m),
+    # Cbar.C_i = -(M a)_i must give back m_i, C_i.C_j is e_i^T M e_j on one chain and 0 across
+    # two, K_Z.C_i = -2 - C_i^2 on a smooth rational curve, and Cbar1.Cbar2 = C1.C2 + a1^T M a2
+    (built,) = builds_made_by(monkeypatch, build)
+    (chains, curves, pairing, k_y, incidence), model = built
+    unit = {p: [tuple(int(i == j) for j in range(len(c.selfints))) for i in range(len(c.selfints))]
+            for p, c in chains.items()}
+    coeffs = {c: {p: chain_solve(chains[p].selfints, [-m for m in mults]) for p, mults in incidence[c].items()}
+              for c in curves}
+
+    def second_route(x, y):
+        if isinstance(x, str) and isinstance(y, str):
+            return pairing.get((x, y), pairing.get((y, x))) + sum(
+                chain_bilinear(chains[p].selfints, coeffs[x][p], coeffs[y][p]) for p in set(coeffs[x]) & set(coeffs[y]))
+        if isinstance(x, str):
+            x, y = y, x
+        if isinstance(y, str):  # x is a component, y a curve
+            point, i = x
+            m = -chain_bilinear(chains[point].selfints, unit[point][i], coeffs[y].get(point, (0,) * len(unit[point])))
+            assert m == (incidence[y][point][i] if point in incidence[y] else 0)
+            return m
+        if x[0] != y[0]:
+            return 0
+        return chain_bilinear(chains[x[0]].selfints, unit[x[0]][x[1]], unit[y[0]][y[1]])
+
+    keys = [*curves, *((p, i) for p in chains for i in range(len(chains[p].selfints)))]
+    assert set(model.k_degree) == set(keys)
+    assert all(model.pairing.values())  # a pair that does not meet is left out
+    assert {k for pair in model.pairing for k in pair} <= set(keys)
+    for x in keys:
+        if not isinstance(x, str):
+            assert model.k_degree[x] == -2 - second_route(x, x)
+        for y in keys:
+            assert on_z(model, x, y) == second_route(x, y), (x, y)
 
 
 class TestKzSquared:
