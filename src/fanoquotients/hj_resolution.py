@@ -21,6 +21,8 @@ read from a table of every one that can occur (each s < n, or each even s for
 even n), kept per n for the few most recent n, so a run's discrepancies are one
 slice and equal ones are one shared immutable object.  A chain given by its b is
 folded back to (n, q) for the same pass, and ``ExceptionalChain.solve`` reads M^-1 off the same alpha and beta.
+The pass is memoised on (n, q) and returns the chain record itself, so ``CyclicSing.chain``,
+``ExceptionalChain.from_selfints`` and ``hj_continued_fraction`` share one bounded chain cache.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .cyclotomic_rep import MAX_GROUP_ORDER
 def hj_continued_fraction(n: int, q: int) -> tuple[int, ...]:
     """Expansion n/q = b_1 - 1/(b_2 - ...) with every b_i >= 2."""
     CyclicSing(n, q)  # its input checks; the expansion is of q itself, not of the canonical q
-    return _resolve(n, q)[0]
+    return _resolve(n, q).selfints
 
 
 def _fold(selfints) -> list[int]:
@@ -58,7 +60,8 @@ def _discrepancy_memo(n: int) -> tuple[Fraction, ...]:
     return tuple(map(Fraction, range(size), repeat(size)))  # Fraction(2t, n) = Fraction(t, n / 2)
 
 
-def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fraction]:
+@lru_cache(maxsize=1024)  # hits come from the q, q^-1 pairs of one n: at most about 500 chains for n <= 1005
+def _resolve(n: int, q: int) -> "ExceptionalChain":
     """The chain of n/q, its discrepancies and its K^2 correction, in one pass over the expansion.
 
     The remainders n = alpha_0, q = alpha_1, ..., alpha_k = 1, alpha_{k+1} = 0 of the
@@ -93,7 +96,7 @@ def _resolve(n: int, q: int) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fra
             k2 += s * (2 - x)
             alpha_prev, alpha = alpha, x * alpha - alpha_prev
             beta_prev, beta = beta, x * beta - beta_prev
-    return tuple(b), tuple(a), Fraction(k2, n)
+    return ExceptionalChain(tuple(b), tuple(a), Fraction(k2, n))
 
 
 class ExceptionalChain(NamedTuple("ExceptionalChain", [("selfints", tuple[int, ...]),
@@ -110,7 +113,7 @@ class ExceptionalChain(NamedTuple("ExceptionalChain", [("selfints", tuple[int, .
         if not b or min(b) < 2:
             raise ValueError(f"chain self-intersections must all be >= 2, got {b}")
         # an expansion with every b_i >= 2 is unique, so the pass on its (n, q) gives b back
-        return cls(*_resolve(*_fold(b)[:2]))
+        return _resolve(*_fold(b)[:2])
 
     def solve(self, rhs) -> tuple[list[int], int]:
         """(s, n) with a = s / n solving M a = r on the chain matrix (-b_i diagonal, 1 off it).
@@ -162,10 +165,5 @@ class CyclicSing(NamedTuple("CyclicSing", [("n", int), ("q", int)])):
         return f"A{self.n},{self.q}"
 
     def chain(self) -> ExceptionalChain:
-        return _chain_for(self.n, self.q)
-
-
-@lru_cache(maxsize=1024)  # hits come from the q, q^-1 pairs of one n: at most about 500 chains for n <= 1005
-def _chain_for(n: int, q: int) -> ExceptionalChain:
-    return ExceptionalChain(*_resolve(n, q))
+        return _resolve(self.n, self.q)
 

@@ -5,9 +5,9 @@ resolution g: Z -> Y plus, for each named curve C on Y, the pairings C.C' downst
 K_Y.C and the multiplicities m_i of its strict transform Cbar with each exceptional component C_i.
 Writing Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the a_i solve M a = -m on the chain matrix M,
 once per curve and point, by ``ExceptionalChain.solve``, and each solution is checked against that
-relation.  ``ResolutionModel.build`` then fills one table of every nonzero pairing on Z and one of
-K_Z-degrees, so the model is data.  Genera are not read here: a ``blowdown.CurveConfig`` checks
-adjunction when it is made.
+relation.  ``ResolutionModel.build`` folds those solutions into one table of every nonzero pairing
+on Z and one of K_Z-degrees and keeps only the two tables, so the model is data.  Genera are not
+read here: a ``blowdown.CurveConfig`` checks adjunction when it is made.
 """
 
 from __future__ import annotations
@@ -23,14 +23,10 @@ class UnknownCurve(KeyError):
 
 
 class ResolutionModel(NamedTuple("ResolutionModel", [
-        ("chains", dict[str, ExceptionalChain]), ("curves", tuple[str, ...]),
-        ("strict", dict[str, dict[str, tuple[tuple[int, ...], int]]]),
         ("pairing", dict[tuple, Fraction]), ("k_degree", dict[str | tuple[str, int], Fraction])])):
     """Named curves on a normal surface and their pairings on its minimal resolution Z.  A key is
     a curve name, for its strict transform, or a (point, index) pair, for an exceptional component.
 
-    chains: singular point name -> exceptional chain of its resolution
-    strict: curve -> point -> (s, n) with a = s / n solving M a = -m (all s_i >= 0)
     pairing: x.y on Z for every two keys that meet, in both orders; a missing pair is 0
     k_degree: K_Z.x for every key
     """
@@ -41,7 +37,8 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
     def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
               pairing: Mapping[tuple[str, str], Fraction], k_degree: Mapping[str, Fraction],
               incidence: Mapping[str, Mapping[str, Sequence[int]]]) -> "ResolutionModel":
-        """Solve each strict transform once per point it meets, then fill both tables; a pair of
+        """Solve each strict transform once per point it meets, as (s, n) with a = s / n solving
+        M a = -m (all s_i >= 0), then fill both tables; the solutions are not kept.  A pair of
         curves with no downstairs value C.C', in either order, raises ``UnknownCurve``."""
         curves = tuple(curves)
         inc = {name: incidence.get(name, {}) for name in curves}
@@ -83,4 +80,4 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
                         v -= Fraction(sum(x * m for x, m in zip(s, inc[c2][point])), n)
                 if v:
                     table[c1, c2] = table[c2, c1] = v
-        return cls(dict(chains), curves, strict, table, k_z)
+        return cls(table, k_z)

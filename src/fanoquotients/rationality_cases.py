@@ -154,8 +154,8 @@ def _klein_stages() -> tuple[tuple[tuple[int, int, int, int], ...], KleinStage2]
 # The five fixed points sit in one orbit of the residual order-5 symmetry;
 # in orbit order P0..P4 they are:
 
-_KLEIN_POINTS = ("s13", "s25", "s14", "s23", "s45")
 _KLEIN_SUFFIX = ("13", "25", "14", "23", "45")
+_KLEIN_POINTS = tuple(f"s{suffix}" for suffix in _KLEIN_SUFFIX)
 
 # every incidence divisor C on the Fano surface has C^2 = 5 and K_S.C = 15 (K_S = 3C)
 _INCIDENCE_SQ, _INCIDENCE_K = 5, 15
@@ -174,25 +174,17 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
     curve_names = tuple(f"D{s}" for s in _KLEIN_SUFFIX)
 
     # coefficient pattern under the order-5 index symmetry: the curve at P_k
-    # carries the first pair at P_k, (a23, b23) at P_{k+3}, (a14, b14) at P_{k+2}
-    coeff_at: dict[str, dict[str, tuple[int, int]]] = {}
-    for k, name in enumerate(curve_names):
-        coeff_at[name] = {
-            _KLEIN_POINTS[k]: stage2.first_pair,
-            _KLEIN_POINTS[(k + 3) % 5]: (a23, b23),
-            _KLEIN_POINTS[(k + 2) % 5]: (a14, b14),
-        }
-
-    incidence = {}
-    for name, per_point in coeff_at.items():
-        inc = {}
-        for point, (a, b) in per_point.items():
-            inc[point] = _whole(_incidence_of(a, b))
-            if inc[point] is None:
-                ia, ib = (Fraction(x, _KLEIN_DET) for x in _incidence_of(a, b))
-                raise IntegralityViolation(
-                    f"{name} at {point}: intersections ({ia}, {ib}) must be nonnegative integers")
-        incidence[name] = inc
+    # carries the first pair at P_k, (a23, b23) at P_{k+3}, (a14, b14) at P_{k+2};
+    # each pair's intersections are found once and placed at every curve's shifted point
+    incidence = {name: {} for name in curve_names}
+    for shift, (a, b) in ((0, stage2.first_pair), (3, (a23, b23)), (2, (a14, b14))):
+        mults = _whole(_incidence_of(a, b))
+        if mults is None:
+            ia, ib = (Fraction(x, _KLEIN_DET) for x in _incidence_of(a, b))
+            raise IntegralityViolation(f"{curve_names[0]} at {_KLEIN_POINTS[shift]}: "
+                                       f"intersections ({ia}, {ib}) must be nonnegative integers")
+        for k, name in enumerate(curve_names):
+            incidence[name][_KLEIN_POINTS[(k + shift) % 5]] = mults
 
     # downstairs: all the incidence curves are numerically equivalent upstairs,
     # and the quotient is etale in codimension one, so every pairing descends

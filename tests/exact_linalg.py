@@ -8,8 +8,9 @@ elimination, independent of the package's tridiagonal chain solver.  The
 last four functions work on Hirzebruch-Jung chains: ``chain_shoot`` shoots
 across the chain in integers, a route that shares no code with the package's
 closed form for M^-1, ``chain_solve`` is its Fraction view, ``chain_bilinear``
-expands u^T M v directly, and ``strict_transform_coeffs`` reads a resolution
-model's strict-transform numerators as coefficients.
+expands u^T M v directly, and ``strict_transform_coeffs`` solves a curve's
+strict-transform coefficients from the chains and incidence a resolution model
+is built from, with ``chain_solve``.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def chain_bilinear(selfints: Sequence[int], u: Sequence, v: Sequence) -> Rat:
     return total
 
 
-def strict_transform_coeffs(model, curve: str) -> dict[str, tuple[Rat, ...]]:
-    """Per singular point, the coefficients a with M a = -m of ``curve`` in a ``ResolutionModel``."""
-    return {point: tuple(Fraction(x, n) for x in s)
-            for point, (s, n) in model.strict[curve].items()}
+def strict_transform_coeffs(chains, incidence, curve: str) -> dict[str, tuple[Rat, ...]]:
+    """Per singular point that ``curve`` meets, the coefficients a with M a = -m, for the chains and
+    incidence multiplicities m that ``ResolutionModel.build`` takes."""
+    return {point: chain_solve(chains[point].selfints, [-m for m in mults])
+            for point, mults in incidence.get(curve, {}).items()}

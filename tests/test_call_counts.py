@@ -131,3 +131,14 @@ def test_strict_transforms_solved_once(monkeypatch, build, solves):
     monkeypatch.setattr(ExceptionalChain, "solve", lambda chain, rhs: calls.append(rhs) or original(chain, rhs))
     build()
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("option", [(4, 1, 5, 4), (5, 4, 4, 1)], ids=["klein-option-1", "klein-option-2"])
+def test_klein_incidences_found_once_per_coefficient_pair(monkeypatch, option):
+    # three coefficient pairs, each placed at one point of every curve: one integrality check per pair
+    rationality_cases._klein_stages()  # the stages make their own checks, once per process
+    calls = []
+    original = rationality_cases._whole
+    monkeypatch.setattr(rationality_cases, "_whole", lambda x: calls.append(x) or original(x))
+    rationality_cases.build_klein_config(option)
+    assert len(calls) == 3

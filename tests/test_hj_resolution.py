@@ -11,8 +11,8 @@ from fanoquotients.cyclotomic_rep import MAX_GROUP_ORDER
 from fanoquotients.hj_resolution import (
     CyclicSing,
     ExceptionalChain,
-    _chain_for,
     _discrepancy_memo,
+    _resolve,
     hj_continued_fraction,
 )
 
@@ -286,14 +286,14 @@ class TestCanonicalForm:
 
 class TestOnePassRoutes:
     def test_chain_is_its_fold_and_a_reversed_fold_lands_on_the_inverse(self):
-        # from_selfints folds b back to (n, q) and resolves that pair; _chain_for resolves (n, q) directly
-        _chain_for.cache_clear()
+        # from_selfints folds b back to (n, q) and resolves that pair; _resolve resolves (n, q) directly
+        _resolve.cache_clear()
         for n, q in all_types(200):
             sing = CyclicSing(n, q)
             assert sing.chain() == ExceptionalChain.from_selfints(expand(n, sing.q)), (n, q)
             inverse = pow(q, -1, n)
             reversed_chain = ExceptionalChain.from_selfints(expand(n, q)[::-1])
-            assert reversed_chain == _chain_for(n, inverse), (n, q)
+            assert reversed_chain == _resolve(n, inverse), (n, q)
             assert reversed_chain.selfints == expand(n, inverse), (n, q)
 
     @pytest.mark.parametrize(("n", "q", "message"), [
@@ -317,19 +317,27 @@ class TestOnePassRoutes:
 class TestChainCache:
     def test_sweep_near_1000_stays_bounded_and_hits_every_inverse(self):
         # three primes near 1000 give about 1,490 distinct chains, more than the cache keeps
-        _chain_for.cache_clear()
+        _resolve.cache_clear()
         for n in (983, 991, 997):
             for q in range(1, n):
                 first = min(q, pow(q, -1, n)) == q  # the canonical q of the pair comes first in the sweep
-                hits = _chain_for.cache_info().hits
+                hits = _resolve.cache_info().hits
                 CyclicSing(n, q).chain()
-                assert _chain_for.cache_info().hits == hits + (not first), (n, q)
-        assert _chain_for.cache_info().currsize <= 1024
+                assert _resolve.cache_info().hits == hits + (not first), (n, q)
+        assert _resolve.cache_info().currsize <= 1024
+
+    def test_certificate_and_report_chains_are_one_cached_record(self):
+        # from_selfints folds (4, 4) to (15, 4), the canonical pair of A_{15,4}: every read below is one cache entry
+        _resolve.cache_clear()
+        chain = ExceptionalChain.from_selfints((4, 4))
+        assert chain is ExceptionalChain.from_selfints((4, 4)) is CyclicSing(15, 4).chain()
+        assert hj_continued_fraction(15, 4) is CyclicSing(15, 4).chain().selfints
+        assert _resolve.cache_info()[:2] == (4, 1)  # (hits, misses): one pass for the five reads
 
 
 class TestDiscrepancyMemo:
     def test_sweep_near_1000_shares_equal_values_and_stays_bounded(self):
-        _chain_for.cache_clear()
+        _resolve.cache_clear()
         _discrepancy_memo.cache_clear()
         for n in (983, 991, 997):
             shared = {}

@@ -38,12 +38,11 @@ def test_build_is_a_classmethod_of_the_class_body():
     assert isinstance(ResolutionModel.__dict__["build"], classmethod)
 
 
-def test_build_solves_every_strict_transform_into_a_slotted_record():
+def test_build_returns_a_slotted_record_of_its_two_tables():
     model = xv_style_model()
-    assert model.strict == {"H": {"m": ((1,), 3), "n": ((2,), 3)}, "L": {"m": ((1,), 3), "p": ((2,), 3)}, "Z": {}}
     assert not hasattr(model, "__dict__")
-    # the model is data: its fields, and no query method beside the constructor
-    assert ResolutionModel._fields == ("chains", "curves", "strict", "pairing", "k_degree")
+    # the model is data: the two tables, and no query method beside the constructor
+    assert ResolutionModel._fields == ("pairing", "k_degree")
     assert {name for name in vars(ResolutionModel) if not name.startswith("_")} == {"build"}
 
 
@@ -62,32 +61,46 @@ def test_a_broken_pullback_relation_is_refused(monkeypatch):
 
 
 class TestStrictTransformCoeffs:
+    # the model keeps no strict transforms: each coefficient a, solved by exact_linalg, is pinned, and so
+    # is the table entry it sets, K_Z.Cbar = K_Y.C + sum (2 - b_i) a_i or Cbar1.Cbar2 = C1.C2 - a1.m2
     def test_curve_missing_all_points(self):
+        chains, _, _, _, incidence = xv_style_inputs()
         model = xv_style_model()
-        assert strict_transform_coeffs(model, "Z") == {}
+        assert strict_transform_coeffs(chains, incidence, "Z") == {}
+        assert (model.pairing[("Z", "Z")], model.k_degree["Z"]) == (-2, 0)  # the downstairs values
 
     def test_explicit_zero_multiplicities_give_zero_coefficients(self):
-        chains = {"m": ExceptionalChain.from_selfints((3,))}
-        model = ResolutionModel.build(
-            chains, ("C",), {("C", "C"): F(-1)}, {"C": F(-1)}, {"C": {"m": (0,)}})
-        assert strict_transform_coeffs(model, "C") == {"m": (F(0),)}
+        chains, incidence = {"m": ExceptionalChain.from_selfints((3,))}, {"C": {"m": (0,)}}
+        model = ResolutionModel.build(chains, ("C",), {("C", "C"): F(-1)}, {"C": F(-1)}, incidence)
+        assert strict_transform_coeffs(chains, incidence, "C") == {"m": (F(0),)}
         assert model.pairing[("C", "C")] == -1
+        assert model.k_degree["C"] == -1
 
     def test_nodal_curve_coefficients(self):
+        chains, _, _, _, incidence = xv_style_inputs()
         model = xv_style_model()
-        coeffs = strict_transform_coeffs(model, "H")
-        assert coeffs["m"] == (F(1, 3),)
-        assert coeffs["n"] == (F(2, 3),)
+        for curve, node in (("H", "n"), ("L", "p")):
+            coeffs = strict_transform_coeffs(chains, incidence, curve)
+            assert coeffs == {"m": (F(1, 3),), node: (F(2, 3),)}
+            # the curve meets m once and its node twice, so C.C = -1/3 - a_m - 2 a_node and
+            # K_Z.C = 1 - a_m - a_node hold a_m = 1/3 and a_node = 2/3 apart
+            assert on_z(model, curve, curve) == F(-1, 3) - F(1, 3) - 2 * F(2, 3)
+            assert model.k_degree[curve] == 1 - F(1, 3) - F(2, 3)
 
     def test_double_point_on_long_chain(self):
         chains = {"b": ExceptionalChain.from_selfints((4, 4)), "f": ExceptionalChain.from_selfints((3,)),
                   "m": ExceptionalChain.from_selfints((3,))}
-        model = ResolutionModel.build(
-            chains, ("B",), {("B", "B"): F(1, 3)}, {"B": F(1)},
-            {"B": {"b": (1, 1), "f": (1,), "m": (1,)}})
-        coeffs = strict_transform_coeffs(model, "B")
+        # the probes P, Q, R are disjoint from B downstairs and each meet one component once,
+        # so B.probe = -a_i reads one coefficient of B back from the model
+        incidence = {"B": {"b": (1, 1), "f": (1,), "m": (1,)}, "P": {"b": (1, 0)}, "Q": {"b": (0, 1)}, "R": {"f": (1,)}}
+        curves = tuple(incidence)
+        pairing = {(c1, c2): F(1, 3) if c1 == c2 == "B" else F(0) for c1 in curves for c2 in curves}
+        model = ResolutionModel.build(chains, curves, pairing, dict.fromkeys(curves, F(1)), incidence)
+        coeffs = strict_transform_coeffs(chains, incidence, "B")
         assert coeffs["b"] == (F(1, 3), F(1, 3))
         assert coeffs["f"] == (F(1, 3),)
+        assert [model.pairing[("B", probe)] for probe in ("P", "Q", "R")] == [F(-1, 3)] * 3
+        assert model.k_degree["B"] == 1 + (2 - 4) * (F(1, 3) + F(1, 3)) + (2 - 3) * (F(1, 3) + F(1, 3))
 
     def test_unknown_curve(self):
         # a pair of curves with no downstairs value fails when the model is built
@@ -143,16 +156,17 @@ CERTIFICATE_BUILDS = pytest.mark.parametrize("build", [
 def test_pairings_match_the_full_bilinear_expansion(monkeypatch, build):
     # second route: expand (g*C1 - A1).(g*C2 - A2) = C1.C2 + a1^T M a2 and
     # K_Z.Cbar = K_Y.C + d^T M a on each chain matrix, against C1.C2 - a1.m2
-    # and K_Y.C + sum (2 - b) a in the package
-    for (chains, curves, pairing, k_y, _), model in builds_made_by(monkeypatch, build) + [
+    # and K_Y.C + sum (2 - b) a in the package, with each a = chain_solve(b, -m)
+    # from the build's own arguments
+    for (chains, curves, pairing, k_y, incidence), model in builds_made_by(monkeypatch, build) + [
             (xv_style_inputs(), xv_style_model())]:
         for c1 in curves:
-            a1 = strict_transform_coeffs(model, c1)
+            a1 = strict_transform_coeffs(chains, incidence, c1)
             k_expected = k_y[c1] + sum(
                 chain_bilinear(chains[p].selfints, chains[p].discrepancies, a) for p, a in a1.items())
             assert model.k_degree[c1] == k_expected
             for c2 in curves:
-                a2 = strict_transform_coeffs(model, c2)
+                a2 = strict_transform_coeffs(chains, incidence, c2)
                 expected = pairing.get((c1, c2), pairing.get((c2, c1))) + sum(
                     chain_bilinear(chains[p].selfints, a1[p], a2[p]) for p in set(a1) & set(a2))
                 assert on_z(model, c1, c2) == expected
