@@ -1,11 +1,11 @@
 """The scenario catalog: JSON data files, validation, reports and tables.
 
-One file per quotient case.  The file format (``schema: 1``) is documented in
-docs/scenario_schema.md; numbers in the files are fixed-point and
-intersection data on the base surface, while everything in a report is
-computed from them.  The catalog annotations (minimality, Kodaira dimension)
-are literature assertions and are rendered with a trailing ``*`` so they can
-never be mistaken for computed values.
+One file per quotient case.  The file format (``schema: 1``) is documented in docs/scenario_schema.md;
+numbers in the files are fixed-point and intersection data on the base surface, while everything in
+a report is computed from them.  A file is read with no repeated key, checked field by field (SCHEMA),
+then across fields, then against its group, whose order each subgroup order in the file must divide.
+The catalog annotations (minimality, Kodaira dimension) are literature assertions and are rendered
+with a trailing ``*`` so they can never be mistaken for computed values.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ MAX_CONDUCTOR = 1000
 # every integer a scenario file holds, and the text of an intersection number
 MAX_DIGITS = 18
 _INTEGER_TEXT = rf"-?[0-9]{{1,{MAX_DIGITS}}}"  # compiled on first use, not at import
+MAX_CURVES = 100  # the ramification rules check every pair of curves, at most 4,950; the catalog needs 5
 
 TABLE1_COLUMNS = ("O", "Type", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
 TABLE2_COLUMNS = ("G", "c1^2", "c2", "q", "p_g", "chi", "g", "Singularities", "Min", "kappa")
@@ -62,11 +63,19 @@ def parse_json_int(text: str) -> int:
     return int(text)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` of every scenario file load: JSON readers differ on a repeated key (RFC 8259, 4)."""
+    if len(obj := dict(pairs)) < len(pairs):
+        seen: set[str] = set()
+        raise ValueError(f"duplicate key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+    return obj
+
+
 def read_scenario_file(path: Path, name: str):
     """The JSON value of one scenario file; if it cannot be read, raise InvalidScenario under ``name``."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_int=parse_json_int)
-    # unreadable, not UTF-8, not JSON, too many digits, or nested past the recursion limit
+        return json.loads(path.read_text(encoding="utf-8"), parse_int=parse_json_int, object_pairs_hook=unique_keys)
+    # unreadable, not UTF-8, not JSON, a repeated key, too many digits, or nested past the recursion limit
     except (OSError, ValueError, RecursionError) as exc:
         raise InvalidScenario([f"{name}: {exc}"]) from exc
 
@@ -191,8 +200,8 @@ def scenario_from_dict(data: dict) -> tuple[Optional[QuotientScenario], list[str
         return None, ["scenario: must be a JSON object"]
     diags: list[str] = []
     fields = _read(data, (None, SCHEMA, ""), "", diags)
-    if diags:
-        return None, diags
+    if diags or len(fields["ramification"]) > MAX_CURVES:
+        return None, diags or [f"ramification: {len(fields['ramification'])} curves, more than {MAX_CURVES}"]
     group = fields["group"]
     generators = [_parse_generator(gen["rows"], group["conductor"], f"group.generators[{i}]", diags)
                   for i, gen in enumerate(group["generators"])]
@@ -242,24 +251,18 @@ def scenario_from_dict(data: dict) -> tuple[Optional[QuotientScenario], list[str
 
 def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
     """The checks of a parsed scenario that need its group; empty = ok."""
-    diags: list[str] = []
     try:
         order = scenario.group.order
     except Exception as exc:
         return [f"group: closure failed: {exc}"]
-    for i, st in enumerate(scenario.strata):
-        if order % st.order != 0:
-            diags.append(f"strata[{i}].stabilizer_order: {st.order} does not divide |G| = {order}")
-    for i, r in enumerate(scenario.ramification):
-        if order % r.index != 0:
-            diags.append(f"ramification[{i}].index: {r.index} does not divide |G| = {order}")
-    # the stabiliser of an A_{n,q} point is cyclic of order n; this also bounds its chain length
-    for i, (sing, _) in enumerate(scenario.singularities):
-        if order % sing.n != 0:
-            diags.append(f"singularities[{i}].n: {sing.n} does not divide |G| = {order}")
-    # the deck group of the fibration acts along the fibers: a subgroup of G
-    if scenario.fibration is not None and order % scenario.fibration.deck_order != 0:
-        diags.append(f"fibration.deck_order: {scenario.fibration.deck_order} does not divide |G| = {order}")
+    # Lagrange: each is the order of a subgroup of G.  The stabiliser of an A_{n,q} point is cyclic of
+    # order n, which also bounds its chain length; the deck group of the fibration acts along the fibers
+    fib = scenario.fibration
+    subgroups = [*((f"strata[{i}].stabilizer_order", st.order) for i, st in enumerate(scenario.strata)),
+                 *((f"ramification[{i}].index", r.index) for i, r in enumerate(scenario.ramification)),
+                 *((f"singularities[{i}].n", sing.n) for i, (sing, _) in enumerate(scenario.singularities)),
+                 *([] if fib is None else [("fibration.deck_order", fib.deck_order)])]
+    diags = [f"{path}: {k} does not divide |G| = {order}" for path, k in subgroups if order % k]
     if not diags:
         try:
             from_strata, from_group = euler_quotient(scenario), lefschetz_euler_quotient(scenario.group)
@@ -269,8 +272,7 @@ def _group_diagnostics(scenario: QuotientScenario) -> list[str]:
             if from_strata != from_group:
                 diags.append(f"strata: e(S/G) = {from_strata} from the strata, but the generators give "
                              f"{from_group} (topological Lefschetz)")
-    if scenario.fibration is not None:
-        fib = scenario.fibration
+    if fib is not None:
         try:
             albanese_fiber_genus(fib.fiber_genus, fib.deck_order, fib.ramification)
         except ArithmeticError as exc:
@@ -399,9 +401,6 @@ def run_tables(catalog_dir: Optional[Path] = None):
 
 
 def render_table(columns: tuple[str, ...], rows: list[dict[str, str]], fmt: str = "text") -> str:
-    if fmt == "json":
-        payload = [{c: row.get(c, "") for c in columns} for row in rows]
-        return json.dumps(payload, indent=2, sort_keys=True)
     cells = [[row.get(c, "") for c in columns] for row in rows]
     widths = [max(len(columns[i]), *(len(r[i]) for r in cells)) if cells else len(columns[i])
               for i in range(len(columns))]

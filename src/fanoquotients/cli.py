@@ -33,13 +33,14 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    bodies = [catalog.render_table(columns, rows, args.format) for columns, rows in catalog.run_tables(args.catalog)]
-    if args.format == "json":  # one document: an array of the two tables
-        print(json.dumps([{"table": number, "rows": json.loads(body)} for number, body in enumerate(bodies, start=1)],
-                         indent=2, sort_keys=True))
+    tables = catalog.run_tables(args.catalog)
+    if args.format == "json":  # one document: an array of the two tables, each row {column: cell}
+        print(json.dumps([{"table": number, "rows": [{c: row.get(c, "") for c in columns} for row in rows]}
+                          for number, (columns, rows) in enumerate(tables, start=1)], indent=2, sort_keys=True))
     else:
         titles = ("Table 1: quotients by cyclic groups", "Table 2: quotients by non-cyclic groups")
-        print("\n\n".join(f"{title}\n{body}" for title, body in zip(titles, bodies)))
+        print("\n\n".join(f"{title}\n{catalog.render_table(columns, rows, args.format)}"
+                            for title, (columns, rows) in zip(titles, tables)))
     bad = [label for label, scenario in catalog.load_catalog(args.catalog).items()
            if not scenario.report.noether_ok]
     if bad:

@@ -1,19 +1,19 @@
 """Q-valued intersection theory on a normal surface via its resolution (Mumford, Publ. IHES 9, 1961).
 
 A normal surface Y with cyclic quotient singularities is presented by the chains of its minimal
-resolution g: Z -> Y plus, for each named curve C on Y, the pairings C.C' downstairs, the degree
-K_Y.C and the multiplicities m_i of its strict transform Cbar with each exceptional component C_i.
-Writing Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the a_i solve M a = -m on the chain matrix M,
-once per curve and point, by ``ExceptionalChain.solve``, and each solution is checked against that
-relation.  ``ResolutionModel.build`` folds those solutions into one table of every nonzero pairing
-on Z and one of K_Z-degrees and keeps only the two tables, so the model is data.  Genera are not
-read here: a ``blowdown.CurveConfig`` checks adjunction when it is made.
+resolution g: Z -> Y plus, for each curve C on Y (a key of the K-degree table), its degree K_Y.C,
+the pairings C.C' downstairs and the multiplicities m_i of its strict transform Cbar with each
+exceptional component C_i.  Writing Cbar = g*C - sum a_i C_i with g*C . C_i = 0, the a_i solve
+M a = -m on the chain matrix M, once per curve and point, by ``ExceptionalChain.solve``, and each
+solution is checked against that relation.  ``ResolutionModel.build`` folds those solutions into one
+table of every nonzero pairing on Z and one of K_Z-degrees and keeps only the two tables, so the
+model is data.  Genera are not read here: a ``blowdown.CurveConfig`` checks adjunction when made.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .hj_resolution import ExceptionalChain
 
@@ -34,13 +34,13 @@ class ResolutionModel(NamedTuple("ResolutionModel", [
     __slots__ = ()
 
     @classmethod
-    def build(cls, chains: Mapping[str, ExceptionalChain], curves: Iterable[str],
-              pairing: Mapping[tuple[str, str], Fraction], k_degree: Mapping[str, Fraction],
+    def build(cls, chains: Mapping[str, ExceptionalChain], pairing: Mapping[tuple[str, str], Fraction],
+              k_degree: Mapping[str, Fraction],
               incidence: Mapping[str, Mapping[str, Sequence[int]]]) -> "ResolutionModel":
         """Solve each strict transform once per point it meets, as (s, n) with a = s / n solving
-        M a = -m (all s_i >= 0), then fill both tables; the solutions are not kept.  A pair of
-        curves with no downstairs value C.C', in either order, raises ``UnknownCurve``."""
-        curves = tuple(curves)
+        M a = -m (all s_i >= 0), then fill both tables; the solutions are not kept.  The curves are
+        the keys of ``k_degree``; a pair with no downstairs value C.C' raises ``UnknownCurve``."""
+        curves = tuple(k_degree)
         inc = {name: incidence.get(name, {}) for name in curves}
         strict = {name: {} for name in curves}
         table, k_z = {}, {}

@@ -193,7 +193,7 @@ def build_klein_config(option: tuple[int, int, int, int]) -> CurveConfig:
     pairing = {(c1, c2): Fraction(_INCIDENCE_SQ, order)
                for c1 in curve_names for c2 in curve_names}
     k_degree = {c: Fraction(_INCIDENCE_K, order) for c in curve_names}
-    model = ResolutionModel.build(chains, curve_names, pairing, k_degree, incidence)
+    model = ResolutionModel.build(chains, pairing, k_degree, incidence)
 
     exceptional = [(point, i, f"{kind}{suffix}") for point, suffix in zip(_KLEIN_POINTS, _KLEIN_SUFFIX)
                    for i, kind in enumerate(("A", "B"))]
@@ -244,7 +244,6 @@ def build_xv_config() -> CurveConfig:
     inc_ell = Fraction(5, order)                   # C.E_orbit = 5 * 1
 
     chains = {point: ExceptionalChain.from_selfints(b) for point, b in _XV_CHAINS.items()}
-    curves = ("A", "B", "H", "L")
     pairing = {
         ("A", "A"): incidence_sq, ("B", "B"): incidence_sq,
         ("H", "H"): h_sq, ("L", "L"): h_sq,
@@ -259,7 +258,7 @@ def build_xv_config() -> CurveConfig:
         "H": {"m": (1,), "n": (2,)},
         "L": {"m": (1,), "p": (2,)},
     }
-    model = ResolutionModel.build(chains, curves, pairing, k_degree, incidence)
+    model = ResolutionModel.build(chains, pairing, k_degree, incidence)
 
     return _config_from_model(model, ["A", "B", ("m", 0, "Tm"), "H", "L"], (_XV_MATRIX, _XV_K_DEGREES))
 

@@ -150,11 +150,14 @@ class TestTables:
             rendered = catalog.render_table(columns, rows, "text") + "\n"
             assert rendered == (GOLDEN / f"table{number}.txt").read_text()
 
-    def test_json_rows_round_trip(self):
+    def test_json_rows_round_trip(self, capsys):
+        assert main(["--format", "json", "tables"]) == 0
+        payload = json.loads(capsys.readouterr().out)[0]["rows"]
         columns, rows = catalog.run_tables()[0]
-        payload = json.loads(catalog.render_table(columns, rows, "json"))
         assert len(payload) == 11
         assert payload[0]["Type"] == "I"
+        for document_row, row in zip(payload, rows, strict=True):
+            assert document_row == {c: row.get(c, "") for c in columns}
 
     def test_markdown_rendering(self):
         columns, rows = catalog.run_tables()[1]
@@ -169,7 +172,7 @@ class TestTables:
         payload = json.loads(capsys.readouterr().out)
         assert [(table["table"], len(table["rows"])) for table in payload] == [(1, 11), (2, 7)]
         for table, (columns, rows) in zip(payload, catalog.run_tables()):
-            assert table["rows"] == json.loads(catalog.render_table(columns, rows, "json"))
+            assert table["rows"] == [{c: row.get(c, "") for c in columns} for row in rows]
 
     def test_empty_catalog_gives_empty_tables(self, tmp_path):
         tables = catalog.run_tables(tmp_path)
@@ -718,6 +721,73 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"i.json: {diagnostic}\n"
+
+    LAGRANGE = {  # each edit of i.json (|G| = 2) names a subgroup order that 2 does not divide
+        "strata": (lambda d: d["strata"][0].update(stabilizer_order=3),
+                   "strata[0].stabilizer_order: 3 does not divide |G| = 2"),
+        "ramification": (lambda d: d["ramification"][0].update(index=3), "ramification[0].index: 3 does not divide |G| = 2"),
+        "singularities": (lambda d: d["singularities"][0].update(n=3), "singularities[0].n: 3 does not divide |G| = 2"),
+        "fibration": (lambda d: d["fibration"].update(deck_order=3, ramification=0),
+                      "fibration.deck_order: 3 does not divide |G| = 2"),
+    }
+
+    @pytest.mark.parametrize("fields", [[field] for field in LAGRANGE] + [list(reversed(LAGRANGE))],
+                             ids=[*LAGRANGE, "all-four"])
+    def test_lagrange_diagnostics_in_field_order(self, tmp_path, capsys, fields):
+        # every failing field has one line, in the order strata, ramification, singularities, fibration
+        data = json.loads((DATA / "i.json").read_text())
+        for field in fields:
+            self.LAGRANGE[field][0](data)
+        diagnostics = [message for field, (_, message) in self.LAGRANGE.items() if field in fields]
+        bad = tmp_path / "i.json"
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == ("".join(f"{bad}: {d}\n" for d in diagnostics), "")
+        assert main(["--catalog", str(tmp_path), "report", "I"]) == 2
+        assert capsys.readouterr() == ("", "".join(f"i.json: {d}\n" for d in diagnostics))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"label": "XI"', '"label": "XV", "label": "XI"', "label"),  # the later value won without a word
+        ('"type": "XI"', '"type": "XI", "type": "XV"', "type"),     # and so in every object below the top
+    ], ids=["top-level", "nested"])
+    def test_duplicate_key_exits_two(self, tmp_path, capsys, old, new, key):
+        text = (DATA / "xi.json").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "xi.json"
+        bad.write_text(text.replace(old, new))
+        assert main(["validate", str(bad)]) == 2  # a file that cannot be read is reported on stderr
+        assert capsys.readouterr() == ("", f"{bad}: duplicate key {key!r}\n")
+        for argv in (["report", "XI"], ["tables"]):
+            assert main(["--catalog", str(tmp_path), *argv]) == 2
+            assert capsys.readouterr() == ("", f"xi.json: duplicate key {key!r}\n")
+
+    @staticmethod
+    def curves_of_i(count: int) -> dict:
+        """i.json with ``count`` renamed copies of its curve and no intersection values between them."""
+        data = json.loads((DATA / "i.json").read_text())
+        curve = data["ramification"][0]
+        data["ramification"] = [{**curve, "name": f"E{i}", "meets": {}} for i in range(count)]
+        return data
+
+    def test_too_many_curves_exit_two_with_one_line(self, tmp_path):
+        # 3,000 curves made 4,498,500 pair diagnostics: 4 s, 955 MB and 438 MB of output
+        bad = tmp_path / "i.json"
+        bad.write_text(json.dumps(self.curves_of_i(3000)))
+        env = {**os.environ, "PYTHONPATH": str(DATA.parents[1])}
+        for argv, out, err in ((["validate", str(bad)], f"{bad}: ramification: 3000 curves, more than 100\n", ""),
+                               (["--catalog", str(tmp_path), "report", "I"], "",
+                                "i.json: ramification: 3000 curves, more than 100\n")):
+            proc = subprocess.run([sys.executable, "-m", "fanoquotients.cli", *argv],
+                                  capture_output=True, text=True, timeout=10, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, out, err)
+
+    def test_max_curves_is_the_bound(self):
+        # at the bound the pair rules run, one line per pair; one more curve gives the one count line
+        at_bound = catalog.validate_scenario(self.curves_of_i(catalog.MAX_CURVES))
+        assert len(at_bound) == catalog.MAX_CURVES * (catalog.MAX_CURVES - 1) // 2
+        assert at_bound[0] == "ramification: no intersection value for pair (E0, E1)"
+        assert catalog.validate_scenario(self.curves_of_i(catalog.MAX_CURVES + 1)) == [
+            f"ramification: {catalog.MAX_CURVES + 1} curves, more than {catalog.MAX_CURVES}"]
 
     def test_duplicate_label_names_both_files(self, tmp_path, capsys):
         for name in ("a.json", "b.json"):

@@ -21,7 +21,7 @@ def xv_style_inputs(chain_order=("m", "n", "p")):
         "L": {"m": (1,), "p": (2,)},
         "Z": {},
     }
-    return chains, ("H", "L", "Z"), pairing, k_degree, incidence
+    return chains, pairing, k_degree, incidence
 
 
 def xv_style_model(chain_order=("m", "n", "p")):
@@ -57,27 +57,27 @@ def test_a_broken_pullback_relation_is_refused(monkeypatch):
     monkeypatch.setattr(ExceptionalChain, "solve", solve_off_by_one)
     chains = {"m": ExceptionalChain.from_selfints((3,))}
     with pytest.raises(ValueError, match="^pullback relation violated at m$"):
-        ResolutionModel.build(chains, ("C",), {("C", "C"): F(-1)}, {"C": F(-1)}, {"C": {"m": (1,)}})
+        ResolutionModel.build(chains, {("C", "C"): F(-1)}, {"C": F(-1)}, {"C": {"m": (1,)}})
 
 
 class TestStrictTransformCoeffs:
     # the model keeps no strict transforms: each coefficient a, solved by exact_linalg, is pinned, and so
     # is the table entry it sets, K_Z.Cbar = K_Y.C + sum (2 - b_i) a_i or Cbar1.Cbar2 = C1.C2 - a1.m2
     def test_curve_missing_all_points(self):
-        chains, _, _, _, incidence = xv_style_inputs()
+        chains, _, _, incidence = xv_style_inputs()
         model = xv_style_model()
         assert strict_transform_coeffs(chains, incidence, "Z") == {}
         assert (model.pairing[("Z", "Z")], model.k_degree["Z"]) == (-2, 0)  # the downstairs values
 
     def test_explicit_zero_multiplicities_give_zero_coefficients(self):
         chains, incidence = {"m": ExceptionalChain.from_selfints((3,))}, {"C": {"m": (0,)}}
-        model = ResolutionModel.build(chains, ("C",), {("C", "C"): F(-1)}, {"C": F(-1)}, incidence)
+        model = ResolutionModel.build(chains, {("C", "C"): F(-1)}, {"C": F(-1)}, incidence)
         assert strict_transform_coeffs(chains, incidence, "C") == {"m": (F(0),)}
         assert model.pairing[("C", "C")] == -1
         assert model.k_degree["C"] == -1
 
     def test_nodal_curve_coefficients(self):
-        chains, _, _, _, incidence = xv_style_inputs()
+        chains, _, _, incidence = xv_style_inputs()
         model = xv_style_model()
         for curve, node in (("H", "n"), ("L", "p")):
             coeffs = strict_transform_coeffs(chains, incidence, curve)
@@ -95,7 +95,7 @@ class TestStrictTransformCoeffs:
         incidence = {"B": {"b": (1, 1), "f": (1,), "m": (1,)}, "P": {"b": (1, 0)}, "Q": {"b": (0, 1)}, "R": {"f": (1,)}}
         curves = tuple(incidence)
         pairing = {(c1, c2): F(1, 3) if c1 == c2 == "B" else F(0) for c1 in curves for c2 in curves}
-        model = ResolutionModel.build(chains, curves, pairing, dict.fromkeys(curves, F(1)), incidence)
+        model = ResolutionModel.build(chains, pairing, dict.fromkeys(curves, F(1)), incidence)
         coeffs = strict_transform_coeffs(chains, incidence, "B")
         assert coeffs["b"] == (F(1, 3), F(1, 3))
         assert coeffs["f"] == (F(1, 3),)
@@ -104,10 +104,10 @@ class TestStrictTransformCoeffs:
 
     def test_unknown_curve(self):
         # a pair of curves with no downstairs value fails when the model is built
-        chains, curves, pairing, k_degree, incidence = xv_style_inputs()
+        chains, pairing, k_degree, incidence = xv_style_inputs()
         del pairing[("H", "Z")]
         with pytest.raises(UnknownCurve, match="no downstairs pairing recorded for"):
-            ResolutionModel.build(chains, curves, pairing, k_degree, incidence)
+            ResolutionModel.build(chains, pairing, k_degree, incidence)
 
 
 class TestPairOnResolution:
@@ -158,14 +158,14 @@ def test_pairings_match_the_full_bilinear_expansion(monkeypatch, build):
     # K_Z.Cbar = K_Y.C + d^T M a on each chain matrix, against C1.C2 - a1.m2
     # and K_Y.C + sum (2 - b) a in the package, with each a = chain_solve(b, -m)
     # from the build's own arguments
-    for (chains, curves, pairing, k_y, incidence), model in builds_made_by(monkeypatch, build) + [
+    for (chains, pairing, k_y, incidence), model in builds_made_by(monkeypatch, build) + [
             (xv_style_inputs(), xv_style_model())]:
-        for c1 in curves:
+        for c1 in k_y:  # the curves are the keys of K_Y.C
             a1 = strict_transform_coeffs(chains, incidence, c1)
             k_expected = k_y[c1] + sum(
                 chain_bilinear(chains[p].selfints, chains[p].discrepancies, a) for p, a in a1.items())
             assert model.k_degree[c1] == k_expected
-            for c2 in curves:
+            for c2 in k_y:
                 a2 = strict_transform_coeffs(chains, incidence, c2)
                 expected = pairing.get((c1, c2), pairing.get((c2, c1))) + sum(
                     chain_bilinear(chains[p].selfints, a1[p], a2[p]) for p in set(a1) & set(a2))
@@ -178,7 +178,8 @@ def test_every_table_entry_matches_the_chain_algebra(monkeypatch, build):
     # Cbar.C_i = -(M a)_i must give back m_i, C_i.C_j is e_i^T M e_j on one chain and 0 across
     # two, K_Z.C_i = -2 - C_i^2 on a smooth rational curve, and Cbar1.Cbar2 = C1.C2 + a1^T M a2
     (built,) = builds_made_by(monkeypatch, build)
-    (chains, curves, pairing, k_y, incidence), model = built
+    (chains, pairing, k_y, incidence), model = built
+    curves = tuple(k_y)
     unit = {p: [tuple(int(i == j) for j in range(len(c.selfints))) for i in range(len(c.selfints))]
             for p, c in chains.items()}
     coeffs = {c: {p: chain_solve(chains[p].selfints, [-m for m in mults]) for p, mults in incidence[c].items()}

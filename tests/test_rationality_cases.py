@@ -246,7 +246,7 @@ class TestIntegralityOnTheResolution:
     ONE_MINUS_ONE_CURVE = (((-1,),), (-1,))
 
     def one_curve_model(self, self_int, k_degree):
-        return ResolutionModel.build({}, ("C",), {("C", "C"): self_int}, {"C": k_degree}, {})
+        return ResolutionModel.build({}, {("C", "C"): self_int}, {"C": k_degree}, {})
 
     def test_fractional_self_intersection(self):
         # adjunction gives the integer genus 1 + (-1/2 - 3/2)/2 = 0, yet C cannot live on Z
@@ -260,7 +260,7 @@ class TestIntegralityOnTheResolution:
 
     def test_negative_distinct_pairing(self):
         pairing = {("C", "C"): -1, ("D", "D"): -1, ("C", "D"): -1}
-        model = ResolutionModel.build({}, ("C", "D"), pairing, {"C": -1, "D": -1}, {})
+        model = ResolutionModel.build({}, pairing, {"C": -1, "D": -1}, {})
         with pytest.raises(rc.IntegralityViolation, match=r"^C\.D = -1$"):
             rc._config_from_model(model, ["C", "D"], (((-1, 0), (0, -1)), (-1, -1)))
 
