@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .cyclotomic_rep import CycMatrix
 from .hj_resolution import CyclicSing
@@ -80,25 +80,16 @@ def read_scenario_file(path: Path, name: str):
         raise InvalidScenario([f"{name}: {exc}"]) from exc
 
 
-class Map(NamedTuple):
-    """A free-form object: any keys, and every value passes ``test``, else one ``diagnostic``."""
-    test: Callable[[object], bool]
-    diagnostic: str
-
-
 # every intersection number of curves on S: a JSON integer or an integer string
 _INTERSECTION = (None, lambda v: type(v) is int or isinstance(v, str) and re.fullmatch(_INTEGER_TEXT, v) is not None,
                  "must be an integer or a string of one, got {!r}")
-# the one diagnostic of a fibration, for a value that is no object and for genus data out of range
-_FIBRATION = "needs integers fiber_genus >= 0, deck_order >= 1, ramification >= 0"
 
 # The format of docs/scenario_schema.md.  A table maps each key of an object to its row (default,
 # shape, diagnostic), and an absent key reads as its default.  A shape is a type (so int refuses
-# true), a test, a table for an object, [table] for an array of objects, or a Map.  A value of
-# another type, that fails its test or is no object or array is refused: the diagnostic, formatted
-# with the value, goes under its JSON path (a table whose default is None admits null).  A tuple of
-# keys is tested as one, under the object's path.  A key no row names is refused, unless a "*" row
-# reads every other key.
+# true), a test, a table for an object, or [table] for an array of objects.  A value of another
+# type, that fails its test or is no object or array is refused with one diagnostic, formatted with
+# the value, under its own JSON path (a table whose default is None admits null).  A key no row
+# names is refused, unless a "*" row reads every other key.
 SCHEMA = {
     "schema": (None, lambda v: type(v) is int and v == SCHEMA_VERSION, f"expected {SCHEMA_VERSION}, got {{!r}}"),
     "label": (None, lambda v: type(v) is str and v != "", "missing or empty"),
@@ -120,17 +111,19 @@ SCHEMA = {
         "meets": ({}, {"*": _INTERSECTION}, "must be an object"),
     }], "must be an array"),
     "singularities": ([], [{
-        ("n", "q", "count"): ((None, None, 1), lambda v: all(type(x) is int for x in v) and v[2] >= 1,
-                              "need integer n, q and a positive count"),
+        "n": (None, int, "must be an integer"),
+        "q": (None, int, "must be an integer"),
+        "count": (1, lambda v: type(v) is int and v >= 1, "must be an integer >= 1"),
     }], "must be an array"),
     "fibration": (None, {  # optional
-        ("fiber_genus", "deck_order", "ramification"): (
-            (None,) * 3, lambda v: all(type(x) is int and x >= least for x, least in zip(v, (0, 1, 0))), _FIBRATION),
+        "fiber_genus": (None, lambda v: type(v) is int and v >= 0, "must be an integer >= 0"),
+        "deck_order": (None, lambda v: type(v) is int and v >= 1, "must be an integer >= 1"),
+        "ramification": (None, lambda v: type(v) is int and v >= 0, "must be an integer >= 0"),
         "note": ("", str, "must be a string"),
-    }, _FIBRATION),
-    "annotations": ({}, Map(lambda v: type(v) in (str, int), "every value must be a string or an integer"),
+    }, "must be an object"),
+    "annotations": ({}, {"*": (None, lambda v: type(v) in (str, int), "must be a string or an integer")},
                     "must be an object"),  # printed as they are
-    "display": ({}, Map(lambda v: type(v) is str, "every value must be a string"), "must be an object"),
+    "display": ({}, {"*": (None, str, "must be a string")}, "must be an object"),
     "table": (None, lambda v: v is None or type(v) is int and v in (1, 2), "must be 1, 2 or null"),
     "table_position": (None, lambda v: v is None or type(v) is int, "must be an integer or null"),
     "source": ("", str, "must be a string"),
@@ -143,12 +136,9 @@ def _read(value, row: tuple, path: str, diags: list[str]):
     if callable(shape):
         ok = type(value) is shape if isinstance(shape, type) else shape(value)
     elif isinstance(shape, dict) and isinstance(value, dict):
-        prefix, fields = f"{path}." if path else "", {}
-        for key, field in shape.items():
-            if type(key) is tuple:
-                fields.update(zip(key, _read(tuple(map(value.get, key, field[0])), field, path, diags)))
-            elif key != "*":
-                fields[key] = _read(value.get(key, field[0]), field, prefix + key, diags)
+        prefix = f"{path}." if path else ""
+        fields = {key: _read(value.get(key, field[0]), field, prefix + key, diags)
+                  for key, field in shape.items() if key != "*"}
         for key in value:
             if key in fields:
                 continue
@@ -160,10 +150,6 @@ def _read(value, row: tuple, path: str, diags: list[str]):
     elif isinstance(shape, list) and isinstance(value, list):
         return [_read(entry, ({}, shape[0], "must be an object"), f"{path}[{i}]", diags)
                 for i, entry in enumerate(value)]
-    elif isinstance(shape, Map) and isinstance(value, dict):
-        if not all(map(shape.test, value.values())):
-            diags.append(f"{path}: {shape.diagnostic}")
-        return value
     else:  # no object or array; a default of None admits null
         ok = value is None and default is None
     if not ok:
@@ -231,7 +217,7 @@ def scenario_from_dict(data: dict) -> tuple[Optional[QuotientScenario], list[str
             sings.append((CyclicSing(sing["n"], sing["q"]), sing["count"]))
         except ValueError as exc:
             diags.append(f"singularities[{i}]: {exc}")
-    annotations = dict(fields["annotations"])
+    annotations = fields["annotations"]
     if annotations.get("rationality_case", "klein") not in ("klein", "xv"):
         diags.append('annotations.rationality_case: must be "klein", "xv" or absent')
     if "table_position" in annotations:  # the tables sort by the top-level table_position, copied here
@@ -246,7 +232,7 @@ def scenario_from_dict(data: dict) -> tuple[Optional[QuotientScenario], list[str
         tuple(Stratum(st["stabilizer_order"], st["euler"]) for st in fields["strata"]),
         tuple(ram), tuple(sings),
         fibration=None if fib is None else Fibration(fib["fiber_genus"], fib["deck_order"], fib["ramification"]),
-        annotations=annotations, display=dict(fields["display"]), table=fields["table"], source=fields["source"]), []
+        annotations=annotations, display=fields["display"], table=fields["table"], source=fields["source"]), []
 
 
 def _group_diagnostics(scenario: QuotientScenario) -> list[str]:

@@ -29,7 +29,7 @@ OK, INCONSISTENT, INPUT_ERROR, BROKEN_PIPE = 0, 1, 2, 141
 def _cmd_report(args) -> int:
     scenario = catalog.find_case(args.case, args.catalog)
     print(catalog.render_report(scenario, args.format))
-    return OK if scenario.report.noether_ok and not scenario.report.flags else INCONSISTENT
+    return INCONSISTENT if scenario.report.flags else OK
 
 
 def _cmd_tables(args) -> int:
@@ -41,8 +41,7 @@ def _cmd_tables(args) -> int:
         titles = ("Table 1: quotients by cyclic groups", "Table 2: quotients by non-cyclic groups")
         print("\n\n".join(f"{title}\n{catalog.render_table(columns, rows, args.format)}"
                             for title, (columns, rows) in zip(titles, tables)))
-    bad = [label for label, scenario in catalog.load_catalog(args.catalog).items()
-           if not scenario.report.noether_ok]
+    bad = [label for label, scenario in catalog.load_catalog(args.catalog).items() if scenario.report.flags]
     if bad:
         print(f"Noether check failed for: {', '.join(bad)}", file=sys.stderr)
         return INCONSISTENT
@@ -93,10 +92,13 @@ def _cmd_rationality(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    diagnostics = catalog.validate_scenario(catalog.read_scenario_file(Path(args.file), args.file))
+    try:  # every diagnostic goes to stdout, that of a file it cannot read too
+        data = catalog.read_scenario_file(Path(args.file), args.file)
+        diagnostics = [f"{args.file}: {d}" for d in catalog.validate_scenario(data)]
+    except catalog.InvalidScenario as exc:
+        diagnostics = exc.diagnostics
     if diagnostics:
-        for d in diagnostics:
-            print(f"{args.file}: {d}")
+        print(*diagnostics, sep="\n")
         return INPUT_ERROR
     print(f"{args.file}: ok")
     return OK

@@ -300,6 +300,18 @@ class TestCliExitCodes:
         bad.write_text("{not json")
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-json"])
+    def test_validate_prints_a_read_failure_on_stdout(self, tmp_path, capsys, kind):
+        # the one line of a file that cannot be read went to stderr, every other diagnostic to stdout
+        path = tmp_path / "case.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-json":
+            path.write_text("{not json")
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out.startswith(f"{path}: "), out.count("\n"), err) == (True, 1, "")
+
     def test_every_case_reports_cleanly(self, capsys):
         for label in SLUGS:
             assert main(["report", label]) == 0, label
@@ -669,16 +681,15 @@ class TestHardenedInput:
         ("xi.json", "annotations.rationality_case", "foo"),
         ("v.json", "table", "1"),
         ("v.json", "table_position", "x"),
-        ("i.json", "fibration", 7.7),
+        ("i.json", "fibration.fiber_genus", 7.7),
     ])
     def test_mistyped_field_is_diagnosed(self, tmp_path, capsys, file, field, value):
         data = json.loads((DATA / file).read_text())
-        if field == "fibration":
-            data["fibration"]["fiber_genus"] = value
-        elif field == "annotations.rationality_case":
-            data["annotations"]["rationality_case"] = value
-        else:
-            data[field] = value
+        *parents, key = field.split(".")
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
         path = tmp_path / file
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
@@ -688,25 +699,27 @@ class TestHardenedInput:
         assert captured.out == ""
         assert captured.err.startswith(f"{file}: {field}: ")
 
-    @pytest.mark.parametrize("fibration", [
-        {"fiber_genus": 7, "deck_order": -4, "ramification": 4},  # validated; report I gave fiber genus 0
-        {"fiber_genus": 0, "deck_order": 1, "ramification": -2},
-        {"fiber_genus": -1, "deck_order": 1, "ramification": -4},
-        {"fiber_genus": 7, "deck_order": 0, "ramification": 4},  # validation printed Fraction(8, 0)
-        7,
+    @pytest.mark.parametrize("fibration, diagnostics", [
+        # validated; report I gave fiber genus 0
+        ({"fiber_genus": 7, "deck_order": -4, "ramification": 4}, ["fibration.deck_order: must be an integer >= 1"]),
+        ({"fiber_genus": 0, "deck_order": 1, "ramification": -2}, ["fibration.ramification: must be an integer >= 0"]),
+        ({"fiber_genus": -1, "deck_order": 1, "ramification": -4}, ["fibration.fiber_genus: must be an integer >= 0",
+                                                                    "fibration.ramification: must be an integer >= 0"]),
+        # validation printed Fraction(8, 0)
+        ({"fiber_genus": 7, "deck_order": 0, "ramification": 4}, ["fibration.deck_order: must be an integer >= 1"]),
+        (7, ["fibration: must be an object"]),
     ], ids=["negative-deck-order", "negative-ramification", "negative-genus", "zero-deck-order", "no-object"])
-    def test_fibration_out_of_range_is_diagnosed(self, tmp_path, capsys, fibration):
-        diagnostic = "fibration: needs integers fiber_genus >= 0, deck_order >= 1, ramification >= 0"
+    def test_fibration_out_of_range_is_diagnosed(self, tmp_path, capsys, fibration, diagnostics):
         data = json.loads((DATA / "i.json").read_text())
         data["fibration"] = fibration
         bad = tmp_path / "i.json"
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2
-        assert capsys.readouterr().out == f"{bad}: {diagnostic}\n"
+        assert capsys.readouterr().out == "".join(f"{bad}: {d}\n" for d in diagnostics)
         assert main(["--catalog", str(tmp_path), "report", "I"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"i.json: {diagnostic}\n"
+        assert captured.err == "".join(f"i.json: {d}\n" for d in diagnostics)
 
     def test_fibration_deck_order_must_divide_the_group_order(self, tmp_path, capsys):
         # validated, and report I printed albanese fiber genus = 3: the deck group is a subgroup of G
@@ -755,8 +768,8 @@ class TestHardenedInput:
         assert text.count(old) == 1
         bad = tmp_path / "xi.json"
         bad.write_text(text.replace(old, new))
-        assert main(["validate", str(bad)]) == 2  # a file that cannot be read is reported on stderr
-        assert capsys.readouterr() == ("", f"{bad}: duplicate key {key!r}\n")
+        assert main(["validate", str(bad)]) == 2  # validate prints a file it cannot read on stdout too
+        assert capsys.readouterr() == (f"{bad}: duplicate key {key!r}\n", "")
         for argv in (["report", "XI"], ["tables"]):
             assert main(["--catalog", str(tmp_path), *argv]) == 2
             assert capsys.readouterr() == ("", f"xi.json: duplicate key {key!r}\n")
@@ -831,14 +844,14 @@ class TestHardenedInput:
         ("v.json", ("strata", 0, "stabilizer_order"), "strata[0].stabilizer_order: "),
         ("v.json", ("strata", 0, "euler"), "strata[0].euler: "),
         ("iv2.json", ("ramification", 0, "index"), "ramification[0].index: "),
-        ("v.json", ("singularities", 0, "n"), "singularities[0]: "),
-        ("v.json", ("singularities", 0, "q"), "singularities[0]: "),
-        ("v.json", ("singularities", 0, "count"), "singularities[0]: "),
+        ("v.json", ("singularities", 0, "n"), "singularities[0].n: must be an integer"),
+        ("v.json", ("singularities", 0, "q"), "singularities[0].q: must be an integer"),
+        ("v.json", ("singularities", 0, "count"), "singularities[0].count: must be an integer >= 1"),
         ("v.json", ("table",), "table: "),
         ("v.json", ("table_position",), "table_position: "),
-        ("i.json", ("fibration", "fiber_genus"), "fibration: "),
-        ("i.json", ("fibration", "deck_order"), "fibration: "),
-        ("i.json", ("fibration", "ramification"), "fibration: "),
+        ("i.json", ("fibration", "fiber_genus"), "fibration.fiber_genus: must be an integer >= 0"),
+        ("i.json", ("fibration", "deck_order"), "fibration.deck_order: must be an integer >= 1"),
+        ("i.json", ("fibration", "ramification"), "fibration.ramification: must be an integer >= 0"),
         ("ii.json", ("group", "generators", 0, "rows", 2, 2), "group.generators[0].rows: "),  # entry
         ("xi.json", ("group", "generators", 0, "rows", 0, 0, 0, 0), "group.generators[0].rows: "),  # coefficient
         ("xi.json", ("group", "generators", 0, "rows", 0, 0, 0, 1), "group.generators[0].rows: "),  # exponent
@@ -868,10 +881,10 @@ class TestHardenedInput:
          "group.generators[0].rows: a term must be a [coefficient, exponent] pair"),
         (("strata", 0, "note"), 5, "strata[0].note: must be a string"),
         (("source",), ["a"], "source: must be a string"),
-        (("display", "order"), 11, "display: every value must be a string"),
+        (("display", "order"), 11, "display.order: must be a string"),
         # a list was rendered through str() into the kappa cell as ['x']*
-        (("annotations", "kodaira"), ["x"], "annotations: every value must be a string or an integer"),
-        (("annotations", "minimal"), None, "annotations: every value must be a string or an integer"),
+        (("annotations", "kodaira"), ["x"], "annotations.kodaira: must be a string or an integer"),
+        (("annotations", "minimal"), None, "annotations.minimal: must be a string or an integer"),
         (("schema",), 1.0, "schema: expected 1, got 1.0"),
     ], ids=["float-coefficient", "float-entry", "string-coefficient", "float-exponent", "short-term",
             "note", "source", "display", "annotation-list", "annotation-null", "float-schema"])
@@ -905,7 +918,7 @@ class TestHardenedInput:
         bad.write_text(json.dumps(data))
         diagnostic = f"a JSON integer has {digits} digits, more than {catalog.MAX_DIGITS}"
         assert main(["validate", str(bad)]) == 2
-        assert capsys.readouterr() == ("", f"{bad}: {diagnostic}\n")
+        assert capsys.readouterr() == (f"{bad}: {diagnostic}\n", "")
         assert main(["--catalog", str(tmp_path), "report", label]) == 2
         assert capsys.readouterr() == ("", f"{file}: {diagnostic}\n")
 
@@ -915,7 +928,7 @@ class TestHardenedInput:
         bad.write_text("[" * 100_000)
         diagnostic = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
         assert main(["validate", str(bad)]) == 2
-        assert capsys.readouterr() == ("", f"{bad}: {diagnostic}\n")
+        assert capsys.readouterr() == (f"{bad}: {diagnostic}\n", "")
         assert main(["--catalog", str(tmp_path), "tables"]) == 2
         assert capsys.readouterr() == ("", f"deep.json: {diagnostic}\n")
 

@@ -87,6 +87,33 @@ class TestUnknownKeys:
         _exits_two(tmp_path, capsys, "iii2.json", data, "fibration.note: must be a string", ["report", "III(2)"])
 
 
+@pytest.mark.parametrize("file, path, value, diagnostics", [
+    ("v.json", ("singularities", 0), {"count": 1, "q": "3", "n": True},
+     ["singularities[0].n: must be an integer", "singularities[0].q: must be an integer"]),
+    ("i.json", ("fibration",), {"ramification": -4, "deck_order": 1, "fiber_genus": 1.5},
+     ["fibration.fiber_genus: must be an integer >= 0", "fibration.ramification: must be an integer >= 0"]),
+    ("xi.json", ("annotations",), {"minimal": None, "kodaira": ["x"]},
+     ["annotations.minimal: must be a string or an integer", "annotations.kodaira: must be a string or an integer"]),
+    ("xi.json", ("display",), {"order": 11, "type": None},
+     ["display.order: must be a string", "display.type: must be a string"]),
+], ids=["singularity", "fibration", "annotations", "display"])
+def test_each_refused_value_has_its_own_line(tmp_path, capsys, file, path, value, diagnostics):
+    # one line under the path of each value, the named keys in table order; these four fields
+    # printed one line under the object for all its values
+    data = copy.deepcopy(FILES[file])
+    *parents, key = path
+    target = data
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    bad = tmp_path / file
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr() == ("".join(f"{bad}: {d}\n" for d in diagnostics), "")
+    assert main(["--catalog", str(tmp_path), "tables"]) == 2
+    assert capsys.readouterr() == ("", "".join(f"{file}: {d}\n" for d in diagnostics))
+
+
 class TestCrossFieldRules:
     def test_table_position_is_reserved_in_annotations(self, tmp_path, capsys):
         # the tables sort by annotations.table_position; a string there next to integers raised TypeError
@@ -110,19 +137,17 @@ class TestCrossFieldRules:
                    "ramification[0].meets.E1: a curve's own value is its self_int", ["report", "III(4)"])
 
 
-def _sites(obj: dict, shape, path: str):
+def _sites(obj: dict, table: dict, path: str):
     """(object, key, JSON path, whether the key is named by a table) for every key of ``obj``
     and of the objects below it that the schema reads."""
-    rows = {} if isinstance(shape, catalog.Map) else {
-        name: row for key, row in shape.items() for name in (key if isinstance(key, tuple) else (key,))}
     for key, value in obj.items():
         where = f"{path}.{key}" if path else key
-        yield obj, key, where, key in rows
-        inner = rows.get(key, rows.get("*", (None, None, None)))[1]
+        yield obj, key, where, key in table
+        inner = table.get(key, table.get("*", (None, None, None)))[1]
         if isinstance(inner, list) and isinstance(value, list):
             for i, entry in enumerate(value):
                 yield from _sites(entry, inner[0], f"{where}[{i}]")
-        elif isinstance(inner, (dict, catalog.Map)) and isinstance(value, dict):
+        elif isinstance(inner, dict) and isinstance(value, dict):
             yield from _sites(value, inner, where)
 
 
@@ -160,11 +185,10 @@ def _table_paths(table: dict, prefix: str = ""):
     for key, (_, shape, _) in table.items():
         if isinstance(shape, list):
             shape = shape[0]
-        for name in key if isinstance(key, tuple) else (key,):
-            free = isinstance(shape, catalog.Map) or isinstance(shape, dict) and "*" in shape
-            yield prefix + name, free
-            if isinstance(shape, dict) and not free:
-                yield from _table_paths(shape, f"{prefix}{name}.")
+        free = isinstance(shape, dict) and "*" in shape
+        yield prefix + key, free
+        if isinstance(shape, dict) and not free:
+            yield from _table_paths(shape, f"{prefix}{key}.")
 
 
 def _doc_paths():
