@@ -8,11 +8,12 @@ of cyclic quotient singularities, and optional fibration data.  From that the
 engine computes
 
     c1^2   by the ramification formula plus per-singularity corrections,
-    c2     by the stratified Euler number plus exceptional components,
     q, p_g by averaging characters over the group (forms and 2-forms),
+    c2     by the Lefschetz e(S/G) plus exceptional components,
     chi    = 1 - q + p_g,  h^{1,1} = c2 - 2 + 4q - 2p_g,
 
-and cross-checks Noether's relation 12 chi = c1^2 + c2.
+and cross-checks Noether's relation 12 chi = c1^2 + c2.  Each is computed once;
+the catalog checks the strata's Euler number against e(S/G) before any report.
 
 Only catalog.scenario_from_dict builds the records.  The input defaults and
 checks (intersection pairs, stabilizer orders, indices) are the catalog's alone
@@ -60,6 +61,9 @@ RamificationCurve = NamedTuple("RamificationCurve", [
 # genus data for the induced fibration over an elliptic Albanese image
 Fibration = NamedTuple("Fibration", [("fiber_genus", int), ("deck_order", int), ("ramification", int)])
 
+# the group half of a report: q, p_g and e(S/G) from the generators alone
+GroupInvariants = NamedTuple("GroupInvariants", [("q", int), ("p_g", int), ("euler", int)])
+
 
 class QuotientScenario(NamedTuple("QuotientScenario", [
         ("label", str), ("generators", tuple[CycMatrix, ...]), ("strata", tuple[Stratum, ...]),
@@ -72,6 +76,14 @@ class QuotientScenario(NamedTuple("QuotientScenario", [
     @cached_property
     def group(self) -> FiniteMatrixGroup:
         return group_closure(self.generators)
+
+    @cached_property
+    def invariants(self) -> GroupInvariants:
+        return group_invariants(self.group)
+
+    @cached_property
+    def fiber_genus(self) -> Optional[int]:  # of the quotient fiber, if the scenario has a fibration
+        return None if self.fibration is None else albanese_fiber_genus(*self.fibration)
 
     @cached_property
     def report(self) -> InvariantReport:
@@ -95,29 +107,27 @@ def euler_quotient(scenario: QuotientScenario) -> int:
     return int(value)
 
 
-def lefschetz_euler_quotient(group: FiniteMatrixGroup) -> int:
-    """e(S/G) from the group action alone, by the topological Lefschetz formula.
+def group_invariants(group: FiniteMatrixGroup) -> GroupInvariants:
+    """q and p_g by character averages, and e(S/G) by the topological Lefschetz formula.
 
     H^1(S) = V + conj(V) for the 1-forms V and H^2(S) = Lambda^2 H^1, so with
     s = tr g, t = s + conj(s) and t2 = tr g^2 + conj(tr g^2) the fixed locus
     has e(S^g) = 2 - 2t + (t^2 - t2)/2, and (t^2 - t2)/2, the character of
     Lambda^2 (V + conj(V)) = Lambda^2 V + Lambda^2 conj(V) + V conj(V), is
-    w + conj(w) + s conj(s) with w the exterior-square character.  Summed over
-    G with S = sum s and W = sum w, read from the values the group keeps for q
-    and p_g, that is 2|G| - 2(S + conj S) + W + conj W + sum s conj(s).  As
-    S = |G| q, W = |G| p_g and sum s conj(s) = |G| <chi, chi>,
+    w + conj(w) + s conj(s) with w the exterior-square character.  Averaged
+    over G, s and w give q and p_g, and s conj(s) gives <chi, chi>, so
 
         e(S/G) = 2 - 4q + 2p_g + <chi, chi>.
     """
+    q = invariant_dimension(group, CycMatrix.trace)  # invariant 1-forms
+    p_g = invariant_dimension(group, exterior_square_trace)  # invariant 2-forms
     traces = group.character(CycMatrix.trace)
-    trace_sum, wedge_sum = character_sum(traces), character_sum(group.character(exterior_square_trace))
     norms = character_sum(traces, [t.conjugate() for t in traces])
-    total = norms + wedge_sum + wedge_sum.conjugate() - 2 * (trace_sum + trace_sum.conjugate()) + 2 * group.order
-    if total.is_rational():
-        value, rest = divmod(total.as_int(), group.order)
+    if norms.is_rational():
+        value, rest = divmod(norms.as_int(), group.order)
         if not rest:
-            return value
-    raise NonIntegralEuler(f"the Lefschetz average {total!r} / {group.order} is not an integer")
+            return GroupInvariants(q, p_g, 2 - 4 * q + 2 * p_g + value)
+    raise NonIntegralEuler(f"the Lefschetz average {norms!r} / {group.order} is not an integer")
 
 
 def k2_quotient(scenario: QuotientScenario) -> Fraction:
@@ -161,7 +171,7 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
 
     A failed Noether identity or a fractional c1^2 is reported as a flag so
     that inconsistent user scenarios still produce diagnostics; a non-integral
-    e(S/G) or fiber genus raises.
+    e(S/G) or fiber genus raises, in the catalog's group checks before any report.
     """
     flags: list[str] = []
     k2q = k2_quotient(scenario)
@@ -169,24 +179,15 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
     c1_sq = k2q + correction
     if c1_sq.denominator != 1:
         flags.append(f"c1^2 = {c1_sq} is not an integer")
-    e_quot = euler_quotient(scenario)
+    q, p_g, e_quot = scenario.invariants  # computed once, by the catalog's group checks
     components = sum(count * len(sing.chain()) for sing, count in scenario.singularities)
     c2 = e_quot + components
-    q = invariant_dimension(scenario.group, CycMatrix.trace)  # invariant 1-forms
-    p_g = invariant_dimension(scenario.group, exterior_square_trace)  # invariant 2-forms
     chi = 1 - q + p_g
     h11 = c2 - 2 + 4 * q - 2 * p_g
     noether_ok = 12 * chi == c1_sq + c2
     if not noether_ok:
         flags.append(f"Noether violated: 12*{chi} != {c1_sq} + {c2}")
-    fiber = None
-    if scenario.fibration is not None:
-        fib = scenario.fibration
-        fiber = albanese_fiber_genus(fib.fiber_genus, fib.deck_order, fib.ramification)
-    parts = []
-    for sing, count in scenario.singularities:
-        prefix = "" if count == 1 else str(count)
-        parts.append(f"{prefix}{sing.display()}")
+    sings = "+".join(f"{'' if count == 1 else count}{sing.display()}" for sing, count in scenario.singularities)
     return InvariantReport(
         c1_sq=int(c1_sq) if c1_sq.denominator == 1 else c1_sq,
         c2=c2,
@@ -194,8 +195,8 @@ def full_report(scenario: QuotientScenario) -> InvariantReport:
         p_g=p_g,
         chi=chi,
         h11=h11,
-        fiber_genus=fiber,
-        singularities="+".join(parts),
+        fiber_genus=scenario.fiber_genus,
+        singularities=sings,
         noether_ok=noether_ok,
         k2_quotient=k2q,
         k2_correction=correction,

@@ -28,6 +28,9 @@ from fanoquotients import cli
 
 modules = {
     "full_report": "quotient_engine",
+    "euler_quotient": "quotient_engine",
+    "albanese_fiber_genus": "quotient_engine",
+    "character_sum": "cyclotomic_rep",
     "invariant_dimension": "cyclotomic_rep",
     "exterior_square_trace": "cyclotomic_rep",
     "scenario_from_dict": "catalog",
@@ -68,11 +71,13 @@ def count_calls(argv, names=()):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    # 19 scenarios: one parse, one closure, one report and two character averages each;
-    # the Lefschetz check and p_g share one exterior square per element (113 = sum of |G|)
-    # the table's certified marks build and search each certificate configuration once
+    # 19 scenarios: one parse, one closure, one report and two character averages each, one exterior
+    # square per element (113 = sum of |G|), and one strata sum and one <chi, chi> for the Lefschetz
+    # check; q, p_g and e(S/G) are summed once, for the check and the report (3 character sums each);
+    # the 8 fibrations' genera once; the table's certified marks build and search each configuration once
     (["tables"], {"rc": 0, "full_report": 19, "invariant_dimension": 38, "scenario_from_dict": 19,
                   "group_closure": 19, "klein_stage1": 1, "exterior_square_trace": 113,
+                  "euler_quotient": 19, "character_sum": 57, "albanese_fiber_genus": 8,
                   "build_xv_config": 1, "build_klein_config": 2, "find_rationality_certificate": 3}),
     # the transcript and both certificates share one stage-1 result, the XI report and one
     # build per option
@@ -82,7 +87,8 @@ def count_calls(argv, names=()):
     (["rationality", "xv"], {"rc": 0, "group_closure": 1,
                              "build_xv_config": 1, "build_klein_config": 0, "find_rationality_certificate": 1}),
     # every file is parsed, but only the asked case is closed and reported
-    (["report", "XI"], {"rc": 0, "group_closure": 1, "full_report": 1, "scenario_from_dict": 19}),
+    (["report", "XI"], {"rc": 0, "group_closure": 1, "full_report": 1, "scenario_from_dict": 19,
+                        "euler_quotient": 1, "character_sum": 3}),
 ], ids=["tables", "rationality-klein", "rationality-xv", "report-xi"])
 def test_each_value_computed_once(argv, expected):
     counts = count_calls(argv, [key for key in expected if key != "rc"])

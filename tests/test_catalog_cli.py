@@ -63,13 +63,14 @@ class TestValidation:
         diags = catalog.validate_scenario(data)
         assert any("invertible" in d or "closure failed" in d for d in diags)
 
-    def test_arithmetic_error_of_the_report_is_diagnosed(self, monkeypatch):
+    def test_arithmetic_error_of_the_group_invariants_is_diagnosed(self, monkeypatch):
         def fail(group, character):
             raise NonIntegralDimension("character average 1 / 2 is not a nonnegative integer")
 
+        # q, p_g and e(S/G) are computed once, by the group checks, before the report reads them
         monkeypatch.setattr(quotient_engine, "invariant_dimension", fail)
         data = json.loads((DATA / "v.json").read_text())
-        assert catalog.validate_scenario(data) == ["report: character average 1 / 2 is not a nonnegative integer"]
+        assert catalog.validate_scenario(data) == ["strata: character average 1 / 2 is not a nonnegative integer"]
 
     def test_bad_fibration_is_diagnosed(self):
         data = json.loads((DATA / "i.json").read_text())

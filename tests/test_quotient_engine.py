@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from fanoquotients import blowdown, catalog
-from fanoquotients.cyclotomic_rep import CycMatrix, CycNum, FiniteMatrixGroup, group_closure
+from fanoquotients import blowdown, catalog, quotient_engine
+from fanoquotients.cyclotomic_rep import CycMatrix, CycNum, FiniteMatrixGroup, NonIntegralDimension, group_closure
 from fanoquotients.hj_resolution import CyclicSing
 from fanoquotients.quotient_engine import (
     NonIntegralEuler,
@@ -12,8 +12,8 @@ from fanoquotients.quotient_engine import (
     albanese_fiber_genus,
     euler_quotient,
     full_report,
+    group_invariants,
     k2_quotient,
-    lefschetz_euler_quotient,
 )
 
 from test_acceptance import lefschetz_euler_quotient as per_element_oracle
@@ -52,13 +52,13 @@ P_INV = [[(-1) ** (j - i) if j >= i else 0 for j in range(5)] for i in range(5)]
 
 
 class TestLefschetzEulerQuotient:
-    """The sums of the stored characters, 2|G| - 2(S + conj S) + W + conj W + sum s conj(s),
-    against the per-element Lefschetz numbers of the acceptance suite."""
+    """e(S/G) = 2 - 4q + 2p_g + <chi, chi> from the stored characters, against the per-element
+    Lefschetz numbers of the acceptance suite and the strata sum."""
 
     @pytest.mark.parametrize("label", LABELS)
     def test_matches_the_per_element_oracle(self, label):
         group = case(label).group
-        assert lefschetz_euler_quotient(group) == per_element_oracle(group) == euler_quotient(case(label))
+        assert group_invariants(group).euler == per_element_oracle(group) == euler_quotient(case(label))
 
     @pytest.mark.parametrize("label", ["XI", "XV"])
     def test_dense_conjugates(self, label):
@@ -67,14 +67,15 @@ class TestLefschetzEulerQuotient:
         assert p @ p_inv == CycMatrix.identity(5, n)
         group = group_closure([p @ g @ p_inv for g in case(label).generators])
         assert sum(e != 0 for g in group for row in g.rows for e in row) > 10 * len(group)
-        assert lefschetz_euler_quotient(group) == per_element_oracle(group) == euler_quotient(case(label))
+        assert group_invariants(group).euler == per_element_oracle(group) == euler_quotient(case(label))
 
     @pytest.mark.parametrize("label, shift", [
         ("I", CycNum.from_rational(1)), ("III(1)", CycNum.from_terms(3, [(1, 1)])),
     ], ids=["odd-total", "irrational"])
     def test_non_integral_character_sum_rejected(self, monkeypatch, label, shift):
         # I has order 2: moving one trace by 1 changes the total by an odd number;
-        # III(1) has conductor 3, and moving one trace by zeta_3 takes the total out of Q
+        # III(1) has conductor 3, and moving one trace by zeta_3 takes the total out of Q.
+        # q's average reads the shifted trace before the Lefschetz sum does
         group = group_closure(list(case(label).generators))
         original = FiniteMatrixGroup.character
 
@@ -83,8 +84,16 @@ class TestLefschetzEulerQuotient:
             return (values[0] + shift, *values[1:]) if chi is CycMatrix.trace else values
 
         monkeypatch.setattr(FiniteMatrixGroup, "character", shifted)
+        with pytest.raises(NonIntegralDimension):
+            group_invariants(group)
+
+    def test_non_integral_norm_sum_rejected(self, monkeypatch):
+        # q and p_g average as before; only sum s conj(s), the one character sum of the engine, moves by 1
+        group = group_closure(list(case("I").generators))
+        original = quotient_engine.character_sum
+        monkeypatch.setattr(quotient_engine, "character_sum", lambda values, weights=(): original(values, weights) + 1)
         with pytest.raises(NonIntegralEuler, match="Lefschetz average"):
-            lefschetz_euler_quotient(group)
+            group_invariants(group)
 
 
 class TestRationalTraceBound:
@@ -189,8 +198,14 @@ class TestFullReport:
         assert r.c2 == F(27, 3) == 9
 
     def test_noether_failure_is_flagged_not_raised(self):
-        # a wrong Euler number, still integral
-        bad = case("V")._replace(label="V-bad", strata=(Stratum(5, 7),))
-        report = full_report(bad)
+        # a wrong singularity count, 3A4 for 2A4: c2 = 7 + 3 * 4 (the input of the CLI's Noether tests)
+        (a4, _), = case("V").singularities
+        report = full_report(case("V")._replace(label="V-bad", singularities=((a4, 3),)))
         assert not report.noether_ok
-        assert any("Noether" in f for f in report.flags)
+        assert report.flags == ("Noether violated: 12*2 != 9 + 19",)
+
+    def test_c2_reads_the_group_not_the_strata(self):
+        # the group checks refuse a stratum Euler number that disagrees; the report never reads one
+        bad = case("V")._replace(label="V-bad", strata=(Stratum(5, 7),))
+        assert euler_quotient(bad) == 11
+        assert full_report(bad).c2 == full_report(case("V")).c2 == 15

@@ -114,6 +114,19 @@ def test_each_refused_value_has_its_own_line(tmp_path, capsys, file, path, value
     assert capsys.readouterr() == ("", "".join(f"{file}: {d}\n" for d in diagnostics))
 
 
+def test_a_key_that_is_no_plain_word_is_quoted_in_its_path():
+    # .key only for a non-empty run of ASCII letters, digits and _, else ["key"] with the key as a JSON
+    # string: display.order.type read as a nested key, and annotations.: named no key at all
+    data = _edited("xi.json", lambda d: d.update({"a.b": 1}))
+    data["display"]["order.type"] = 1
+    data["annotations"][""] = None
+    assert catalog.validate_scenario(data) == [
+        'annotations[""]: must be a string or an integer', 'display["order.type"]: must be a string',
+        '["a.b"]: unknown key']
+    data = _edited("iii4.json", lambda d: d["ramification"][0]["meets"].update({"E.x": "1"}))
+    assert catalog.validate_scenario(data) == ['ramification[0].meets["E.x"]: unknown curve name']
+
+
 class TestCrossFieldRules:
     def test_table_position_is_reserved_in_annotations(self, tmp_path, capsys):
         # the tables sort by annotations.table_position; a string there next to integers raised TypeError
